@@ -32,7 +32,7 @@ print("routes agree:", rep["agree"])
 lam0 = rep["omega_zeros"][0]
 print(f"\nOmega crosses zero through the eigenvalue at {lam0:.6f}:")
 for off in (-0.01, -0.001, 0.001, 0.01):
-    om = omega(interior(lam0 + off), p, m, N=60_000, extrapolate=True)
+    om = omega(interior(lam0 + off), p, m, N=60_000)
     print(f"  Omega({lam0 + off:+.6f}) = {om.real:+.6e}")
 
 z = lam0 + 1e-4

@@ -329,7 +329,7 @@ def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
 
 
 def remainder_window(ctx: PhaseContext, model: CoefficientModel,
-                     n0: int, n1: int) -> np.ndarray:
+                     n0: int, n1: int, B: np.ndarray | None = None) -> np.ndarray:
     """Relative recurrence defect r_n of the Ansatz for n in [n0, n1).
 
     Evaluated through the neighbor ratios B_n only -- the raw A_n under-
@@ -339,11 +339,13 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
               + (b_n - z)/sqrt(a_{n-1} a_n).
 
     Requires n0 >= n_start + 1 so that B_{n-1} is inside the window.
+    B, if given, is ansatz_ratio_window(ctx, n0 - 1, n1), already built.
     """
     if n0 < ctx.n_start + 1:
         raise InvalidParameter("remainder needs n >= n_start + 1")
     z = ctx.z_canonical
-    B = ansatz_ratio_window(ctx, n0 - 1, n1)
+    if B is None:
+        B = ansatz_ratio_window(ctx, n0 - 1, n1)
     ns = np.arange(n0, n1, dtype=float)
     a_n = model.a_fn(ns)
     a_nm1 = model.a_fn(ns - 1.0)

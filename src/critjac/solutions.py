@@ -119,11 +119,18 @@ def _extend_backward(logmag: np.ndarray, unit: np.ndarray, n_from: int,
 
 def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
          N: int | None = None, n0: int | None = None,
-         tol: float = volterra.DEFAULT_TOL, extrapolate: bool = False) -> SolutionWindow:
+         tol: float = volterra.DEFAULT_TOL,
+         tail_init: str = "asymptotic") -> SolutionWindow:
     """Jost solution window on [-1, N]: f_n = A_n u_n beyond n0, extended
-    downwards by the recurrence with a_{-1} = 1."""
+    downwards by the recurrence with a_{-1} = 1.
+
+    tail_init is passed to volterra.solve.  "unit" (bare sweep, no tail
+    fit) keeps the zeros of f_{-1} at real regular points but is off by
+    about 1e-3 relative in value there (1e-4 to 7e-3 seen); "asymptotic"
+    is the accurate default.
+    """
     sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
-                         extrapolate=extrapolate)
+                         tail_init=tail_init)
     n0, N = sol.n0, sol.N
     ctx = phase_context(zp, params, n0)
     u = sol.u.conjugate() if sol.conjugated else sol.u
@@ -145,7 +152,7 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
         "volterra_residual": sol.residual,
         "tail_bound": sol.tail_bound,
         "u_error_bound": float(np.expm1(sol.H[0])),
-        "extrapolated": sol.meta.get("extrapolated", False),
+        "tail_init": sol.meta["tail_init"],
     }
     return SolutionWindow("jost", -1, full_lm, full_u, zp, model, meta)
 
@@ -309,9 +316,14 @@ def omega_from_window(win: SolutionWindow) -> complex:
 
 def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           N: int | None = None, n0: int | None = None,
-          tol: float = volterra.DEFAULT_TOL, extrapolate: bool = False) -> complex:
-    """Wronskian of the polynomial and Jost solutions, via f_{-1}."""
-    win = jost(zp, params, model, N=N, n0=n0, tol=tol, extrapolate=extrapolate)
+          tol: float = volterra.DEFAULT_TOL,
+          tail_init: str = "asymptotic") -> complex:
+    """Wronskian of the polynomial and Jost solutions, via f_{-1}.
+
+    tail_init as for jost: "unit" is cheaper and keeps the real zeros,
+    but is about 1e-3 off in value at real regular points.
+    """
+    win = jost(zp, params, model, N=N, n0=n0, tol=tol, tail_init=tail_init)
     return omega_from_window(win)
 
 

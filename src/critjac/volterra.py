@@ -88,23 +88,15 @@ class VolterraKernel:
         self.n0 = int(n0)
         self.N = int(N)
         p = ctx.params
-        ns = np.arange(n0, N + 1, dtype=float)
-        B = ansatz_ratio_window(ctx, n0, N + 1)          # B_n, n in [n0, N]
-        a = model.a_fn(ns)
-        a_prev = model.a_fn(ns - 1.0)
-        ratio = a[1:] / a[:-1]                           # a_n/a_{n-1}, n >= n0+1
-        self.lam = np.empty(N + 1 - n0, dtype=complex)   # Lambda_n, n >= n0+1
-        self.lam[0] = np.nan
-        self.lam[1:] = ratio * B[1:] * B[:-1]
-        r = remainder_window(ctx, model, n0 + 1, N + 1)
-        self.rr = np.empty(N + 1 - n0, dtype=complex)    # Rcal_n, n >= n0+1
-        self.rr[0] = np.nan
-        self.rr[1:] = -np.sqrt(ratio) * B[:-1] * r
-        del a_prev
+        # Temporaries are dropped as soon as they are dead: the kernel is
+        # built for windows of up to 2N indices, and what it holds at
+        # once sets the peak memory of a solve.
+        self.lam, self.rr = _lambda_rcal(ctx, model, n0, N)
 
         # X_n = Lambda_{n0+1} ... Lambda_n in log form; X_{n0} = 1.
         loglam = np.log(self.lam[1:])                    # |arg Lambda| << pi
         cum = np.concatenate([[0.0 + 0.0j], np.cumsum(loglam)])
+        del loglam
         self.logX = cum.real                             # ln|X_n|
         self.argX = cum.imag
         # prefix sums PS_k = sum_{p=n0}^{k} X_p^{-1}, scaled blockwise
@@ -112,7 +104,9 @@ class VolterraKernel:
         # h-majorant: h_m >= sup_{n0<=n<m} |G_{n,m} Rcal_m|
         run = np.maximum.accumulate(self.logPS)
         habs = np.abs(self.rr[1:]) * np.exp(self.logX[:-1] + run[:-1])
+        del run
         self.h = np.concatenate([[0.0], 2.0 * habs])
+        del habs
         nu, delta = p.nu, p.delta
         if delta - nu <= 1.0:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
@@ -123,10 +117,9 @@ class VolterraKernel:
 
     def _fit_tail(self, nu: float, delta: float):
         """Majorant beyond N: h_m ~ C m^(nu-delta), C from the last decade."""
-        ns = np.arange(self.n0, self.N + 1, dtype=float)
         lo = max(self.n0 + 1, int(self.N * 0.75))
-        sl = slice(lo - self.n0, self.N + 1 - self.n0)
-        scaled = self.h[sl] * ns[sl] ** (delta - nu)
+        ns = np.arange(lo, self.N + 1, dtype=float)
+        scaled = self.h[lo - self.n0:] * ns ** (delta - nu)
         C = 2.0 * float(np.max(scaled)) if len(scaled) else 0.0
         self.tail_const = C
         self.tail_beyond = C * self.N ** (nu - delta + 1.0) / (delta - nu - 1.0)
@@ -173,26 +166,56 @@ class VolterraKernel:
         """Backward sweep for u on [n0, N].
 
         With the default boundary data the tail beyond N is treated as
-        u = 1; tail-corrected boundary values come from top_boundary().
+        u = 1; tail-corrected boundary values come from _top_boundary().
         """
-        lam = self.lam.tolist()
-        rr = self.rr.tolist()
-        K = self.N - self.n0
-        u = [0j] * (K + 1)
-        u[K] = complex(u_top)
-        d = complex(d_top)
-        uk = u[K]
-        for k in range(K - 1, -1, -1):
-            d = rr[k + 1] * uk + lam[k + 1] * d
-            uk = uk + d
-            u[k] = uk
-        return np.asarray(u, dtype=complex)
+        return backward_sweep(self.lam, self.rr, u_top, d_top)
 
     def residual(self, u: np.ndarray) -> float:
         du = u[1:] - u[:-1]
         res = self.lam[1:-1] * du[1:] - du[:-1] - self.rr[1:-1] * u[1:-1]
         scale = np.maximum(1.0, np.abs(u[1:-1]))
         return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
+
+
+def _lambda_rcal(ctx: PhaseContext, model: CoefficientModel,
+                 n0: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda_n and Rcal_n on offsets [0, N - n0] (entry 0 is nan)."""
+    ns = np.arange(n0, N + 1, dtype=float)
+    B = ansatz_ratio_window(ctx, n0, N + 1)              # B_n, n in [n0, N]
+    a = model.a_fn(ns)
+    del ns
+    ratio = a[1:] / a[:-1]                               # a_n/a_{n-1}, n >= n0+1
+    del a
+    lam = np.empty(N + 1 - n0, dtype=complex)            # Lambda_n, n >= n0+1
+    lam[0] = np.nan
+    lam[1:] = ratio * B[1:] * B[:-1]
+    r = remainder_window(ctx, model, n0 + 1, N + 1, B=B)
+    rr = np.empty(N + 1 - n0, dtype=complex)             # Rcal_n, n >= n0+1
+    rr[0] = np.nan
+    rr[1:] = -np.sqrt(ratio) * B[:-1] * r
+    return lam, rr
+
+
+def backward_sweep(lam: np.ndarray, rr: np.ndarray,
+                   u_top: complex = 1.0 + 0.0j,
+                   d_top: complex = 0.0 + 0.0j) -> np.ndarray:
+    """u on offsets [0, K] from D_k = Rcal_{k+1} u_{k+1} + Lambda_{k+1} D_{k+1},
+    u_k = u_{k+1} + D_k, started from (u_K, D_K) = (u_top, d_top).
+
+    lam[0] and rr[0] are unused; K = len(lam) - 1.
+    """
+    lam = np.asarray(lam).tolist()
+    rr = np.asarray(rr).tolist()
+    K = len(lam) - 1
+    u = [0j] * (K + 1)
+    u[K] = complex(u_top)
+    d = complex(d_top)
+    uk = u[K]
+    for k in range(K - 1, -1, -1):
+        d = rr[k + 1] * uk + lam[k + 1] * d
+        uk = uk + d
+        u[k] = uk
+    return np.asarray(u, dtype=complex)
 
 
 def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
@@ -272,37 +295,46 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
     kern = VolterraKernel(ctx, model, N, M)
     K = M - N
     p = ctx.params
+    # This window is twice the solve's, so what it holds at once sets the
+    # peak memory of a whole solve: every array is dropped once it is dead.
+    logPS, uniPS = kern.logPS[:-2], kern.uniPS[:-2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         absr = np.abs(kern.rr[1:])
         logy = np.where(absr > 0.0, np.log(np.where(absr > 0.0, absr, 1.0)),
                         -np.inf) + kern.logX[:-1]
+        del absr
         argy = np.angle(kern.rr[1:]) + kern.argX[:-1]
         logt = logy + kern.logPS[:-1]
         argt = argy + np.angle(kern.uniPS[:-1])
-        # |y| and |t| are h-majorant sized, so plain exponentials are safe
-        y = np.exp(logy + 1j * argy)   # (X_{m-1}/X_N) Rcal_m,   m = N+1+k
-        t = np.exp(logt + 1j * argt)   # G_{N,m} Rcal_m
-        y[~np.isfinite(y)] = 0.0
-        t[~np.isfinite(t)] = 0.0
-        # second-order: u_m - 1 ~ A_m - PS_{m-1} B_m with the exclusive
-        # reverse sums A_m = sum_{q>m} t_q, B_m = sum_{q>m} y_q
+        del kern
+        # second-order: u_m - 1 ~ d_m = A_m - PS_{m-1} B_m with the
+        # exclusive reverse sums A_m = sum_{q>m} t_q, B_m = sum_{q>m} y_q
         d = np.zeros(K, dtype=complex)
         if K > 64:
             logA, uniA = _reverse_prefix(logt, argt)
+            d[:-1] = np.exp(np.minimum(logA[1:], 30.0)) * uniA[1:]
+            del logA, uniA
+        # |y| and |t| are h-majorant sized, so plain exponentials are safe
+        t = np.exp(logt + 1j * argt)   # G_{N,m} Rcal_m,   m = N+1+k
+        t[~np.isfinite(t)] = 0.0
+        del logt, argt
+        if K > 64:
             logB, uniB = _reverse_prefix(logy, argy)
-            A_ex = np.zeros(K, dtype=complex)
-            A_ex[:-1] = np.exp(np.minimum(logA[1:], 30.0)) * uniA[1:]
-            cross = np.zeros(K, dtype=complex)
-            cross[:-1] = (np.exp(np.minimum(kern.logPS[:-2] + logB[1:], 30.0))
-                          * kern.uniPS[:-2] * uniB[1:])
-            d = A_ex - cross
+            d[:-1] -= (np.exp(np.minimum(logPS + logB[1:], 30.0))
+                       * uniPS * uniB[1:])
+            del logB, uniB
             d[~np.isfinite(d)] = 0.0
+        del logPS, uniPS
+        y = np.exp(logy + 1j * argy)   # (X_{m-1}/X_N) Rcal_m
+        y[~np.isfinite(y)] = 0.0
+        del logy, argy
         ms = N + 1.0 + np.arange(K)
         slow = p.nu - p.delta + 1.0          # power remainder of the sums
         osc = 2.0 * p.nu - p.delta           # oscillatory-envelope remainder
         u_top = 1.0 + _fit_partial_limit(np.cumsum(t * (1.0 + d)), ms,
                                          (slow, osc))
+        del t
         d_top = _fit_partial_limit(np.cumsum(y * (1.0 + d)), ms, (slow, osc))
     return complex(u_top), complex(d_top)
 
@@ -373,7 +405,7 @@ def default_window(zp: SpectralPoint, params: CriticalParams,
 
 def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           n0: int | None = None, N: int | None = None,
-          tol: float = DEFAULT_TOL, extrapolate: bool = False,
+          tol: float = DEFAULT_TOL,
           tail_init: str = "asymptotic") -> VolterraSolution:
     """Bounded solution of the Volterra equation by one backward sweep.
 
@@ -381,12 +413,8 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     u = 1 beyond N (the bare sweep), "asymptotic" (default) seeds the
     sweep with tail sums of the kernel itself, removing the slow
     N^(1-sigma) boundary error that Wronskian-type outputs inherit.
-
-    With extrapolate=True two windows (N and 2N) are combined pointwise
-    by Richardson extrapolation with the regime exponent s = delta - 1,
-    cancelling the leading remaining truncation error at regular points.
-    Both refinements combine solutions of the same linear equation, so
-    the difference-equation residual stays at rounding level.
+    Either way u solves the same linear equation, so the
+    difference-equation residual stays at rounding level.
     """
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start
@@ -397,28 +425,18 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     if tail_init not in ("unit", "asymptotic"):
         raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
 
-    def run(top: int) -> np.ndarray:
-        kern = VolterraKernel(ctx, model, n0, top)
-        if kern.tail_beyond >= 1.0:
-            raise TruncationTooShort(
-                f"tail bound {kern.tail_beyond:.3g} >= 1 at N = {top}; "
-                "raise N or n0"
-            )
-        if tail_init == "asymptotic":
-            tail_len = min(2 * top, 1_000_000)
-            u_top, d_top = _top_boundary(ctx, model, top, tail_len)
-            return kern.sweep(u_top, d_top), kern
-        return kern.sweep(), kern
-
-    u, kern = run(N)
-    meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init,
-            "extrapolated": False}
-    if extrapolate:
-        u2, _ = run(2 * N)
-        s = params.delta - 1.0
-        w = 2.0 ** s
-        u = (w * u2[: len(u)] - u) / (w - 1.0)
-        meta.update(extrapolated=True, order=s)
+    kern = VolterraKernel(ctx, model, n0, N)
+    if kern.tail_beyond >= 1.0:
+        raise TruncationTooShort(
+            f"tail bound {kern.tail_beyond:.3g} >= 1 at N = {N}; "
+            "raise N or n0"
+        )
+    if tail_init == "asymptotic":
+        u_top, d_top = _top_boundary(ctx, model, N, min(2 * N, 1_000_000))
+        u = kern.sweep(u_top, d_top)
+    else:
+        u = kern.sweep()
+    meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init}
     res = kern.residual(u)
     if ctx.conj:
         u = u.conjugate()
@@ -439,24 +457,6 @@ def diagnostics_csv(sol: VolterraSolution, stride: int = 1) -> str:
         f"{n},{du:.17g},{bd:.17g}" for n, du, bd in diagnostics_rows(sol, stride)
     ]
     return "\n".join(lines) + "\n"
-
-
-def sweep_from_arrays(lam: np.ndarray, rr: np.ndarray) -> np.ndarray:
-    """Backward sweep on raw kernel arrays (lam[0], rr[0] unused).
-
-    Test hook: lets synthetic kernels (e.g. Rcal = 0) exercise the sweep
-    without a coefficient model.
-    """
-    K = len(lam) - 1
-    u = [0j] * (K + 1)
-    u[K] = 1.0 + 0.0j
-    d = 0.0 + 0.0j
-    uk = u[K]
-    for k in range(K - 1, -1, -1):
-        d = rr[k + 1] * uk + lam[k + 1] * d
-        uk = uk + d
-        u[k] = uk
-    return np.asarray(u, dtype=complex)
 
 
 def iterate_series(lam: np.ndarray, rr: np.ndarray, iterations: int = 30) -> np.ndarray:

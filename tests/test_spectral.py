@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from scipy.optimize import brentq
 
 from conftest import power
-from critjac import ansatz, coeffs, recurrence, solutions, spectral
+from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.errors import (
     EigenvalueHit,
     OutsideAC,
@@ -153,6 +154,49 @@ class TestEigenvalues:
         assert rep["agree"]
         assert len(rep["omega_zeros"]) >= 1
         assert max(rep["deviations"]) < 1e-6
+
+    def test_search_solves_one_plain_window_per_omega(self, monkeypatch):
+        # the search reads only the sign and zeros of Re Omega, so each
+        # evaluation is one bare Volterra window without the tail fit
+        m, p = power(1.0, 0.0, 0.0)
+        calls = {"omega_real": 0, "solve": 0, "top_boundary": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectral, "_omega_real",
+                            counted("omega_real", spectral._omega_real))
+        monkeypatch.setattr(volterra, "solve", counted("solve", volterra.solve))
+        monkeypatch.setattr(volterra, "_top_boundary",
+                            counted("top_boundary", volterra._top_boundary))
+        rep = spectral.eigenvalue_report(-3.0, 0.9, p, m, N=40_000)
+        assert rep["agree"]
+        assert calls["top_boundary"] == 0
+        assert calls["omega_real"] > 0
+        assert calls["solve"] == calls["omega_real"]
+
+    @pytest.mark.parametrize("sigma, beta, eig", [
+        (1.0, 0.0, -0.4577),     # tau = 1
+        (1.5, 0.25, -0.3702),    # tau = 2
+        (1.5, 0.25, 2.5055),
+        (0.5, 0.0, -0.4764),
+    ])
+    def test_unit_tail_keeps_omega_zeros(self, sigma, beta, eig):
+        # the bare window is off in value at regular points but must put
+        # the zeros of Re Omega where the tail-fitted window puts them
+        m, p = power(sigma, 0.0, beta)
+
+        def re_omega(lam, tail_init):
+            return solutions.omega(ansatz.interior(complex(lam)), p, m,
+                                   N=20_000, tail_init=tail_init).real
+
+        unit, asym = (brentq(re_omega, eig - 1e-3, eig + 1e-3,
+                             args=(mode,), xtol=1e-13)
+                      for mode in ("unit", "asymptotic"))
+        assert abs(unit - asym) < 1e-9
 
 
 def test_minus_side_conjugate_amplitude(laguerre0):
