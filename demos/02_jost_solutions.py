@@ -37,7 +37,7 @@ W, dev, count = wronskian_detail(f, g)
 print(f"\nGrowing partner: W[f, g] = {W:.12f} "
       f"(max deviation {dev:.1e} over {count} indices)")
 
-print("\nThe Volterra correction u_n approaches 1 at the certified rate:")
+print("\nThe Volterra correction u_n approaches 1 within its estimated bound:")
 sol = solve(SpectralPoint(1.0, "plus"), p, m, N=50_000)
 for n in (100, 1000, 10_000, 50_000):
     k = n - sol.n0

@@ -9,20 +9,17 @@ against independent oracles (direct recurrence evaluation, truncated
 matrix diagonalization, quadrature orthonormality).
 """
 
-from . import ansatz, cli, coeffs, eikonal, recurrence, solutions, spectral, volterra
+import importlib
+
+from . import ansatz, coeffs, eikonal, recurrence, solutions, spectral, volterra
 from .ansatz import (
     PhaseAccumulator,
     SpectralPoint,
-    ansatz_value,
     asymptotic_phase,
     at_minus,
     at_plus,
     interior,
-    phi,
-    remainder,
     sqrt_cut,
-    theta,
-    t_seq,
 )
 from .coeffs import (
     AsymptoticDescriptor,
@@ -66,6 +63,15 @@ from .spectral import (
     projector_density,
     resolvent_element,
 )
-from .volterra import VolterraSolution, kernel_factors, kernel_g, solve, tail_bound, x_prod
+from .volterra import VolterraSolution, solve
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI is imported on first use: importing it with the package
+    # makes `python -m critjac.cli` warn that the module was already
+    # imported before it ran as __main__.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

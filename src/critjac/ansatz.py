@@ -27,7 +27,6 @@ import numpy as np
 
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import BranchPoint, InvalidParameter
-from .logcomplex import LogComplex
 
 PLUS = "plus"
 MINUS = "minus"
@@ -222,13 +221,6 @@ def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
     return branch_sqrt(T)
 
 
-def t_seq(n: int, zp: SpectralPoint, params: CriticalParams) -> complex:
-    """The sequence -tau/n + (gamma z)/n^sigma driving all phases."""
-    if n < 1:
-        raise InvalidParameter("t_n needs n >= 1")
-    return complex(-params.tau / n + params.gamma * complex(zp.z) * float(n) ** (-params.sigma))
-
-
 class PhaseAccumulator:
     """Memoized theta_n and prefix sums phi_n for one spectral point.
 
@@ -280,43 +272,7 @@ class PhaseAccumulator:
         return -sl.conjugate() if self.ctx.conj else sl.copy()
 
 
-def theta(n: int, zp: SpectralPoint, params: CriticalParams,
-          n_start: int | None = None) -> complex:
-    """Branch-correct phase increment; Im theta >= 0 for every point."""
-    ctx = phase_context(zp, params, n_start)
-    if n < ctx.n_start and n >= 1:
-        ctx = PhaseContext(ctx.w, ctx.conj, n, params)
-    val = complex(theta_window(ctx, n, n + 1)[0])
-    return -val.conjugate() if ctx.conj else val
-
-
-def phi(n: int, zp: SpectralPoint, params: CriticalParams,
-        n_start: int | None = None) -> complex:
-    """Prefix sum of theta from n_start (phi(n_start) = 0).
-
-    For sweeps over many n build one PhaseAccumulator instead; this
-    convenience evaluates a fresh window each call.
-    """
-    return PhaseAccumulator(zp, params, n_start).phi(n)
-
-
 # -- the Ansatz and its remainder ---------------------------------------
-
-
-def _signed_unit(n: int, gamma: float) -> complex:
-    return complex((-gamma) ** (n % 2) if gamma in (1.0, -1.0) else (-gamma) ** n)
-
-
-def ansatz_value(n: int, zp: SpectralPoint, params: CriticalParams,
-                 n_start: int | None = None) -> LogComplex:
-    """A_n = (-gamma)^n n^(-rho) e^{i phi_n(gamma z)} as a LogComplex."""
-    acc = PhaseAccumulator(zp, params, n_start)
-    if n < acc.n_start:
-        raise InvalidParameter(f"Ansatz window starts at n = {acc.n_start}")
-    ph = acc.phi(n)
-    logmag = -params.rho * math.log(n) - ph.imag
-    unit = _signed_unit(n, params.gamma) * complex(math.cos(ph.real), math.sin(ph.real))
-    return LogComplex(logmag, unit / abs(unit))
 
 
 def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
@@ -329,7 +285,7 @@ def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
 
 
 def remainder_window(ctx: PhaseContext, model: CoefficientModel,
-                     n0: int, n1: int, B: np.ndarray | None = None) -> np.ndarray:
+                     n0: int, n1: int, B: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Relative recurrence defect r_n of the Ansatz for n in [n0, n1).
 
     Evaluated through the neighbor ratios B_n only -- the raw A_n under-
@@ -338,40 +294,15 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
         r_n = sqrt(a_{n-1}/a_n) / B_{n-1} + sqrt(a_n/a_{n-1}) B_n
               + (b_n - z)/sqrt(a_{n-1} a_n).
 
-    Requires n0 >= n_start + 1 so that B_{n-1} is inside the window.
-    B, if given, is ansatz_ratio_window(ctx, n0 - 1, n1), already built.
+    B = ansatz_ratio_window(ctx, n0 - 1, n1) and a = a_n for n in
+    [n0 - 1, n1) are the caller's, already built.
     """
-    if n0 < ctx.n_start + 1:
-        raise InvalidParameter("remainder needs n >= n_start + 1")
     z = ctx.z_canonical
-    if B is None:
-        B = ansatz_ratio_window(ctx, n0 - 1, n1)
     ns = np.arange(n0, n1, dtype=float)
-    a_n = model.a_fn(ns)
-    a_nm1 = model.a_fn(ns - 1.0)
+    a_n, a_nm1 = a[1:], a[:-1]
     b_n = model.b_fn(ns)
     ratio = np.sqrt(a_n / a_nm1)
     return B[:-1] ** -1 / ratio + ratio * B[1:] + (b_n - z) / np.sqrt(a_n * a_nm1)
-
-
-def remainder(n: int, zp: SpectralPoint, params: CriticalParams,
-              model: CoefficientModel, n_start: int | None = None) -> complex:
-    """r_n for a single index (see remainder_window)."""
-    ctx = phase_context(zp, params, n_start)
-    if n < ctx.n_start + 1:
-        raise InvalidParameter(f"remainder needs n >= {ctx.n_start + 1}")
-    val = complex(remainder_window(ctx, model, n, n + 1)[0])
-    return val.conjugate() if ctx.conj else val
-
-
-def remainder_samples(model: CoefficientModel, params: CriticalParams,
-                      zp: SpectralPoint, ns: np.ndarray) -> np.ndarray:
-    """|r_n| on scattered sample points (for decay-slope fits)."""
-    ctx = phase_context(zp, params)
-    out = np.empty(len(ns))
-    for i, n in enumerate(np.asarray(ns, dtype=int)):
-        out[i] = abs(remainder_window(ctx, model, int(n), int(n) + 1)[0])
-    return out
 
 
 # -- closed-form phase asymptotics (test oracles) ----------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critjac import coeffs
+from critjac import ansatz, coeffs
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,12 @@ def loglog_slope(ns, values):
 
 def log_sample_indices(lo, hi, count=40):
     return np.unique(np.logspace(np.log10(lo), np.log10(hi), count).astype(int))
+
+
+def remainder_at(ctx, model, ns):
+    """r_n at the indices ns, from one remainder_window over [n_start + 1, max(ns)]."""
+    ns = np.asarray(ns, dtype=int)
+    n0, n1 = ctx.n_start, int(ns.max()) + 1
+    B = ansatz.ansatz_ratio_window(ctx, n0, n1)
+    a = model.a_fn(np.arange(n0, n1, dtype=float))
+    return ansatz.remainder_window(ctx, model, n0 + 1, n1, B, a)[ns - n0 - 1]

@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from conftest import log_sample_indices, loglog_slope, power
+from conftest import log_sample_indices, loglog_slope, power, remainder_at
 from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.eikonal import eikonal_defect
 
@@ -91,7 +91,7 @@ def test_criterion_03_remainder_exponents():
         pr = coeffs.classify(m)
         assert pr.delta == pytest.approx(delta)
         ns = log_sample_indices(1e3, 1e5, 40)
-        rs = ansatz.remainder_samples(m, pr, ansatz.interior(z), ns)
+        rs = np.abs(remainder_at(ansatz.phase_context(ansatz.interior(z), pr), m, ns))
         slope = loglog_slope(ns, rs)
         assert abs(slope + delta) <= 0.15, (name, slope, delta)
         details.append(f"{name}: {slope:+.3f} vs {-delta:+.2f}")

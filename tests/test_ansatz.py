@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_sample_indices, loglog_slope, power
+from conftest import log_sample_indices, loglog_slope, power, remainder_at
 from critjac import ansatz, coeffs
 from critjac.errors import BranchPoint, InvalidParameter
+
+
+def theta_at(n, zp, params):
+    """theta_n from a phase accumulator that starts at n."""
+    return ansatz.PhaseAccumulator(zp, params, n).theta(n)
+
+
+def ansatz_logmag(acc, n):
+    """ln|A_n| = -rho ln n - Im phi_n."""
+    return -acc.params.rho * math.log(n) - acc.phi(n).imag
 
 
 class TestSqrtCut:
@@ -37,21 +47,24 @@ class TestSqrtCut:
 
 
 class TestPhases:
-    def test_t_seq_examples(self, laguerre0):
+    def test_t_values_examples(self, laguerre0):
+        def t_at(n, z, p):
+            return ansatz.t_values([n], p.gamma * z, p)[0]
+
         _, p0 = laguerre0
-        assert ansatz.t_seq(4, ansatz.at_plus(1.0), p0) == pytest.approx(0.25)
+        assert t_at(4, 1.0, p0) == pytest.approx(0.25)
         _, p1 = power(1.25, 0.0, -1.125)   # tau = -1
-        assert ansatz.t_seq(100, ansatz.interior(0.0), p1) == pytest.approx(0.01)
+        assert t_at(100, 0.0, p1) == pytest.approx(0.01)
         _, p2 = power(1.0, 0.0, 0.0)       # tau = 1
-        assert ansatz.t_seq(10, ansatz.at_plus(0.0), p2) == pytest.approx(-0.1)
+        assert t_at(10, 0.0, p2) == pytest.approx(-0.1)
 
     def test_theta_examples(self, laguerre0):
         _, p0 = laguerre0
-        assert ansatz.theta(4, ansatz.at_plus(1.0), p0) == pytest.approx(0.5)
+        assert theta_at(4, ansatz.at_plus(1.0), p0) == pytest.approx(0.5)
         _, pm = power(1.25, 0.0, -1.125)   # tau = -1; ac set is R
-        assert ansatz.theta(100, ansatz.at_plus(0.0), pm) == pytest.approx(0.1)
+        assert theta_at(100, ansatz.at_plus(0.0), pm) == pytest.approx(0.1)
         _, pp = power(1.25, 0.0, -0.125)   # tau = +1
-        assert ansatz.theta(100, ansatz.interior(0.0), pp) == pytest.approx(0.1j)
+        assert theta_at(100, ansatz.interior(0.0), pp) == pytest.approx(0.1j)
 
     def test_phi_prefix_convention(self, laguerre0):
         _, p = laguerre0
@@ -80,8 +93,8 @@ class TestPhases:
         _, p = power(1.25, 0.0, -0.875)
         z = 0.7 + 0.4j
         for n in (20, 57, 300):
-            t_up = ansatz.theta(n, ansatz.interior(z), p)
-            t_dn = ansatz.theta(n, ansatz.interior(z.conjugate()), p)
+            t_up = theta_at(n, ansatz.interior(z), p)
+            t_dn = theta_at(n, ansatz.interior(z.conjugate()), p)
             assert t_dn == pytest.approx(-t_up.conjugate())
             assert t_dn.imag >= 0
 
@@ -107,17 +120,18 @@ class TestAnsatzValue:
         _, p = laguerre0
         zp = ansatz.at_plus(1.0)
         n0 = ansatz.default_n_start(zp, p)
-        v = ansatz.ansatz_value(n0, zp, p)
-        assert v.logmag == pytest.approx(-p.rho * math.log(n0))
+        acc = ansatz.PhaseAccumulator(zp, p)
+        assert acc.n_start == n0
+        assert ansatz_logmag(acc, n0) == pytest.approx(-p.rho * math.log(n0))
 
     def test_exponential_decay_positive_tau(self):
         # tau > 0: |A_n| e^{2 sqrt(tau n)} n^rho stays bounded (z = 0)
         _, p = power(1.25, 0.0, -0.125)  # tau = 1
-        zp = ansatz.interior(0.0)
+        acc = ansatz.PhaseAccumulator(ansatz.interior(0.0), p)
         vals = []
         for n in (100, 1000, 10000, 100000):
-            v = ansatz.ansatz_value(n, zp, p)
-            vals.append(v.logmag + 2.0 * math.sqrt(p.tau * n) + p.rho * math.log(n))
+            vals.append(ansatz_logmag(acc, n) + 2.0 * math.sqrt(p.tau * n)
+                        + p.rho * math.log(n))
         assert max(vals) - min(vals) < 0.2
 
     def test_sigma_three_halves_power_law(self):
@@ -126,9 +140,9 @@ class TestAnsatzValue:
         # is -1/2 - eps/(2 sqrt(|tau|)).
         _, p = power(1.5, 0.0, -1.25)    # tau = -1
         eps = 0.25
-        zp = ansatz.interior(0.5 + eps * 1j)
+        acc = ansatz.PhaseAccumulator(ansatz.interior(0.5 + eps * 1j), p)
         ns = log_sample_indices(3e3, 3e5, 25)
-        lm = np.array([ansatz.ansatz_value(int(n), zp, p).logmag for n in ns])
+        lm = np.array([ansatz_logmag(acc, int(n)) for n in ns])
         A = np.vstack([np.log(ns), np.ones(len(ns))]).T
         slope = float(np.linalg.lstsq(A, lm, rcond=None)[0][0])
         expected = -0.5 - eps / (2.0 * math.sqrt(abs(p.tau)))
@@ -153,15 +167,23 @@ class TestRemainder:
             m, p = power(*model_params)
         assert p.delta == pytest.approx(delta)
         ns = log_sample_indices(1e3, 1e5, 40)
-        rs = ansatz.remainder_samples(m, p, ansatz.interior(z), ns)
+        ctx = ansatz.phase_context(ansatz.interior(z), p)
+        rs = np.abs(remainder_at(ctx, m, ns))
         slope = loglog_slope(ns, rs)
         assert abs(slope + delta) <= 0.15
 
     def test_remainder_conjugation(self, laguerre0):
+        # The pipeline evaluates one of z, conj z at the other's canonical
+        # point and conjugates.  That is exact: the defect evaluated
+        # directly at conj(w) is the conjugate of the canonical one.
         m, p = laguerre0
-        r_up = ansatz.remainder(500, ansatz.interior(1 + 1j), p, m)
-        r_dn = ansatz.remainder(500, ansatz.interior(1 - 1j), p, m)
-        assert r_dn == pytest.approx(r_up.conjugate())
+        up = ansatz.phase_context(ansatz.interior(1 + 1j), p)
+        dn = ansatz.phase_context(ansatz.interior(1 - 1j), p)
+        assert up.w == dn.w and up.conj != dn.conj
+        raw = ansatz.PhaseContext(up.w.conjugate(), False, up.n_start, p)
+        r = remainder_at(up, m, [500])[0]
+        r_raw = remainder_at(raw, m, [500])[0]
+        assert r_raw == pytest.approx(r.conjugate())
 
 
 class TestAsymptoticPhase:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import critjac
 from critjac import cli
 
 
@@ -140,3 +145,26 @@ def test_format_conversion(capsys):
     code, out, _ = run(["classify", "--p", "0", "--format", "csv"], capsys)
     assert code == 0
     assert out.startswith("key,value")
+
+
+def _fresh_python(args, tmp_path):
+    src = str(pathlib.Path(critjac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_without_warning(tmp_path):
+    # the package does not import cli eagerly, so running it as __main__
+    # does not find it in sys.modules already
+    proc = _fresh_python(["-W", "error::RuntimeWarning", "-m", "critjac.cli",
+                          "classify", "--p", "0"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tau"] == 0.0
+
+
+def test_cli_reachable_as_package_attribute(tmp_path):
+    proc = _fresh_python(["-c", "import critjac; print(critjac.cli.main.__name__)"],
+                         tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "main"

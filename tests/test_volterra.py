@@ -3,9 +3,72 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import loglog_slope, power
+from conftest import loglog_slope, power, remainder_at
 from critjac import ansatz, volterra
-from critjac.errors import TruncationTooShort
+from critjac.errors import NumericFailure, TruncationTooShort
+from critjac.logcomplex import LogComplex
+
+
+def iterate_series(lam: np.ndarray, rr: np.ndarray, iterations: int = 30) -> np.ndarray:
+    """Successive-approximation series on a small window (cross-check only).
+
+    Builds G_{n,m} densely (O(K^2) memory) and sums the iteration series;
+    numerically identical to the sweep when the series converges.
+    """
+    K = len(lam) - 1
+    X = np.concatenate([[1.0 + 0.0j], np.cumprod(lam[1:])])
+    Xinv = 1.0 / X
+    PS = np.cumsum(Xinv)
+    rr = np.array(rr, dtype=complex)
+    rr[0] = 0.0  # unused slot
+    # G[n, m] = X_{m-1} * (PS_{m-1} - PS_{n-1}) for m > n
+    G = np.zeros((K + 1, K + 1), dtype=complex)
+    for n in range(K + 1):
+        ms = np.arange(n + 1, K + 1)
+        base = PS[n - 1] if n >= 1 else 0.0
+        G[n, n + 1:] = X[ms - 1] * (PS[ms - 1] - base)
+    u = np.ones(K + 1, dtype=complex)
+    term = np.ones(K + 1, dtype=complex)
+    for _ in range(iterations):
+        term = G @ (rr * term)
+        u = u + term
+        if np.max(np.abs(term)) < 1e-16:
+            break
+    return u
+
+
+def kernel_at(zp, p, m, N):
+    """The solve's kernel on [n_start, N] and its phase context."""
+    ctx = ansatz.phase_context(zp, p)
+    return volterra.VolterraKernel(ctx, m, ctx.n_start, N), ctx
+
+
+def x_at(kern, n: int) -> LogComplex:
+    """X_n from the kernel's log arrays, conjugated back to the caller's point."""
+    k = n - kern.n0
+    out = LogComplex.from_polar(kern.logX[k], kern.argX[k])
+    return out.conjugate() if kern.ctx.conj else out
+
+
+def g_at(kern, n: int, m: int) -> LogComplex:
+    """G_{n,m} = X_{m-1} (PS_{m-1} - PS_{n-1}) from the kernel's arrays."""
+    k, j = m - 1 - kern.n0, n - 1 - kern.n0
+    diff = LogComplex(kern.logPS[k], kern.uniPS[k])
+    if j >= 0:
+        diff = diff - LogComplex(kern.logPS[j], kern.uniPS[j])
+    return LogComplex.from_polar(kern.logX[k], kern.argX[k]) * diff
+
+
+def g_row_abs(kern, n: int, ms: np.ndarray) -> np.ndarray:
+    """|G_{n,m}| for an array of m > n, in the prefix sums' log frame."""
+    ks = np.asarray(ms, dtype=int) - 1 - kern.n0
+    j = n - 1 - kern.n0
+    pm, um = kern.logPS[ks], kern.uniPS[ks]
+    if j < 0:
+        return np.exp(kern.logX[ks] + pm)
+    ref = np.maximum(pm, kern.logPS[j])
+    s = np.exp(pm - ref) * um - np.exp(kern.logPS[j] - ref) * kern.uniPS[j]
+    return np.exp(kern.logX[ks] + ref) * np.abs(s)
 
 
 def test_zero_kernel_gives_unit_solution():
@@ -25,38 +88,36 @@ def test_sweep_matches_iteration_series():
     rr = 0.01 * (rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)) / \
         (2.0 + np.arange(K + 1.0)) ** 1.5
     u_sweep = volterra.backward_sweep(lam, rr)
-    u_series = volterra.iterate_series(lam, rr)
+    u_series = iterate_series(lam, rr)
     assert np.max(np.abs(u_sweep - u_series)) < 1e-12
 
 
 def test_kernel_factor_examples(laguerre0):
     m, p = laguerre0
-    zp = ansatz.at_plus(2.0)
+    kern, ctx = kernel_at(ansatz.at_plus(2.0), p, m, 4001)
+    lam3, rr3 = kern.lam[1000 - kern.n0], kern.rr[1000 - kern.n0]
     # Lambda_n -> 1 at the phase rate ~ 2 theta_n ~ n^-nu
-    lam3, rr3 = volterra.kernel_factors(1000, zp, p, m)
     assert abs(lam3 - 1.0) < 4.0 * 1000.0 ** (-p.nu)
-    lam4, _ = volterra.kernel_factors(4000, zp, p, m)
+    lam4 = kern.lam[4000 - kern.n0]
     assert abs(lam4 - 1.0) < abs(lam3 - 1.0)
     # |Rcal_n| within a factor 2 of |r_n|
-    r = ansatz.remainder(1000, zp, p, m)
+    r = remainder_at(ctx, m, [1000])[0]
     assert 0.5 <= abs(rr3) / abs(r) <= 2.0
 
 
 def test_x_prod_empty_and_closed_form(laguerre0):
     m, p = laguerre0
     zp = ansatz.interior(2 + 1j)
-    ctx = ansatz.phase_context(zp, p)
+    kern, ctx = kernel_at(zp, p, m, 1000)
     n0 = ctx.n_start
-    x0 = volterra.x_prod(n0, zp, p, m)
-    assert x0.to_complex() == pytest.approx(1.0)
+    assert x_at(kern, n0).to_complex() == pytest.approx(1.0)
     # X_n * kappa_n e^{-i bold(phi)_n} is one fixed constant across n
     acc = ansatz.PhaseAccumulator(zp, p)
     vals = []
     for n in range(n0 + 1, n0 + 400, 40):
-        X = volterra.x_prod(n, zp, p, m)
+        X = x_at(kern, n)
         kap = n ** p.rho * (n + 1) ** p.rho / m.a(n)
         phase = acc.phi(n) + acc.phi(n + 1)
-        from critjac.logcomplex import LogComplex
         closed = LogComplex.from_complex(kap) * LogComplex(
             phase.imag, complex(np.exp(-1j * phase.real)))
         vals.append((X * closed).to_complex())
@@ -66,23 +127,20 @@ def test_x_prod_empty_and_closed_form(laguerre0):
 
 def test_kernel_g_diagonal_is_one(laguerre0):
     m, p = laguerre0
-    zp = ansatz.at_plus(2.0)
+    kern, _ = kernel_at(ansatz.at_plus(2.0), p, m, 401)
     for n in (20, 57, 400):
-        g = volterra.kernel_g(n, n + 1, zp, p, m)
-        assert g.to_complex() == pytest.approx(1.0, abs=1e-12)
+        assert g_at(kern, n, n + 1).to_complex() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_g_growth_bound(laguerre0):
     # |G_{n,m}| <= C m^nu on the spectrum
     m, p = laguerre0
-    zp = ansatz.interior(2 + 1j)
-    ctx = ansatz.phase_context(zp, p)
-    kern = volterra.VolterraKernel(ctx, m, ctx.n_start, 10_000)
+    kern, ctx = kernel_at(ansatz.interior(2 + 1j), p, m, 10_000)
     ms = np.arange(ctx.n_start + 1, 10_001, 7)
     worst = 0.0
     for n in (ctx.n_start, 100, 1000):
         sel = ms[ms > n]
-        ratios = kern.g_row_abs(n, sel) * sel ** (-p.nu)
+        ratios = g_row_abs(kern, n, sel) * sel ** (-p.nu)
         worst = max(worst, float(np.max(ratios)))
     assert worst < 25.0
 
@@ -90,7 +148,7 @@ def test_kernel_g_growth_bound(laguerre0):
 def test_tail_bound_power_law(laguerre0):
     m, p = laguerre0
     zp = ansatz.at_plus(1.0)
-    hs = [volterra.tail_bound(N, zp, p, m) for N in (10_000, 40_000, 160_000)]
+    hs = [kernel_at(zp, p, m, N)[0].tail_beyond for N in (10_000, 40_000, 160_000)]
     slope = loglog_slope([10_000, 40_000, 160_000], hs)
     assert slope == pytest.approx(p.nu - p.delta + 1.0, abs=0.1)
     assert hs[2] < hs[1] < hs[0]
@@ -161,6 +219,37 @@ class TestSolve:
         m, p = power(1.25, 0.0, -0.875)   # quarter-power tail on the axis
         with pytest.raises(TruncationTooShort):
             volterra.solve(ansatz.at_plus(-2.0), p, m, N=2100)
+
+    def test_one_kernel_per_solve(self, laguerre0, monkeypatch):
+        # the 2N tail window shares the array build, not the whole kernel
+        m, p = laguerre0
+        built = []
+        init = volterra.VolterraKernel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[-1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(volterra.VolterraKernel, "__init__", counting)
+        sol = volterra.solve(ansatz.at_plus(1.0), p, m, N=5000,
+                             tail_init="asymptotic")
+        assert built == [sol.N]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tail_term_raises(self, laguerre0, monkeypatch, bad):
+        # a broken tail sum must fail loudly, not be zeroed or clamped
+        m, p = laguerre0
+        reverse = volterra._reverse_prefix
+
+        def broken(logv, argv):
+            lg, un = reverse(logv, argv)
+            lg = lg.copy()
+            lg[len(lg) // 2] = bad
+            return lg, un
+
+        monkeypatch.setattr(volterra, "_reverse_prefix", broken)
+        with pytest.raises(NumericFailure):
+            volterra.solve(ansatz.at_plus(1.0), p, m, N=5000)
 
 
 def test_u_decay_rate_on_spectrum(laguerre0):
