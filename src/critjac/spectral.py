@@ -109,7 +109,7 @@ def density(lam: float, params: CriticalParams, model: CoefficientModel,
     """One density sample xi = w / (pi kappa^2) at lambda in the a.c. set."""
     kappa, eta = amplitude_phase(lam, params, model, N=N, n0=n0, tol=tol)
     w = solutions.limit_wronskian(lam, params)
-    return DensitySample(lam=float(lam), xi=w / (math.pi * kappa * kappa),
+    return DensitySample(lam=float(lam), xi=w / (math.pi * kappa ** 2),
                          kappa=kappa, eta=eta, w=w)
 
 

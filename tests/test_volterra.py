@@ -37,6 +37,31 @@ def iterate_series(lam: np.ndarray, rr: np.ndarray, iterations: int = 30) -> np.
     return u
 
 
+def scalar_sweep(lam: np.ndarray, rr: np.ndarray, u_top: complex = 1.0 + 0.0j,
+                 d_top: complex = 0.0 + 0.0j) -> np.ndarray:
+    """The backward sweep as one step per index (reference oracle only).
+
+    D_k = Rcal_{k+1} u_{k+1} + Lambda_{k+1} D_{k+1}, u_k = u_{k+1} + D_k
+    in Python complex arithmetic, from (u_K, D_K) = (u_top, d_top).
+    """
+    lam = np.asarray(lam).tolist()
+    rr = np.asarray(rr).tolist()
+    K = len(lam) - 1
+    u = [0j] * (K + 1)
+    u[K] = complex(u_top)
+    d = complex(d_top)
+    uk = u[K]
+    for k in range(K - 1, -1, -1):
+        d = rr[k + 1] * uk + lam[k + 1] * d
+        uk = uk + d
+        u[k] = uk
+    return np.asarray(u, dtype=complex)
+
+
+def sweep_error(u: np.ndarray, u_ref: np.ndarray) -> float:
+    return float(np.max(np.abs(u - u_ref) / np.maximum(1.0, np.abs(u_ref))))
+
+
 def kernel_at(zp, p, m, N):
     """The solve's kernel on [n_start, N] and its phase context."""
     ctx = ansatz.phase_context(zp, p)
@@ -90,6 +115,61 @@ def test_sweep_matches_iteration_series():
     u_sweep = volterra.backward_sweep(lam, rr)
     u_series = iterate_series(lam, rr)
     assert np.max(np.abs(u_sweep - u_series)) < 1e-12
+
+
+# K = 97, 98, 99 end on a block one short, exact and one over (b = 7);
+# 100_003 is prime
+@pytest.mark.parametrize("K", [1, 2, 3, 97, 98, 99, 100_003])
+def test_blocked_sweep_matches_scalar_loop(K):
+    rng = np.random.default_rng(K)
+    lam = 1.0 + 0.02 * (rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1))
+    rr = 0.01 * (rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)) / \
+        (2.0 + np.arange(K + 1.0)) ** 1.5
+    lam[0] = rr[0] = np.nan            # never read
+    u_top, d_top = 1.1 - 0.2j, 0.03 + 0.01j
+    u = volterra.backward_sweep(lam, rr, u_top, d_top)
+    assert u[K] == u_top
+    assert sweep_error(u, scalar_sweep(lam, rr, u_top, d_top)) <= 1e-12
+
+
+def test_block_size_covers_block_edges():
+    b = volterra._block_size(98)
+    assert b == 7
+    assert sorted(K % b for K in (97, 98, 99)) == [0, 1, b - 1]
+
+
+@pytest.mark.parametrize("model, zp, N, tail_init", [
+    (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 60_000, "unit"),
+    (None, ansatz.at_plus(1.0), 200_000, "asymptotic"),   # Laguerre p = 0
+    (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 100_000, "asymptotic"),
+], ids=["discrete", "laguerre", "whole_line"])
+def test_blocked_sweep_matches_scalar_loop_on_kernels(laguerre0, model, zp, N,
+                                                      tail_init):
+    # the kernels of the eigenvalue scan, the Laguerre density and the
+    # whole-line sweep (n0 = 2048), each with the solve's boundary data
+    m, p = model or laguerre0
+    kern, ctx = kernel_at(zp, p, m, N)
+    top = (1.0 + 0.0j, 0.0 + 0.0j)
+    if tail_init == "asymptotic":
+        top = volterra._top_boundary(ctx, m, N, 2 * N)
+    u = kern.sweep(*top)
+    assert sweep_error(u, scalar_sweep(kern.lam, kern.rr, *top)) <= 1e-12
+
+
+def test_sweep_peak_memory_per_index():
+    # the blocked sweep holds its step rows and block states as arrays
+    # (about 65 B per index); one step per index in Python lists needs
+    # 136 to 272 B per index
+    K = 200_000
+    lam = np.full(K + 1, 0.99 + 0.01j)
+    rr = np.full(K + 1, 1e-6 + 1e-7j)
+    tracemalloc.start()
+    try:
+        volterra.backward_sweep(lam, rr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / K < 100.0
 
 
 def test_kernel_factor_examples(laguerre0):
@@ -250,6 +330,21 @@ class TestSolve:
         monkeypatch.setattr(volterra, "_reverse_prefix", broken)
         with pytest.raises(NumericFailure):
             volterra.solve(ansatz.at_plus(1.0), p, m, N=5000)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sweep_raises(self, laguerre0, monkeypatch, bad):
+        # a non-finite kernel term must fail the solve, not reach Omega
+        m, p = laguerre0
+        arrays = volterra._kernel_arrays
+
+        def broken(*args):
+            out = arrays(*args)
+            out[1][len(out[1]) // 2] = bad
+            return out
+
+        monkeypatch.setattr(volterra, "_kernel_arrays", broken)
+        with pytest.raises(NumericFailure):
+            volterra.solve(ansatz.at_plus(1.0), p, m, N=5000, tail_init="unit")
 
 
 def test_u_decay_rate_on_spectrum(laguerre0):
