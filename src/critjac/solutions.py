@@ -97,12 +97,14 @@ def _extend_backward(logmag: np.ndarray, unit: np.ndarray, n_from: int,
     """
     out_lm = np.empty(n_from + 1)
     out_u = np.empty(n_from + 1, dtype=complex)
+    a = model.a_range(0, n_from + 1).tolist()
+    b = model.b_range(0, n_from + 1).tolist()
     scale = max(logmag[0], logmag[1])
     f_hi = math.exp(logmag[1] - scale) * unit[1]   # F_{n_from+1} / e^scale
     f_lo = math.exp(logmag[0] - scale) * unit[0]   # F_{n_from}   / e^scale
     for n in range(n_from, -1, -1):
-        a_prev = 1.0 if n == 0 else model.a(n - 1)
-        f_new = ((z - model.b(n)) * f_lo - model.a(n) * f_hi) / a_prev
+        a_prev = 1.0 if n == 0 else a[n - 1]
+        f_new = ((z - b[n]) * f_lo - a[n] * f_hi) / a_prev
         mag = abs(f_new)
         if mag == 0.0:
             out_lm[n], out_u[n] = -np.inf, 1.0 + 0.0j

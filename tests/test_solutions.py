@@ -125,6 +125,26 @@ def test_reflection_of_jost():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_extend_backward_reads_coefficients_once(monkeypatch):
+    # the backward recurrence reads a_n and b_n from one array call each,
+    # not from three scalar model calls per step
+    m, _ = power(1.25, 0.0, -0.875)
+    calls = []
+    for name in ("a", "b"):
+        scalar = getattr(coeffs.CoefficientModel, name)
+
+        def counting(self, n, scalar=scalar, name=name):
+            calls.append(name)
+            return scalar(self, n)
+
+        monkeypatch.setattr(coeffs.CoefficientModel, name, counting)
+    n_from = 2048
+    lm, _ = solutions._extend_backward(np.zeros(2), np.ones(2, dtype=complex),
+                                       n_from, m, -2.0 + 0.0j)
+    assert calls == []
+    assert len(lm) == n_from + 1 and np.all(np.isfinite(lm))
+
+
 class TestOmega:
     def test_schwarz_reflection(self, laguerre0):
         m, p = laguerre0

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import loglog_slope, power, remainder_at
 from critjac import ansatz, volterra
@@ -170,6 +172,65 @@ def test_sweep_peak_memory_per_index():
     finally:
         tracemalloc.stop()
     assert peak / K < 100.0
+
+
+# |z| across [0.2, 5], where the helper takes both branches, and a band
+# ||z| - 1| in [1e-9, 1e-1], where glibc's clog takes its slow exact path
+_moduli = st.one_of(
+    st.floats(0.2, 5.0),
+    st.tuples(st.floats(1e-9, 1e-1), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: 1.0 + t[1] * t[0]),
+)
+
+
+@given(_moduli, st.floats(-1.57, 1.57))
+def test_principal_log_matches_numpy(r, phi):
+    z = r * complex(math.cos(phi), math.sin(phi))
+    logabs, arg = volterra._principal_log(np.array([z]))
+    ref = np.log(z)
+    eps = np.finfo(float).eps
+    assert abs(logabs[0] - ref.real) <= 4 * eps * max(1.0, abs(ref.real))
+    assert abs(arg[0] - ref.imag) <= 4 * eps * max(1.0, abs(ref.imag))
+
+
+@pytest.mark.parametrize("model, zp, N", [
+    (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 60_000),
+    (None, ansatz.at_plus(1.0), 200_000),                  # Laguerre p = 0
+    (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 100_000),
+], ids=["discrete", "laguerre", "whole_line"])
+def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
+    # logX and argX are the cumulative sums of log Lambda_n; the helper
+    # may differ from numpy's complex log only at rounding level (logX
+    # reaches -1.9e3 on the discrete kernel, where one ulp is 2.3e-13)
+    m, p = model or laguerre0
+    ctx = ansatz.phase_context(zp, p)
+    lam, _, logX, argX, _, _ = volterra._kernel_arrays(ctx, m, ctx.n_start, N)
+    ref = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
+    for got, want in ((logX, ref.real), (argX, ref.imag)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_fit_partial_limit_columns_are_independent():
+    # one real solve for several columns gives each column's own fit,
+    # which is the complex least-squares fit against the real basis up to
+    # the basis's conditioning (cond(A) = 5.4e4 here)
+    rng = np.random.default_rng(3)
+    K = 4000
+    ms = 1001.0 + np.arange(K)
+    ex = (-0.25, -0.5)
+    cols = []
+    for _ in range(2):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        cols.append(c[0] + c[1] * ms ** ex[0] + c[2] * ms ** ex[1]
+                    + c[3] * ms ** ex[1] * np.exp(0.3j * ms))
+    both = volterra._fit_partial_limit(np.column_stack(cols), ms, ex)
+    lo = K // 2
+    A = np.vstack([np.ones(K - lo)] + [ms[lo:] ** e for e in ex]).T
+    for j, col in enumerate(cols):
+        one = volterra._fit_partial_limit(col[:, None], ms, ex)
+        assert abs(both[j] - one[0]) <= 1e-13 * abs(one[0])
+        ref = np.linalg.lstsq(A.astype(complex), col[lo:], rcond=None)[0][0]
+        assert abs(one[0] - ref) <= np.finfo(float).eps * np.linalg.cond(A) * abs(ref)
 
 
 def test_kernel_factor_examples(laguerre0):
