@@ -14,13 +14,13 @@ at the canonical (upper) point and conjugates final values, so a single
 branch is ever evaluated.
 
 All operations are pure given (n, point, params, model); the only mutable
-object is the PhaseAccumulator memo, which is lock-protected.
+object is the PhaseAccumulator memo, which has no lock: use one
+instance per thread.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,8 +225,8 @@ class PhaseAccumulator:
     """Memoized theta_n and prefix sums phi_n for one spectral point.
 
     phi(n_start) = 0 and phi(n+1) - phi(n) = theta(n) exactly as stored.
-    Growth of the memo is lock-protected; distinct points never share
-    state.
+    The memo grows without a lock, so an instance must not be shared
+    between threads; distinct points never share state.
     """
 
     def __init__(self, zp: SpectralPoint, params: CriticalParams,
@@ -236,20 +236,16 @@ class PhaseAccumulator:
         self.n_start = self.ctx.n_start
         self._theta = np.empty(0, dtype=complex)
         self._phi = np.zeros(1, dtype=complex)  # phi[k] = phi_{n_start+k}
-        self._lock = threading.Lock()
 
     def _grow(self, n: int):
         need = n - self.n_start + 1
-        if len(self._theta) >= need:
+        have = len(self._theta)
+        if have >= need:
             return
-        with self._lock:
-            have = len(self._theta)
-            if have >= need:
-                return
-            new = theta_window(self.ctx, self.n_start + have,
-                               self.n_start + max(need, 2 * have, 64))
-            self._theta = np.concatenate([self._theta, new])
-            self._phi = np.concatenate([[0.0], np.cumsum(self._theta)])
+        new = theta_window(self.ctx, self.n_start + have,
+                           self.n_start + max(need, 2 * have, 64))
+        self._theta = np.concatenate([self._theta, new])
+        self._phi = np.concatenate([[0.0], np.cumsum(self._theta)])
 
     def theta(self, n: int) -> complex:
         if n < self.n_start:

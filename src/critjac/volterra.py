@@ -276,7 +276,8 @@ def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
     Terms are summed blockwise in the frame of the block's running
     maximum; a block is cut as soon as that frame would grow by more
     than `span` nats, so every partial sum stays inside the normal
-    double range no matter how steeply the magnitudes climb.
+    double range no matter how steeply the magnitudes climb.  A partial
+    sum that is exactly zero comes out as (-inf, 1).
     """
     n = len(logv)
     out_log = np.empty(n)
@@ -296,9 +297,12 @@ def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
         if np.isfinite(carry_log):
             partial = partial + np.exp(carry_log - ref) * carry_unit
         mag = np.abs(partial)
-        safe = np.where(mag == 0.0, 1.0, mag)
-        out_log[lo:hi] = np.where(mag == 0.0, -np.inf, ref + np.log(safe))
-        out_unit[lo:hi] = np.where(mag == 0.0, 1.0 + 0.0j, partial / safe)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(mag, out=out_log[lo:hi])
+            np.divide(partial, mag, out=out_unit[lo:hi])
+        out_log[lo:hi] += ref
+        if not mag.all():                    # a sum that cancels exactly
+            out_unit[lo:hi][mag == 0.0] = 1.0
         carry_log, carry_unit = float(out_log[hi - 1]), complex(out_unit[hi - 1])
         lo = hi
     return out_log, out_unit

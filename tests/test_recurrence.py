@@ -1,12 +1,63 @@
+import dataclasses
 import math
+import sys
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 
 from conftest import power
 from critjac import ansatz, coeffs, recurrence, solutions
-from critjac.errors import OnSpectrum, OutsideAC
+from critjac.errors import NumericFailure, OnSpectrum, OutsideAC
+
+
+def scalar_poly(model, z, N):
+    """P_n(z) for n in [-1, N] as (logmag, unit), one step per index
+    (reference oracle only).
+
+    P_{n+1} = ((z - b_n) P_n - a_{n-1} P_{n-1}) / a_n in Python scalars,
+    in real arithmetic for real z, renormalised once the window passes
+    1e120 with the cumulative log scale recorded.
+    """
+    a = model.a_range(0, N + 1).tolist()
+    b = model.b_range(0, N + 1).tolist()
+    real = complex(z).imag == 0.0
+    zv = complex(z).real if real else complex(z)
+    lm = np.empty(N + 2)
+    unit = np.empty(N + 2, dtype=complex)
+    lm[0], unit[0] = -np.inf, 1.0           # P_{-1}
+    lm[1], unit[1] = 0.0, 1.0               # P_0
+    p_prev, p_cur = 0.0, 1.0
+    scale = 0.0
+    a_prev = 1.0
+    for n in range(N):
+        p_next = ((zv - b[n]) * p_cur - a_prev * p_prev) / a[n]
+        mag = abs(p_next)
+        if mag == 0.0:
+            lm[n + 2], unit[n + 2] = -np.inf, 1.0
+        else:
+            lm[n + 2] = scale + math.log(mag)
+            unit[n + 2] = p_next / mag
+        big = max(mag, abs(p_cur))
+        if big > 1e120:
+            p_next /= big
+            p_cur /= big
+            scale += math.log(big)
+        p_prev, p_cur, a_prev = p_cur, p_next, a[n]
+    return lm, unit
+
+
+def poly_error(lm, unit, lm_ref, unit_ref):
+    """Worst |P_n - P_ref_n| over n >= 0, relative to the largest of
+    |P_ref| at n - 1, n, n + 1: a relative error that stays meaningful
+    where P_n itself passes near zero."""
+    ext = np.concatenate([lm_ref, [-np.inf]])
+    scale = np.maximum(np.maximum(ext[:-2], ext[1:-1]), ext[2:])
+    err = np.abs(np.exp(lm[1:] - scale) * unit[1:]
+                 - np.exp(lm_ref[1:] - scale) * unit_ref[1:])
+    return float(np.max(err))
 
 
 def test_boundary_conditions(laguerre0):
@@ -140,3 +191,138 @@ def test_eigenvalue_kills_prediction():
     envelope = recurrence.poly_asymptotic_regular(1000, zp, 1.0, p, acc)
     P = recurrence.poly_eval(m, lam0, 1000)
     assert P.log_abs(1000) < envelope.logmag - 5.0
+
+
+# -- the blocked recurrence against one step per index -----------------------
+
+# N = 97, 98, 99 end on a block one short, exact and one over (b = 7);
+# 100_003 is prime
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 97, 98, 99, 100_003])
+@pytest.mark.parametrize("z", [-1.0, 1.0, -1.3 + 0.4j])
+def test_blocked_poly_matches_scalar_loop(laguerre0, N, z):
+    m, _ = laguerre0
+    P = recurrence.poly_eval(m, z, N)
+    lm, unit = scalar_poly(m, z, N)
+    assert P.n_hi == N and len(P.unit) == N + 2
+    assert P.logmag[0] == -np.inf and P.complex_at(0) == 1.0
+    assert poly_error(P.logmag, P.unit, lm, unit) <= 2e-14 * max(N, 10)
+    if complex(z).imag == 0.0:
+        assert np.all(P.unit.imag == 0.0)
+
+
+def test_blocked_poly_rescales_inside_blocks():
+    # sigma = 1/2 far left of the spectrum: P grows by about 10 nats a step,
+    # so every block of b = 71 steps passes the rescale span many times
+    m, _ = power(0.5, 0.0, 0.5)
+    N, z = 10_000, -1e6
+    P = recurrence.poly_eval(m, z, N)
+    b = round(math.sqrt(N / 2.0))
+    assert P.log_abs(b) - P.log_abs(0) > 2 * recurrence._SPAN
+    lm, unit = scalar_poly(m, z, N)
+    # both carry a log scale near 1e5 nats, rounded at about eps * log|P|
+    assert np.all(np.abs(P.logmag[1:] - lm[1:]) <= 1e-14 * np.maximum(1.0, lm[1:]))
+    assert np.array_equal(P.unit, unit)
+
+
+def mpmath_poly(model, z, N, ns):
+    """P_n and P_{n+1} at the indices ns, in 40-digit arithmetic on the
+    model's double coefficients."""
+    a = model.a_range(0, N).tolist()
+    b = model.b_range(0, N).tolist()
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z) if complex(z).imag else mpmath.mpf(complex(z).real)
+        want = set(ns) | {n + 1 for n in ns}
+        out = {}
+        p_prev, p_cur, a_prev = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+        for n in range(N):
+            p_prev, p_cur = p_cur, ((zm - b[n]) * p_cur - a_prev * p_prev) / a[n]
+            a_prev = a[n]
+            if n + 1 in want:
+                out[n + 1] = p_cur
+    return out
+
+
+def mpmath_error(lm, unit, ref, ns):
+    """Worst |P_n - ref_n| / max(|ref_n|, |ref_{n+1}|) over ns."""
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.exp(float(lm[n + 1])) * mpmath.mpc(complex(unit[n + 1]))
+                             - ref[n]) / max(abs(ref[n]), abs(ref[n + 1])))
+                   for n in ns)
+
+
+@pytest.mark.parametrize("model, z", [
+    (coeffs.laguerre_model(0.0), -1.0),
+    (coeffs.laguerre_model(1.3), 1.0),
+    (coeffs.power_model(1.0, 0.0, 0.0, 1.0), -3.0),        # discrete, tau = 1
+    (coeffs.power_model(1.25, 0.0, -0.875, 1.0), -2.0),    # whole-line a.c.
+    (coeffs.power_model(1.5, 0.0, -0.5, 1.0), 0.5),
+    (coeffs.power_model(0.5, 0.0, 0.5, 1.0), 1.0 + 1.0j),
+    (coeffs.power_model(1.0, 0.2, -0.3, -1.0), -1.0),      # gamma = -1
+    (coeffs.laguerre_model(0.0), -1.3 + 0.4j),
+], ids=["laguerre0", "laguerre1.3", "discrete", "whole_line", "sigma1.5",
+        "sigma0.5_complex", "gamma_minus", "laguerre0_complex"])
+def test_blocked_poly_accuracy_against_mpmath(model, z):
+    # the difference basis keeps the blocked product as accurate as one
+    # step per index.  Measured: 1e-14 to 8e-14, 0.01 to 0.9 times the
+    # loop's error, where z - b_n is exact; 2.7e-11, 1.04 times the
+    # loop's, at -1.3 + 0.4i, where both round z - b_n alike
+    N = 20_000
+    ns = sorted({int(round(x)) for x in np.geomspace(1, N - 1, 25)})
+    ref = mpmath_poly(model, z, N, ns)
+    P = recurrence.poly_eval(model, z, N)
+    err = mpmath_error(P.logmag, P.unit, ref, ns)
+    err_scalar = mpmath_error(*scalar_poly(model, z, N), ref, ns)
+    assert err <= 10.0 * err_scalar
+
+
+def test_poly_eval_runs_no_python_loop_over_indices(laguerre0):
+    # one scalar loop over about sqrt(2N) blocks and one over about
+    # sqrt(N/2) block rows: a few thousand traced lines, not one per index
+    m, _ = laguerre0
+    N = 200_000
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == recurrence.__file__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        recurrence.poly_eval(m, -1.0, N)
+    finally:
+        sys.settrace(old)
+    assert 0 < lines < N / 10
+
+
+def test_poly_eval_peak_memory_per_index(laguerre0):
+    # the output holds 24 B per index, the block rows and states about 32
+    m, _ = laguerre0
+    N = 200_000
+    recurrence.poly_eval(m, -1.0, 10)
+    tracemalloc.start()
+    try:
+        recurrence.poly_eval(m, -1.0, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / N < 100.0
+
+
+@pytest.mark.parametrize("bad", [10, 499])
+def test_poly_eval_raises_on_nan_coefficient(laguerre0, bad):
+    # a NaN in the first block, and in the last step of the window
+    m, _ = laguerre0
+
+    def a_fn(n):
+        return np.where(n == bad, np.nan, m.a_fn(n))
+
+    broken = dataclasses.replace(m, a_fn=a_fn)
+    with pytest.raises(NumericFailure):
+        recurrence.poly_eval(broken, -1.0, 500)
+    recurrence.poly_eval(broken, -1.0, bad)       # a_bad is not read

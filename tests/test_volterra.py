@@ -210,6 +210,20 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
+
+@pytest.mark.parametrize("max_block", [65536, 4])
+def test_prefix_sum_exact_zero(max_block):
+    # terms 1, 1, -1, -1, 1: the two -1 are e^{+i pi} and e^{-i pi}, whose
+    # imaginary residues (sin(pi) = 1.2e-16 in doubles) cancel, so the
+    # fourth partial sum is exactly zero; with max_block = 4 that zero
+    # ends a block and is carried into the next
+    logv = np.zeros(5)
+    argv = np.array([0.0, 0.0, np.pi, -np.pi, 0.0])
+    lg, un = volterra._scaled_prefix_sum(logv, argv, max_block=max_block)
+    assert lg[3] == -np.inf and un[3] == 1.0
+    assert lg[4] == 0.0 and un[4] == 1.0
+    assert np.all(np.isfinite(lg[:3])) and np.all(np.abs(un) == 1.0)
+
 def test_fit_partial_limit_columns_are_independent():
     # one real solve for several columns gives each column's own fit,
     # which is the complex least-squares fit against the real basis up to
