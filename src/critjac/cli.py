@@ -214,12 +214,9 @@ def cmd_density(cfg: dict) -> tuple[str, int]:
             rows.append(f"{_fmt(lam)},ERROR:{type(res).__name__},,,")
             code = EXIT_NUMERIC
             continue
-        eta = res.eta
-        if prev_eta is not None:
-            eta += 2.0 * math.pi * round((prev_eta - eta) / (2.0 * math.pi))
-        prev_eta = eta
+        prev_eta = spectral.nearest_branch(res.eta, prev_eta)
         rows.append(",".join([_fmt(lam), _fmt(res.xi), _fmt(res.kappa),
-                              _fmt(eta), _fmt(res.w)]))
+                              _fmt(prev_eta), _fmt(res.w)]))
     return "\n".join(rows) + "\n", code
 
 

@@ -26,7 +26,12 @@ from .ansatz import PhaseAccumulator, SpectralPoint, at_plus, phase_context
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import InvalidParameter, NumericFailure, OnSpectrum, OutsideAC
 from .logcomplex import LogComplex
-from .solutions import SolutionWindow, kappa_phase, limit_wronskian
+from .solutions import (
+    SolutionWindow,
+    alternating_sign,
+    kappa_phase,
+    limit_wronskian,
+)
 
 # Growth (nats) a block's states may gain before they are rescaled: far
 # inside the double range, and rescales stay rare.
@@ -209,7 +214,7 @@ def poly_asymptotic_ac(n: int, lam: float, kappa: float, eta: float,
         phases = PhaseAccumulator(at_plus(lam), params)
     w = limit_wronskian(lam, params)
     Phi = phases.phi(n)
-    sign = 1.0 if params.gamma < 0 or n % 2 == 0 else -1.0
+    sign = float(alternating_sign(n, params.gamma))
     return kappa / w * sign * float(n) ** (-params.rho) * math.sin(Phi.real - eta)
 
 
@@ -234,9 +239,7 @@ def poly_asymptotic_regular(n: int, zp: SpectralPoint, omega_value: complex,
     if pref == 0:
         return LogComplex.zero()
     ph = phases.phi(n)
-    sign = -1.0 if params.gamma > 0 and n % 2 == 0 else 1.0
-    if params.gamma < 0:
-        sign = 1.0
+    sign = float(alternating_sign(n + 1, params.gamma))
     unit = sign * np.exp(-1j * ph.real) * pref / abs(pref)
     logmag = math.log(abs(pref)) - params.rho * math.log(n) + ph.imag
     return LogComplex(logmag, complex(unit / abs(unit)))

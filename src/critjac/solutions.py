@@ -133,24 +133,10 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """
     sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
                          tail_init=tail_init)
-    n0, N = sol.n0, sol.N
-    ctx = phase_context(zp, params, n0)
-    u = sol.u.conjugate() if sol.conjugated else sol.u
-    th = theta_window(ctx, n0, N)
-    phi = np.concatenate([[0.0 + 0.0j], np.cumsum(th)])
-    ns = np.arange(n0, N + 1, dtype=float)
-    umag = np.abs(u)
-    lm = -params.rho * np.log(ns) - phi.imag + np.log(umag)
-    sign = _alternating_sign(n0, N + 1, params.gamma)
-    unit = sign * np.exp(1j * phi.real) * (u / umag)
-    back_lm, back_u = _extend_backward(lm, unit, n0, model, ctx.z_canonical)
-    full_lm = np.concatenate([back_lm, lm])   # back covers [-1, n0-1]
-    full_u = np.concatenate([back_u, unit])
-    if ctx.conj:
-        full_u = full_u.conjugate()
+    full_lm, full_u = _jost_values(sol, zp, params, model, sol.N)
     meta = {
-        "n0": n0,
-        "N": N,
+        "n0": sol.n0,
+        "N": sol.N,
         "volterra_residual": sol.residual,
         "tail_bound": sol.tail_bound,
         "u_error_bound": float(np.expm1(sol.H[0])),
@@ -159,12 +145,41 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     return SolutionWindow("jost", -1, full_lm, full_u, zp, model, meta)
 
 
-def _alternating_sign(n0: int, n1: int, gamma: float) -> np.ndarray:
-    """(-gamma)^n for n in [n0, n1)."""
-    ns = np.arange(n0, n1)
-    if gamma > 0:
-        return np.where(ns % 2 == 0, 1.0, -1.0).astype(complex)
-    return np.ones(n1 - n0, dtype=complex)
+def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
+                 params: CriticalParams, model: CoefficientModel,
+                 n_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_n for n in [-1, n_top] as (log-magnitude, unit phase) at zp.
+
+    f_n = A_n u_n on [n0, n_top], extended downwards by the recurrence.
+    n_top = N gives the whole Jost window; n_top = n0 + 1 gives f_{-1},
+    hence Omega, from the window head alone: u_{n0}, u_{n0+1} and
+    theta_{n0}.
+    """
+    n0 = sol.n0
+    ctx = phase_context(zp, params, n0)
+    u = sol.u[:n_top - n0 + 1]
+    if sol.conjugated:
+        u = u.conjugate()
+    th = theta_window(ctx, n0, n_top)
+    phi = np.concatenate([[0.0 + 0.0j], np.cumsum(th)])
+    ns = np.arange(n0, n_top + 1)
+    umag = np.abs(u)
+    lm = -params.rho * np.log(ns.astype(float)) - phi.imag + np.log(umag)
+    sign = alternating_sign(ns, params.gamma)
+    unit = sign * np.exp(1j * phi.real) * (u / umag)
+    back_lm, back_u = _extend_backward(lm, unit, n0, model, ctx.z_canonical)
+    full_lm = np.concatenate([back_lm, lm])   # back covers [-1, n0-1]
+    full_u = np.concatenate([back_u, unit])
+    if ctx.conj:
+        full_u = full_u.conjugate()
+    return full_lm, full_u
+
+
+def alternating_sign(n, gamma: float):
+    """(-gamma)^n for |gamma| = 1 and integer n, a scalar or an array."""
+    if gamma < 0:
+        return np.ones_like(n, dtype=float)
+    return 1.0 - 2.0 * (np.asarray(n) % 2)
 
 
 def _require_regular(zp: SpectralPoint, params: CriticalParams):
@@ -207,8 +222,8 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     kf = slice(n0g - f.n_lo, N + 1 - f.n_lo)
     kfm1 = slice(n0g - 1 - f.n_lo, N - f.n_lo)
     term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
-    term_arg = -(np.angle(f.unit[kfm1]) + np.angle(f.unit[kf]))
-    ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_arg)
+    term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])
+    ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u)
 
     runmax = np.maximum.accumulate(ps_lm)
     cancelled = bool(np.any(ps_lm < runmax - 8.0 * math.log(10.0)))
@@ -323,10 +338,14 @@ def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """Wronskian of the polynomial and Jost solutions, via f_{-1}.
 
     tail_init as for jost: "unit" is cheaper and keeps the real zeros,
-    but is about 1e-3 off in value at real regular points.
+    but is about 1e-3 off in value at real regular points.  Only the
+    window head [n0, n0 + 1] is assembled: f_{-1} depends on nothing above
+    it, so the value is jost's f_{-1} without its window.
     """
-    win = jost(zp, params, model, N=N, n0=n0, tol=tol, tail_init=tail_init)
-    return omega_from_window(win)
+    sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
+                         tail_init=tail_init)
+    lm, unit = _jost_values(sol, zp, params, model, sol.n0 + 1)
+    return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))
 
 
 def varkappa(zp: SpectralPoint, params: CriticalParams) -> complex:

@@ -113,6 +113,15 @@ def density(lam: float, params: CriticalParams, model: CoefficientModel,
                          kappa=kappa, eta=eta, w=w)
 
 
+def nearest_branch(eta: float, prev_eta: float | None) -> float:
+    """eta shifted by the multiple of 2 pi that brings it nearest to
+    prev_eta, the phase of the previous sample of a sweep (None: first
+    sample, eta unchanged)."""
+    if prev_eta is None:
+        return eta
+    return eta + 2.0 * math.pi * round((prev_eta - eta) / (2.0 * math.pi))
+
+
 def density_sweep(lams, params: CriticalParams, model: CoefficientModel,
                   N: int | None = None, tol: float = volterra.DEFAULT_TOL) -> list[DensitySample]:
     """Density over a lambda grid with eta continued by nearest branch."""
@@ -120,12 +129,8 @@ def density_sweep(lams, params: CriticalParams, model: CoefficientModel,
     prev_eta = None
     for lam in lams:
         s = density(float(lam), params, model, N=N, tol=tol)
-        eta = s.eta
-        if prev_eta is not None:
-            eta += 2.0 * math.pi * round((prev_eta - eta) / (2.0 * math.pi))
-            s = DensitySample(s.lam, s.xi, s.kappa, eta, s.w)
-        prev_eta = eta
-        out.append(s)
+        prev_eta = nearest_branch(s.eta, prev_eta)
+        out.append(DensitySample(s.lam, s.xi, s.kappa, prev_eta, s.w))
     return out
 
 

@@ -29,7 +29,15 @@ exp(H_n) - 1 is an estimate, not a certified bound.
 
 All X-products and prefix sums are carried as (log-magnitude, unit
 phase); exp(+-Im phase-sum) spans hundreds of orders of magnitude off
-the spectrum.  log Lambda_n is taken in real arithmetic (_principal_log),
+the spectrum.  The log-framed sums (_scaled_prefix_sum) take their terms
+in the same form, a real log-magnitude and a unit complex phase, so a
+term costs a real exp and a complex product; a complex exp of
+log + i*angle costs over ten times that, and turning unit phases back
+into angles costs an arctan2 per element.  arg X_n is the one angle
+left: it is the real cumulative sum of arg Lambda_n and becomes a unit
+phase once, by cos and sin.
+
+log Lambda_n is taken in real arithmetic (_principal_log),
 not by numpy's complex log: on the a.c. set |Lambda_n| - 1 lies in
 [2.5e-6, 0.07], where glibc's clog takes a slow exact path on every
 element; the real form is over ten times faster and gives log|Lambda_n| to
@@ -83,45 +91,49 @@ class VolterraSolution:
 
 
 class VolterraKernel:
-    """Kernel data (Lambda, Rcal, X, prefix sums, majorants) on [n0, N].
+    """Kernel data on [n0, N]: Lambda_n (lam), Rcal_n (rr), the majorant
+    sums H and the fitted tail (tail_const, tail_beyond).
 
     Arrays are indexed by offset k = n - n0; everything is evaluated at
     the canonical (upper half-plane) point, conjugation happens when the
-    solution is assembled.
+    solution is assembled.  X_n, its prefix sums and the pointwise
+    majorant h_m are needed only to form H and are not kept: a solve
+    holds the kernel while it builds the 2N tail window, so what the
+    kernel keeps adds to the peak memory of the solve.
     """
 
     def __init__(self, ctx: PhaseContext, model: CoefficientModel,
                  n0: int, N: int):
-        self.ctx = ctx
         self.n0 = int(n0)
         self.N = int(N)
         p = ctx.params
-        (self.lam, self.rr, self.logX, self.argX,
-         self.logPS, self.uniPS) = _kernel_arrays(ctx, model, n0, N)
-        # h-majorant: h_m >= sup_{n0<=n<m} |G_{n,m} Rcal_m|
-        run = np.maximum.accumulate(self.logPS)
-        habs = np.abs(self.rr[1:]) * np.exp(self.logX[:-1] + run[:-1])
-        del run
-        self.h = np.concatenate([[0.0], 2.0 * habs])
-        del habs
         nu, delta = p.nu, p.delta
         if delta - nu <= 1.0:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
-        self._fit_tail(nu, delta)
+        self.lam, self.rr, logX, _, logPS, _ = _kernel_arrays(ctx, model, n0, N)
+        del _                                # the phases: the majorant needs none
+        # h-majorant: h_m >= sup_{n0<=n<m} |G_{n,m} Rcal_m|
+        run = np.maximum.accumulate(logPS)
+        del logPS
+        habs = np.abs(self.rr[1:]) * np.exp(logX[:-1] + run[:-1])
+        del run, logX
+        h = np.concatenate([[0.0], 2.0 * habs])
+        del habs
+        self.tail_const, self.tail_beyond = self._fit_tail(h, nu, delta)
         # H_n = sum_{m>n} h_m within the window + fitted tail beyond N
-        rev = np.cumsum(self.h[::-1])[::-1]
+        rev = np.cumsum(h[::-1])[::-1]
         self.H = np.concatenate([rev[1:], [0.0]]) + self.tail_beyond
 
-    def _fit_tail(self, nu: float, delta: float):
-        """Majorant beyond N, fitted as h_m ~ C m^(nu-delta) with C twice the
-        largest scaled h_m over the last quarter of the window: an
-        estimate, not a bound."""
+    def _fit_tail(self, h: np.ndarray, nu: float,
+                  delta: float) -> tuple[float, float]:
+        """(C, sum of the majorant beyond N), fitted as h_m ~ C m^(nu-delta)
+        with C twice the largest scaled h_m over the last quarter of the
+        window: an estimate, not a bound."""
         lo = max(self.n0 + 1, int(self.N * 0.75))
         ns = np.arange(lo, self.N + 1, dtype=float)
-        scaled = self.h[lo - self.n0:] * ns ** (delta - nu)
+        scaled = h[lo - self.n0:] * ns ** (delta - nu)
         C = 2.0 * float(np.max(scaled)) if len(scaled) else 0.0
-        self.tail_const = C
-        self.tail_beyond = C * self.N ** (nu - delta + 1.0) / (delta - nu - 1.0)
+        return C, C * self.N ** (nu - delta + 1.0) / (delta - nu - 1.0)
 
     # -- solving ------------------------------------------------------------
 
@@ -143,11 +155,12 @@ class VolterraKernel:
 
 def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
                    N: int) -> tuple[np.ndarray, ...]:
-    """Kernel arrays on offsets [0, N - n0]: (lam, rr, logX, argX, logPS, uniPS).
+    """Kernel arrays on offsets [0, N - n0]: (lam, rr, logX, uniXinv, logPS, uniPS).
 
-    lam and rr hold Lambda_n and Rcal_n (entry 0 is nan); logX, argX give
-    X_n = Lambda_{n0+1} ... Lambda_n in log form (X_{n0} = 1); logPS, uniPS
-    give the prefix sums PS_k = sum_{p=n0}^{n0+k} X_p^{-1}, scaled blockwise.
+    lam and rr hold Lambda_n and Rcal_n (entry 0 is nan); logX and uniXinv
+    give X_n = Lambda_{n0+1} ... Lambda_n (X_{n0} = 1) as log|X_n| and the
+    unit phase of X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix
+    sums PS_k = sum_{p=n0}^{n0+k} X_p^{-1}, scaled blockwise.
     """
     if N <= n0:
         raise InvalidParameter("window needs N > n0")
@@ -174,8 +187,12 @@ def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
     del loglam
     argX = np.concatenate([[0.0], np.cumsum(arglam)])
     del arglam
-    logPS, uniPS = _scaled_prefix_sum(-logX, -argX)
-    return lam, rr, logX, argX, logPS, uniPS
+    uniXinv = np.empty(len(argX), dtype=complex)        # e^{-i arg X_n}
+    np.cos(argX, out=uniXinv.real)
+    np.sin(-argX, out=uniXinv.imag)
+    del argX
+    logPS, uniPS = _scaled_prefix_sum(-logX, uniXinv)
+    return lam, rr, logX, uniXinv, logPS, uniPS
 
 
 def _principal_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,10 +285,16 @@ def _step_rows(a: np.ndarray, K: int, b: int, nb: int) -> np.ndarray:
     return out
 
 
-def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
+def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
                        max_block: int = 65536,
                        span: float = 500.0) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of exp(logv + i*argv) as (log-magnitude, unit phase).
+    """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase).
+
+    Each term comes in as a real log-magnitude and a unit complex phase,
+    the form the sums themselves come out in, so a term costs one real
+    exp and one complex product.  Angles would cost a complex exp per
+    term (over ten times as much: 9.9 against 0.75 ms for 2e5 terms) and,
+    where a phase is a product of unit numbers, an np.angle per factor.
 
     Terms are summed blockwise in the frame of the block's running
     maximum; a block is cut as soon as that frame would grow by more
@@ -292,7 +315,7 @@ def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
         hi = lo + int(cut[0]) if len(cut) and cut[0] > 0 else (
             lo + 1 if len(cut) else cap)
         ref = max(float(runmax[hi - 1 - lo]), carry_log)
-        terms = np.exp(logv[lo:hi] - ref + 1j * argv[lo:hi])
+        terms = np.exp(logv[lo:hi] - ref) * unitv[lo:hi]
         partial = np.cumsum(terms)
         if np.isfinite(carry_log):
             partial = partial + np.exp(carry_log - ref) * carry_unit
@@ -308,9 +331,9 @@ def _scaled_prefix_sum(logv: np.ndarray, argv: np.ndarray,
     return out_log, out_unit
 
 
-def _reverse_prefix(logv: np.ndarray, argv: np.ndarray):
+def _reverse_prefix(logv: np.ndarray, unitv: np.ndarray):
     """Inclusive reverse prefix sums, log-framed: R_k = sum_{q >= k} v_q."""
-    lg, un = _scaled_prefix_sum(logv[::-1], argv[::-1])
+    lg, un = _scaled_prefix_sum(logv[::-1], unitv[::-1])
     return lg[::-1], un[::-1]
 
 
@@ -353,46 +376,52 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
     """
     M = N + int(tail_len)
     # The tail window needs the kernel arrays only, not the majorant.
-    lam, rr, logX, argX, logPS, uniPS = _kernel_arrays(ctx, model, N, M)
+    lam, rr, logX, uniX, logPS, uniPS = _kernel_arrays(ctx, model, N, M)
     del lam
+    np.conjugate(uniX, out=uniX)                 # e^{+i arg X}: X's own phase
     K = M - N
     p = ctx.params
     # This window is twice the solve's, so what it holds at once sets the
     # peak memory of a whole solve: arrays are dropped once they are dead.
+    # y_m = (X_{m-1}/X_N) Rcal_m and t_m = G_{N,m} Rcal_m = y_m PS_{m-1} are
+    # carried as log-magnitude and unit phase, like the sums they feed.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         absr = np.abs(rr[1:])
         logy = np.where(absr > 0.0, np.log(np.where(absr > 0.0, absr, 1.0)),
                         -np.inf) + logX[:-1]
+        uniy = rr[1:] / absr
+        if not absr.all():                       # Rcal_m = 0: any unit phase
+            uniy[absr == 0.0] = 1.0
         del absr
-        argy = np.angle(rr[1:]) + argX[:-1]
+        uniy *= uniX[:-1]
         logt = logy + logPS[:-1]
-        argt = argy + np.angle(uniPS[:-1])
+        unit = uniy * uniPS[:-1]
         # Dropped here, not at their last use: the order of these frees
         # decides how much freed heap glibc keeps resident.  Freeing them
-        # before logt and argt, or lam only here, raised the peak RSS of a
-        # 41-point two-thread whole-line density sweep (N = 1e5) by 15 to
-        # 25 MB.
-        del rr, logX, argX
+        # before logt and its phases, or lam only here, raised the peak RSS
+        # of a 41-point two-thread whole-line density sweep (N = 1e5) by 15
+        # to 25 MB (measured when the phases were still angles).
+        del rr, logX, uniX
         logPS, uniPS = logPS[:-2], uniPS[:-2]
         # second-order: u_m - 1 ~ d_m = A_m - PS_{m-1} B_m with the
         # exclusive reverse sums A_m = sum_{q>m} t_q, B_m = sum_{q>m} y_q
         d = np.zeros(K, dtype=complex)
         if K > 64:
-            logA, uniA = _reverse_prefix(logt, argt)
+            logA, uniA = _reverse_prefix(logt, unit)
             d[:-1] = _tail_exp(logA[1:]) * uniA[1:]
             del logA, uniA
         # |y| and |t| are h-majorant sized, so plain exponentials are safe
-        t = _require_finite(np.exp(logt + 1j * argt), "t")   # G_{N,m} Rcal_m, m = N+1+k
-        del logt, argt
+        t = _require_finite(np.exp(logt) * unit, "t")   # G_{N,m} Rcal_m, m = N+1+k
+        del logt, unit
         if K > 64:
-            logB, uniB = _reverse_prefix(logy, argy)
+            logB, uniB = _reverse_prefix(logy, uniy)
             d[:-1] -= _tail_exp(logPS + logB[1:]) * uniPS * uniB[1:]
             del logB, uniB
             _require_finite(d, "d")
         del logPS, uniPS
-        y = _require_finite(np.exp(logy + 1j * argy), "y")   # (X_{m-1}/X_N) Rcal_m
-        del logy, argy
+        y = _require_finite(np.exp(logy) * uniy, "y")   # (X_{m-1}/X_N) Rcal_m
+        del logy, uniy
         sums = np.empty((K, 2), dtype=complex)
         np.cumsum(t * (1.0 + d), out=sums[:, 0])
         del t
@@ -469,11 +498,13 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
             f"tail bound {kern.tail_beyond:.3g} >= 1 at N = {N}; "
             "raise N or n0"
         )
+    u_top, d_top = 1.0 + 0.0j, 0.0 + 0.0j
     if tail_init == "asymptotic":
         u_top, d_top = _top_boundary(ctx, model, N, min(2 * N, 1_000_000))
+    # a non-finite kernel term makes the block products overflow or form
+    # inf - inf; the solve checks u itself and raises NumericFailure
+    with np.errstate(over="ignore", invalid="ignore"):
         u = kern.sweep(u_top, d_top)
-    else:
-        u = kern.sweep()
     meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init}
     res = kern.residual(u)
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import critjac
-from critjac import cli
+from critjac import cli, spectral
+from critjac.errors import NumericFailure
 
 
 def run(argv, capsys):
@@ -60,6 +61,26 @@ def test_density_error_row(capsys):
                         "--N", "20000"], capsys)
     assert code == 3
     assert "ERROR:OutsideAC" in out
+
+
+def test_density_error_row_mid_sweep(monkeypatch, capsys):
+    # an error row keeps its place, and eta continues from the last good row
+    etas = {1.0: 3.0, 2.0: -3.0, 4.0: -2.5, 5.0: -2.0}
+
+    def fake_density(lam, params, model, N=None, tol=None):
+        if lam not in etas:
+            raise NumericFailure("injected")
+        return spectral.DensitySample(lam, 0.1, 1.0, etas[lam], 0.5)
+
+    monkeypatch.setattr(spectral, "density", fake_density)
+    code, out, _ = run(["density", "--p", "0", "--lambda-min", "1", "--lambda-max",
+                        "5", "--lambda-step", "1"], capsys)
+    assert code == 3
+    rows = out.strip().split("\n")[1:]
+    assert rows[2] == "3,ERROR:NumericFailure,,,"
+    got = [float(rows[k].split(",")[3]) for k in (0, 1, 3, 4)]
+    two_pi = 2.0 * math.pi
+    assert got == [3.0, -3.0 + two_pi, -2.5 + two_pi, -2.0 + two_pi]
 
 
 def test_density_byte_identical(capsys):

@@ -145,7 +145,32 @@ def test_extend_backward_reads_coefficients_once(monkeypatch):
     assert len(lm) == n_from + 1 and np.all(np.isfinite(lm))
 
 
+# (model, point, N, tail_init); at_minus and Im z < 0 are solved at the
+# conjugate point and conjugated back
+OMEGA_CASES = {
+    "laguerre": (None, ansatz.at_plus(1.0), 20_000, "asymptotic"),
+    "whole_line": (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 60_000,
+                   "asymptotic"),
+    "sigma_3_2": (power(1.5, 0.0, -0.5), ansatz.at_plus(0.5), 20_000, "asymptotic"),
+    "discrete_unit": (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 20_000, "unit"),
+    "minus_side": (power(1.25, 0.0, -0.875), ansatz.at_minus(1.5), 20_000,
+                   "asymptotic"),
+    "lower_half_plane": (None, ansatz.interior(2.0 - 1.0j), 20_000, "asymptotic"),
+}
+
+
 class TestOmega:
+    @pytest.mark.parametrize("case", list(OMEGA_CASES))
+    def test_omega_matches_jost_window(self, laguerre0, case):
+        # omega assembles only the window head [n0, n0 + 1] before the
+        # backward extension; f_{-1} depends on nothing above it, so the
+        # value is the whole Jost window's f_{-1} up to rounding
+        model, zp, N, tail_init = OMEGA_CASES[case]
+        m, p = model or laguerre0
+        om = solutions.omega(zp, p, m, N=N, tail_init=tail_init)
+        win = solutions.jost(zp, p, m, N=N, tail_init=tail_init)
+        assert om == pytest.approx(solutions.omega_from_window(win), rel=1e-13)
+
     def test_schwarz_reflection(self, laguerre0):
         m, p = laguerre0
         om_up = solutions.omega(ansatz.interior(1 + 1j), p, m, N=4000)

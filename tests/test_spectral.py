@@ -86,10 +86,40 @@ class TestDensity:
         m, p = laguerre0
         samples = spectral.density_sweep(np.linspace(4.0, 8.0, 9), p, m, N=20_000)
         etas = np.array([s.eta for s in samples])
-        # nearest-branch continuation keeps steps under pi\n        assert np.max(np.abs(np.diff(etas))) < math.pi
+        # nearest-branch continuation keeps steps under pi
+        assert np.max(np.abs(np.diff(etas))) < math.pi
+
+
+def continued_fraction_r00(model, z: complex, K: int) -> complex:
+    """R_00(z) = 1 / (b_0 - z - a_0^2 / (b_1 - z - a_1^2 / (b_2 - z - ...))),
+    evaluated backwards from a zero tail at depth K (Gautschi, SIAM Rev. 9,
+    1967): the recurrence coefficients only, nothing of the Jost machinery."""
+    a = model.a_range(0, K + 1).tolist()
+    b = model.b_range(0, K + 1).tolist()
+    t = 0j
+    for n in range(K - 1, -1, -1):
+        t = a[n] ** 2 / (b[n + 1] - z - t)
+    return 1.0 / (b[0] - z - t)
 
 
 class TestResolvent:
+    # the fraction converges slowest at 1.5 + 0.5i: 8e-10 at K = 1e4,
+    # 4e-16 at K = 1e5
+    @pytest.mark.parametrize("model, z", [
+        (power(1.25, 0.0, -0.875), -2.0 + 1.0j),
+        (power(1.25, 0.0, -0.875), 1.5 + 0.5j),
+        (None, 1.0 + 1.0j),                       # Laguerre p = 0
+        (power(1.0, 0.0, 0.0), -3.0 + 0.0j),      # discrete region
+    ], ids=["whole_line_left", "whole_line_right", "laguerre", "discrete"])
+    def test_r00_matches_continued_fraction(self, laguerre0, model, z):
+        m, p = model or laguerre0
+        zp = ansatz.interior(z)
+        ref = continued_fraction_r00(m, z, 100_000)
+        r00 = spectral.resolvent_element(0, 0, zp, p, m, N=20_000)
+        assert r00 == pytest.approx(ref, rel=1e-13)
+        f0 = solutions.jost(zp, p, m, N=20_000).complex_at(0)
+        assert f0 / solutions.omega(zp, p, m, N=20_000) == pytest.approx(ref, rel=1e-13)
+
     def test_symmetry_and_herglotz(self, laguerre0):
         m, p = laguerre0
         z = ansatz.interior(0.7 + 0.9j)

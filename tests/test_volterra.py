@@ -70,10 +70,21 @@ def kernel_at(zp, p, m, N):
     return volterra.VolterraKernel(ctx, m, ctx.n_start, N), ctx
 
 
+class KernelLogs:
+    """The log-form kernel arrays of the solve's window on [n_start, N]:
+    logX, uniXinv (the unit phase of X_n^{-1}), logPS and uniPS."""
+
+    def __init__(self, zp, p, m, N):
+        self.ctx = ansatz.phase_context(zp, p)
+        self.n0 = self.ctx.n_start
+        _, _, self.logX, self.uniXinv, self.logPS, self.uniPS = \
+            volterra._kernel_arrays(self.ctx, m, self.n0, N)
+
+
 def x_at(kern, n: int) -> LogComplex:
     """X_n from the kernel's log arrays, conjugated back to the caller's point."""
     k = n - kern.n0
-    out = LogComplex.from_polar(kern.logX[k], kern.argX[k])
+    out = LogComplex(kern.logX[k], complex(kern.uniXinv[k]).conjugate())
     return out.conjugate() if kern.ctx.conj else out
 
 
@@ -83,7 +94,7 @@ def g_at(kern, n: int, m: int) -> LogComplex:
     diff = LogComplex(kern.logPS[k], kern.uniPS[k])
     if j >= 0:
         diff = diff - LogComplex(kern.logPS[j], kern.uniPS[j])
-    return LogComplex.from_polar(kern.logX[k], kern.argX[k]) * diff
+    return LogComplex(kern.logX[k], complex(kern.uniXinv[k]).conjugate()) * diff
 
 
 def g_row_abs(kern, n: int, ms: np.ndarray) -> np.ndarray:
@@ -199,15 +210,19 @@ def test_principal_log_matches_numpy(r, phi):
     (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 100_000),
 ], ids=["discrete", "laguerre", "whole_line"])
 def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
-    # logX and argX are the cumulative sums of log Lambda_n; the helper
+    # logX and arg X are the cumulative sums of log Lambda_n; the helper
     # may differ from numpy's complex log only at rounding level (logX
-    # reaches -1.9e3 on the discrete kernel, where one ulp is 2.3e-13)
+    # reaches -1.9e3 on the discrete kernel, where one ulp is 2.3e-13).
+    # arg X comes out as the unit phase e^{-i arg X}, which is off its
+    # reference by the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    lam, _, logX, argX, _, _ = volterra._kernel_arrays(ctx, m, ctx.n_start, N)
+    lam, _, logX, uniXinv, _, _ = volterra._kernel_arrays(ctx, m, ctx.n_start, N)
     ref = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
-    for got, want in ((logX, ref.real), (argX, ref.imag)):
-        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    logref, argref = ref.real, ref.imag
+    assert np.all(np.abs(logX - logref) <= 1e-14 * np.maximum(1.0, np.abs(logref)))
+    assert np.all(np.abs(uniXinv - np.exp(-1j * argref))
+                  <= 1e-14 * np.maximum(1.0, np.abs(argref)))
 
 
 
@@ -218,8 +233,8 @@ def test_prefix_sum_exact_zero(max_block):
     # fourth partial sum is exactly zero; with max_block = 4 that zero
     # ends a block and is carried into the next
     logv = np.zeros(5)
-    argv = np.array([0.0, 0.0, np.pi, -np.pi, 0.0])
-    lg, un = volterra._scaled_prefix_sum(logv, argv, max_block=max_block)
+    unitv = np.exp(1j * np.array([0.0, 0.0, np.pi, -np.pi, 0.0]))
+    lg, un = volterra._scaled_prefix_sum(logv, unitv, max_block=max_block)
     assert lg[3] == -np.inf and un[3] == 1.0
     assert lg[4] == 0.0 and un[4] == 1.0
     assert np.all(np.isfinite(lg[:3])) and np.all(np.abs(un) == 1.0)
@@ -263,8 +278,8 @@ def test_kernel_factor_examples(laguerre0):
 def test_x_prod_empty_and_closed_form(laguerre0):
     m, p = laguerre0
     zp = ansatz.interior(2 + 1j)
-    kern, ctx = kernel_at(zp, p, m, 1000)
-    n0 = ctx.n_start
+    kern = KernelLogs(zp, p, m, 1000)
+    n0 = kern.n0
     assert x_at(kern, n0).to_complex() == pytest.approx(1.0)
     # X_n * kappa_n e^{-i bold(phi)_n} is one fixed constant across n
     acc = ansatz.PhaseAccumulator(zp, p)
@@ -282,7 +297,7 @@ def test_x_prod_empty_and_closed_form(laguerre0):
 
 def test_kernel_g_diagonal_is_one(laguerre0):
     m, p = laguerre0
-    kern, _ = kernel_at(ansatz.at_plus(2.0), p, m, 401)
+    kern = KernelLogs(ansatz.at_plus(2.0), p, m, 401)
     for n in (20, 57, 400):
         assert g_at(kern, n, n + 1).to_complex() == pytest.approx(1.0, abs=1e-12)
 
@@ -290,10 +305,10 @@ def test_kernel_g_diagonal_is_one(laguerre0):
 def test_kernel_g_growth_bound(laguerre0):
     # |G_{n,m}| <= C m^nu on the spectrum
     m, p = laguerre0
-    kern, ctx = kernel_at(ansatz.interior(2 + 1j), p, m, 10_000)
-    ms = np.arange(ctx.n_start + 1, 10_001, 7)
+    kern = KernelLogs(ansatz.interior(2 + 1j), p, m, 10_000)
+    ms = np.arange(kern.n0 + 1, 10_001, 7)
     worst = 0.0
-    for n in (ctx.n_start, 100, 1000):
+    for n in (kern.n0, 100, 1000):
         sel = ms[ms > n]
         ratios = g_row_abs(kern, n, sel) * sel ** (-p.nu)
         worst = max(worst, float(np.max(ratios)))
@@ -370,6 +385,28 @@ class TestSolve:
             tracemalloc.stop()
         assert peak / N < 550.0
 
+    def test_tail_window_runs_without_majorant_arrays(self, monkeypatch):
+        # while _top_boundary builds the 2N tail window the solve holds the
+        # window kernel's lam, rr and H only (40 B per index); a kernel
+        # that keeps X, its prefix sums and h holds 88 B per index
+        m, p = power(1.25, 0.0, -0.875)
+        N = 20_000
+        held = []
+        top = volterra._top_boundary
+
+        def probed(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return top(*args)
+
+        monkeypatch.setattr(volterra, "_top_boundary", probed)
+        tracemalloc.start()
+        try:
+            volterra.solve(ansatz.at_plus(0.3), p, m, N=N)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] / N < 60.0
+
     def test_truncation_too_short(self):
         m, p = power(1.25, 0.0, -0.875)   # quarter-power tail on the axis
         with pytest.raises(TruncationTooShort):
@@ -396,8 +433,8 @@ class TestSolve:
         m, p = laguerre0
         reverse = volterra._reverse_prefix
 
-        def broken(logv, argv):
-            lg, un = reverse(logv, argv)
+        def broken(logv, unitv):
+            lg, un = reverse(logv, unitv)
             lg = lg.copy()
             lg[len(lg) // 2] = bad
             return lg, un
@@ -436,19 +473,25 @@ def test_x_prod_monotone_off_axis(laguerre0):
     # Im z > 0 makes Im of the phase sum increase, so |X_n| ~ n^nu
     # e^{-Im(phase)} decays monotonically at large n and |X_n^{-1}| grows
     m, p = laguerre0
-    ctx = ansatz.phase_context(ansatz.interior(1 + 1j), p)
-    kern = volterra.VolterraKernel(ctx, m, ctx.n_start, 3000)
+    kern = KernelLogs(ansatz.interior(1 + 1j), p, m, 3000)
     assert np.all(np.diff(kern.logX[200:]) < 0)
 
 
-def test_tail_bound_zero_for_zero_kernel(laguerre0):
+def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
+    # Rcal = 0 makes the majorant h, hence its fitted tail, exactly zero
     m, p = laguerre0
+    arrays = volterra._kernel_arrays
+
+    def zero_rr(*args):
+        out = arrays(*args)
+        out[1][1:] = 0.0
+        return out
+
+    monkeypatch.setattr(volterra, "_kernel_arrays", zero_rr)
     ctx = ansatz.phase_context(ansatz.at_plus(1.0), p)
     kern = volterra.VolterraKernel(ctx, m, ctx.n_start, 3000)
-    kern.rr[:] = 0.0
-    kern.h[:] = 0.0
-    kern._fit_tail(p.nu, p.delta)
-    assert kern.tail_beyond == 0.0
+    assert kern.tail_const == 0.0 and kern.tail_beyond == 0.0
+    assert np.all(kern.H == 0.0)
 
 
 def test_diagnostics_csv(laguerre0):
