@@ -13,6 +13,12 @@ Im(gamma z) < 0, are produced by conjugation: the whole pipeline computes
 at the canonical (upper) point and conjugates final values, so a single
 branch is ever evaluated.
 
+For real z off the closure of the a.c. set T_n < 0 on the window, so
+theta_n is purely imaginary and the ratios B_n are real.
+ansatz_ratio_window then returns them as float64, and every kernel built
+from them stays real: a kernel is float64 exactly when theta_n is purely
+imaginary on its window.  The data decides, once per window.
+
 All operations are pure given (n, point, params, model); the only mutable
 object is the PhaseAccumulator memo, which has no lock: use one
 instance per thread.
@@ -273,11 +279,17 @@ class PhaseAccumulator:
 
 def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
     """B_n = A_{n+1}/A_n = (-gamma) (n+1)^(-rho) n^rho e^{i theta_n},
-    for n in [n0, n1), at the canonical point."""
+    for n in [n0, n1), at the canonical point.
+
+    The dtype follows the data: where theta_n is purely imaginary on the
+    whole window (real z off the closure of the a.c. set) B_n is real and
+    comes out as float64 from a real exp; otherwise it is complex.
+    """
     ns = np.arange(n0, n1, dtype=float)
     th = theta_window(ctx, n0, n1)
     p = ctx.params
-    return (-p.gamma) * (ns / (ns + 1.0)) ** p.rho * np.exp(1j * th)
+    return (-p.gamma) * (ns / (ns + 1.0)) ** p.rho * (
+        np.exp(1j * th) if th.real.any() else np.exp(-th.imag))
 
 
 def remainder_window(ctx: PhaseContext, model: CoefficientModel,
@@ -291,9 +303,10 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
               + (b_n - z)/sqrt(a_{n-1} a_n).
 
     B = ansatz_ratio_window(ctx, n0 - 1, n1) and a = a_n for n in
-    [n0 - 1, n1) are the caller's, already built.
+    [n0 - 1, n1) are the caller's, already built.  A real B (theta purely
+    imaginary, so z real) gives a real r_n.
     """
-    z = ctx.z_canonical
+    z = ctx.z_canonical if np.iscomplexobj(B) else ctx.z_canonical.real
     ns = np.arange(n0, n1, dtype=float)
     a_n, a_nm1 = a[1:], a[:-1]
     b_n = model.b_fn(ns)

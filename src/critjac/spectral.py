@@ -145,12 +145,17 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
 
     Defined for Im z != 0, for boundary values lambda +- i0 on the a.c.
     set, and for real z in the resolvent set (EigenvalueHit at real
-    zeros of Omega).
+    zeros of Omega).  The Jost solution is assembled only up to
+    max(n, m), as omega assembles it up to the window head.
     """
     if n < 0 or m < 0:
         raise InvalidParameter("resolvent indices must be nonnegative")
     lo, hi = min(n, m), max(n, m)
-    win = solutions.jost(zp, params, model, N=N, tol=tol)
+    sol = volterra.solve(zp, params, model, N=N, tol=tol)
+    if hi > sol.N:
+        raise InvalidParameter(f"index {hi} beyond the Jost window [-1, {sol.N}]")
+    lm, unit = solutions._jost_values(sol, zp, params, model, max(sol.n0 + 1, hi))
+    win = solutions.SolutionWindow("jost", -1, lm, unit, zp, model)
     om = solutions.omega_from_window(win)
     z = complex(zp.z)
     if z.imag == 0.0 and zp.side == "interior":

@@ -42,6 +42,20 @@ not by numpy's complex log: on the a.c. set |Lambda_n| - 1 lies in
 [2.5e-6, 0.07], where glibc's clog takes a slow exact path on every
 element; the real form is over ten times faster and gives log|Lambda_n| to
 a few eps and arg Lambda_n as arctan2.
+
+A kernel is float64 exactly when theta_n is purely imaginary on its
+window: real z off the closure of the a.c. set (the discrete region, the
+resolvent set).  There B_n, Lambda_n, Rcal_n, X_n, the prefix sums and u_n
+are real, so every array takes the dtype of B_n (ansatz_ratio_window)
+and no layer forces complex: Lambda_n > 0, log X_n is a real cumulative
+sum, the unit phases are 1 and the sweep runs in float64.  Points on the
+a.c. set and non-real z run the same functions in complex arithmetic,
+bit for bit as before.  At real points Omega moves against the complex
+pipeline by the last bits of B_n (a real exp against a complex one) and
+of the remainder's divisions (numpy divides a complex number by a real
+one through its reciprocal), which the remainder's cancellation
+amplifies: 2.6e-12 to 3.6e-11 relative with the unit tail, 3.0e-10 to
+6.3e-10 with the asymptotic tail; eigenvalue zeros do not move.
 """
 
 from __future__ import annotations
@@ -72,7 +86,8 @@ class VolterraSolution:
     tail_bound is the fitted majorant sum H_N over m > N; H[k] estimates
     a bound on |u_{n0+k} - 1| through exp(H) - 1 (an estimate because
     H includes the fitted tail_bound); residual is the worst relative
-    defect of the difference equation over the window.
+    defect of the difference equation over the window.  u is float64
+    where the kernel is real, complex128 elsewhere.
     """
 
     u: np.ndarray
@@ -161,6 +176,11 @@ def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
     give X_n = Lambda_{n0+1} ... Lambda_n (X_{n0} = 1) as log|X_n| and the
     unit phase of X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix
     sums PS_k = sum_{p=n0}^{n0+k} X_p^{-1}, scaled blockwise.
+
+    The arrays take the dtype of B_n (ansatz_ratio_window).  A real kernel
+    has Lambda_n > 0, so log X_n is the cumulative sum of the real log
+    Lambda_n and every unit phase is 1; Lambda_n <= 0 there raises
+    NumericFailure.
     """
     if N <= n0:
         raise InvalidParameter("window needs N > n0")
@@ -172,25 +192,32 @@ def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
     a = model.a_fn(ns)
     del ns
     ratio = a[1:] / a[:-1]                               # a_n/a_{n-1}, n >= n0+1
-    lam = np.empty(N + 1 - n0, dtype=complex)            # Lambda_n, n >= n0+1
+    lam = np.empty(N + 1 - n0, dtype=B.dtype)            # Lambda_n, n >= n0+1
     lam[0] = np.nan
     lam[1:] = ratio * B[1:] * B[:-1]
     r = remainder_window(ctx, model, n0 + 1, N + 1, B, a)
     del a
-    rr = np.empty(N + 1 - n0, dtype=complex)             # Rcal_n, n >= n0+1
+    rr = np.empty(N + 1 - n0, dtype=B.dtype)             # Rcal_n, n >= n0+1
     rr[0] = np.nan
     rr[1:] = -np.sqrt(ratio) * B[:-1] * r
     del B, r, ratio
 
-    loglam, arglam = _principal_log(lam[1:])             # |arg Lambda| << pi
-    logX = np.concatenate([[0.0], np.cumsum(loglam)])
-    del loglam
-    argX = np.concatenate([[0.0], np.cumsum(arglam)])
-    del arglam
-    uniXinv = np.empty(len(argX), dtype=complex)        # e^{-i arg X_n}
-    np.cos(argX, out=uniXinv.real)
-    np.sin(-argX, out=uniXinv.imag)
-    del argX
+    if np.iscomplexobj(lam):
+        loglam, arglam = _principal_log(lam[1:])         # |arg Lambda| << pi
+        logX = np.concatenate([[0.0], np.cumsum(loglam)])
+        del loglam
+        argX = np.concatenate([[0.0], np.cumsum(arglam)])
+        del arglam
+        uniXinv = np.empty(len(argX), dtype=complex)    # e^{-i arg X_n}
+        np.cos(argX, out=uniXinv.real)
+        np.sin(-argX, out=uniXinv.imag)
+        del argX
+    else:
+        # a real B_n has the sign of -gamma throughout, so Lambda_n > 0
+        if not np.all(lam[1:] > 0.0):
+            raise NumericFailure("real kernel with Lambda_n <= 0 or not finite")
+        logX = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
+        uniXinv = np.ones(len(logX))
     logPS, uniPS = _scaled_prefix_sum(-logX, uniXinv)
     return lam, rr, logX, uniXinv, logPS, uniPS
 
@@ -228,18 +255,25 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     transfer matrices from (u_top, d_top), and u = U0 u_in + U1 D_in is
     recombined in one array operation.  The summation order differs from
     a step-by-step loop, so u differs from it at rounding level only.
+
+    The sweep runs in the dtype of lam and rr, and in complex arithmetic
+    only if they are complex or the boundary data has an imaginary part.
     """
     K = len(lam) - 1
     b = _block_size(K)
     nb = -(-K // b)
-    R, L = _step_rows(rr, K, b, nb), _step_rows(lam, K, b, nb)
+    u_top, d_top = complex(u_top), complex(d_top)
+    dtype = np.result_type(lam, rr, 1j if u_top.imag or d_top.imag else 1.0)
+    if dtype.kind != "c":
+        u_top, d_top = u_top.real, d_top.real
+    R, L = _step_rows(rr, K, b, nb, dtype), _step_rows(lam, K, b, nb, dtype)
     # U[t, j] = u after step t of every block, started from unit state j
-    U = np.empty((b, 2, nb), dtype=complex)
-    u = np.zeros((2, nb), dtype=complex)
-    d = np.zeros((2, nb), dtype=complex)
+    U = np.empty((b, 2, nb), dtype=dtype)
+    u = np.zeros((2, nb), dtype=dtype)
+    d = np.zeros((2, nb), dtype=dtype)
     u[0] = 1.0
     d[1] = 1.0
-    tmp = np.empty((2, nb), dtype=complex)
+    tmp = np.empty((2, nb), dtype=dtype)
     for t in range(b):
         np.multiply(R[t], u, out=tmp)
         np.multiply(L[t], d, out=d)
@@ -249,7 +283,7 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     # chain the block transfers [[u0, u1], [d0, d1]] from the top state
     ue0, ue1, de0, de1 = u[0].tolist(), u[1].tolist(), d[0].tolist(), d[1].tolist()
     u_in, d_in = [0j] * nb, [0j] * nb
-    uc, dc = complex(u_top), complex(d_top)
+    uc, dc = u_top, d_top
     for i in range(nb):
         u_in[i], d_in[i] = uc, dc
         uc, dc = ue0[i] * uc + ue1[i] * dc, de0[i] * uc + de1[i] * dc
@@ -257,7 +291,7 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     U0 *= np.asarray(u_in)
     U1 *= np.asarray(d_in)
     U0 += U1
-    out = np.empty(K + 1, dtype=complex)
+    out = np.empty(K + 1, dtype=dtype)
     out[K] = u_top
     # step s = i*b + t of block i lands on offset K - 1 - s
     full, rest = divmod(K, b)
@@ -274,9 +308,10 @@ def _block_size(K: int) -> int:
     return max(1, round(math.sqrt(K / 2.0)))
 
 
-def _step_rows(a: np.ndarray, K: int, b: int, nb: int) -> np.ndarray:
+def _step_rows(a: np.ndarray, K: int, b: int, nb: int,
+               dtype: np.dtype) -> np.ndarray:
     """a_{K-s} for step s = i*b + t at row t, column i; zero past step K-1."""
-    out = np.zeros((b, nb), dtype=complex)
+    out = np.zeros((b, nb), dtype=dtype)
     full, rest = divmod(K, b)
     rev = a[:0:-1]
     out.T[:full] = rev[:full * b].reshape(full, b)
@@ -300,12 +335,13 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     maximum; a block is cut as soon as that frame would grow by more
     than `span` nats, so every partial sum stays inside the normal
     double range no matter how steeply the magnitudes climb.  A partial
-    sum that is exactly zero comes out as (-inf, 1).
+    sum that is exactly zero comes out as (-inf, 1).  The phases come out
+    in the dtype of unitv: real terms give real signs.
     """
     n = len(logv)
     out_log = np.empty(n)
-    out_unit = np.empty(n, dtype=complex)
-    carry_log, carry_unit = -np.inf, 1.0 + 0.0j
+    out_unit = np.empty(n, dtype=unitv.dtype)
+    carry_log, carry_unit = -np.inf, 1.0
     lo = 0
     while lo < n:
         cap = min(lo + max_block, n)
@@ -326,7 +362,7 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
         out_log[lo:hi] += ref
         if not mag.all():                    # a sum that cancels exactly
             out_unit[lo:hi][mag == 0.0] = 1.0
-        carry_log, carry_unit = float(out_log[hi - 1]), complex(out_unit[hi - 1])
+        carry_log, carry_unit = float(out_log[hi - 1]), out_unit[hi - 1].item()
         lo = hi
     return out_log, out_unit
 
@@ -347,7 +383,7 @@ def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray,
     periods, the power components are captured by the basis, and the
     constant term is the limit.  The basis is real, so one real
     least-squares solve takes the real and imaginary parts of every
-    column as its right-hand sides.
+    column as its right-hand sides; real partial sums give real limits.
     """
     K = len(partials)
     lo = K // 2
@@ -356,6 +392,8 @@ def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray,
     cols += [ms[sl].astype(float) ** e for e in exponents]
     A = np.vstack(cols).T
     P = partials[sl]
+    if not np.iscomplexobj(P):
+        return np.linalg.lstsq(A, P, rcond=None)[0][0]
     coef, *_ = np.linalg.lstsq(A, np.hstack([P.real, P.imag]), rcond=None)
     c = P.shape[1]
     return coef[0, :c] + 1j * coef[0, c:]
@@ -372,7 +410,8 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
     the top-of-window truncation error, which otherwise decays only like
     N^(nu - delta + 1) and leaks undamped into Wronskians and the Jost
     function.  Raises NumericFailure if a tail term is not finite or the
-    second-order correction d_m exceeds e^30.
+    second-order correction d_m exceeds e^30.  A real kernel keeps every
+    term real and gives real boundary data.
     """
     M = N + int(tail_len)
     # The tail window needs the kernel arrays only, not the majorant.
@@ -406,7 +445,7 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
         logPS, uniPS = logPS[:-2], uniPS[:-2]
         # second-order: u_m - 1 ~ d_m = A_m - PS_{m-1} B_m with the
         # exclusive reverse sums A_m = sum_{q>m} t_q, B_m = sum_{q>m} y_q
-        d = np.zeros(K, dtype=complex)
+        d = np.zeros(K, dtype=unit.dtype)
         if K > 64:
             logA, uniA = _reverse_prefix(logt, unit)
             d[:-1] = _tail_exp(logA[1:]) * uniA[1:]
@@ -422,7 +461,7 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
         del logPS, uniPS
         y = _require_finite(np.exp(logy) * uniy, "y")   # (X_{m-1}/X_N) Rcal_m
         del logy, uniy
-        sums = np.empty((K, 2), dtype=complex)
+        sums = np.empty((K, 2), dtype=t.dtype)
         np.cumsum(t * (1.0 + d), out=sums[:, 0])
         del t
         np.cumsum(y * (1.0 + d), out=sums[:, 1])
@@ -431,7 +470,7 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
         slow = p.nu - p.delta + 1.0          # power remainder of the sums
         osc = 2.0 * p.nu - p.delta           # oscillatory-envelope remainder
         t_lim, y_lim = _fit_partial_limit(sums, ms, (slow, osc))
-    return complex(1.0 + t_lim), complex(y_lim)
+    return (1.0 + t_lim).item(), y_lim.item()
 
 
 def _tail_exp(logmag: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from conftest import power
 from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.errors import (
     EigenvalueHit,
+    InvalidParameter,
     OutsideAC,
     OverlapsAC,
     ThresholdPoint,
@@ -119,6 +120,38 @@ class TestResolvent:
         assert r00 == pytest.approx(ref, rel=1e-13)
         f0 = solutions.jost(zp, p, m, N=20_000).complex_at(0)
         assert f0 / solutions.omega(zp, p, m, N=20_000) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 7), (5, 48)])
+    def test_matches_whole_jost_window(self, n, m):
+        # the Jost solution is assembled only up to max(n, m); the value is
+        # P_min f_max / Omega from the whole window, and theta_n is asked
+        # for no further than max(n, m) (n0 = 8 here)
+        mdl, p = power(1.25, 0.0, -0.875)
+        zp = ansatz.interior(-2.0 + 1.0j)
+        N = 100_000
+        win = solutions.jost(zp, p, mdl, N=N)
+        lo, hi = min(n, m), max(n, m)
+        P = recurrence.poly_eval(mdl, zp.z, lo)
+        ref = (P.value(lo) * win.value(hi)).to_complex() / solutions.omega_from_window(win)
+        asked = []
+        theta = solutions.theta_window
+
+        def counting(ctx, n_lo, n_hi):
+            asked.append((n_lo, n_hi - n_lo))
+            return theta(ctx, n_lo, n_hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solutions, "theta_window", counting)
+            r = spectral.resolvent_element(n, m, zp, p, mdl, N=N)
+        assert r == pytest.approx(ref, rel=1e-13)
+        n0 = win.meta["n0"]
+        assert asked == [(n0, max(hi, n0 + 1) - n0)]
+
+    def test_index_beyond_window(self, laguerre0):
+        m, p = laguerre0
+        with pytest.raises(InvalidParameter):
+            spectral.resolvent_element(0, 5001, ansatz.interior(1 + 1j), p, m,
+                                       N=5000)
 
     def test_symmetry_and_herglotz(self, laguerre0):
         m, p = laguerre0

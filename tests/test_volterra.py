@@ -239,6 +239,20 @@ def test_prefix_sum_exact_zero(max_block):
     assert lg[4] == 0.0 and un[4] == 1.0
     assert np.all(np.isfinite(lg[:3])) and np.all(np.abs(un) == 1.0)
 
+def test_prefix_sum_real_terms_give_real_signs():
+    # real unit phases (signs) keep the sums real: the log-magnitudes are
+    # those of the complex computation, the signs are +-1 exactly
+    rng = np.random.default_rng(7)
+    logv = np.cumsum(rng.normal(1.0, 3.0, 5000))
+    signs = np.sign(rng.normal(size=5000))
+    lg, un = volterra._scaled_prefix_sum(logv, signs, max_block=700)
+    lg_c, un_c = volterra._scaled_prefix_sum(logv, signs.astype(complex),
+                                             max_block=700)
+    assert un.dtype == np.float64 and np.all(np.abs(un) == 1.0)
+    assert np.array_equal(lg, lg_c)
+    assert np.max(np.abs(un - un_c)) <= 2 * np.finfo(float).eps
+
+
 def test_fit_partial_limit_columns_are_independent():
     # one real solve for several columns gives each column's own fit,
     # which is the complex least-squares fit against the real basis up to
@@ -457,6 +471,61 @@ class TestSolve:
         monkeypatch.setattr(volterra, "_kernel_arrays", broken)
         with pytest.raises(NumericFailure):
             volterra.solve(ansatz.at_plus(1.0), p, m, N=5000, tail_init="unit")
+
+
+# real z off the closure of the a.c. set, where theta_n is purely imaginary
+REAL_POINTS = {
+    "discrete_sigma_1": (power(1.0, 0.0, 0.0), ansatz.interior(-3.0)),
+    "laguerre_minus_1": (None, ansatz.interior(-1.0)),
+    "all_discrete_sigma_3_2": (power(1.5, 0.0, 0.0), ansatz.interior(-1.0)),  # tau = 3/2
+}
+COMPLEX_POINTS = {
+    "laguerre_plus_side": (None, ansatz.at_plus(1.0)),
+    "laguerre_complex_z": (None, ansatz.interior(1.0 + 1.0j)),
+}
+
+
+class TestDtype:
+    """The kernel, the sweep and u are float64 exactly where theta_n is
+    purely imaginary on the window, and complex128 elsewhere."""
+
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    @pytest.mark.parametrize("case", list(REAL_POINTS) + list(COMPLEX_POINTS))
+    def test_dtype_follows_theta(self, laguerre0, case, tail_init):
+        model, zp = {**REAL_POINTS, **COMPLEX_POINTS}[case]
+        m, p = model or laguerre0
+        dtype = np.float64 if case in REAL_POINTS else np.complex128
+        kern, _ = kernel_at(zp, p, m, 5000)
+        sol = volterra.solve(zp, p, m, N=5000, tail_init=tail_init)
+        assert kern.lam.dtype == kern.rr.dtype == sol.u.dtype == dtype
+
+    def test_real_kernel_refuses_nonpositive_lambda(self, monkeypatch):
+        # Lambda_n > 0 holds by construction on a real kernel; a B_n of the
+        # wrong sign must fail, not be logged as a complex number
+        m, p = power(1.0, 0.0, 0.0)
+        ratio = volterra.ansatz_ratio_window
+
+        def flipped(*args):
+            B = ratio(*args)
+            B[len(B) // 2] *= -1.0
+            return B
+
+        monkeypatch.setattr(volterra, "ansatz_ratio_window", flipped)
+        with pytest.raises(NumericFailure):
+            volterra.solve(ansatz.interior(-3.0), p, m, N=5000, tail_init="unit")
+
+    def test_real_solve_peak_memory_per_index(self):
+        # a real unit-tail solve holds float64 kernel arrays: 88 B per index
+        # at N = 2e4 (127 in complex arithmetic)
+        m, p = power(1.0, 0.0, 0.0)
+        N = 20_000
+        tracemalloc.start()
+        try:
+            volterra.solve(ansatz.interior(-3.0), p, m, N=N, tail_init="unit")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / N < 105.0
 
 
 def test_u_decay_rate_on_spectrum(laguerre0):
