@@ -304,14 +304,17 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
 
     B = ansatz_ratio_window(ctx, n0 - 1, n1) and a = a_n for n in
     [n0 - 1, n1) are the caller's, already built.  A real B (theta purely
-    imaginary, so z real) gives a real r_n.
+    imaginary, so z real) gives a real r_n.  The real divisors enter as
+    reciprocals, which is how numpy divides a complex array by a real one,
+    so a real B rounds each term as its complex copy would.
     """
     z = ctx.z_canonical if np.iscomplexobj(B) else ctx.z_canonical.real
     ns = np.arange(n0, n1, dtype=float)
     a_n, a_nm1 = a[1:], a[:-1]
     b_n = model.b_fn(ns)
     ratio = np.sqrt(a_n / a_nm1)
-    return B[:-1] ** -1 / ratio + ratio * B[1:] + (b_n - z) / np.sqrt(a_n * a_nm1)
+    return (B[:-1] ** -1 * (1.0 / ratio) + ratio * B[1:]
+            + (b_n - z) * (1.0 / np.sqrt(a_n * a_nm1)))
 
 
 # -- closed-form phase asymptotics (test oracles) ----------------------------

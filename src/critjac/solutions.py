@@ -153,7 +153,7 @@ def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
     f_n = A_n u_n on [n0, n_top], extended downwards by the recurrence.
     n_top = N gives the whole Jost window; n_top = n0 + 1 gives f_{-1},
     hence Omega, from the window head alone: u_{n0}, u_{n0+1} and
-    theta_{n0}.  The unit phases are complex whatever the dtype of u.
+    theta_{n0}.
     """
     n0 = sol.n0
     ctx = phase_context(zp, params, n0)
@@ -166,10 +166,7 @@ def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
     umag = np.abs(u)
     lm = -params.rho * np.log(ns.astype(float)) - phi.imag + np.log(umag)
     sign = alternating_sign(ns, params.gamma)
-    if phi.real.any():
-        unit = sign * np.exp(1j * phi.real) * (u / umag)
-    else:                                     # a real kernel: e^{i Re phi} = 1
-        unit = (sign * (u / umag)).astype(complex)
+    unit = sign * np.exp(1j * phi.real) * (u / umag)
     back_lm, back_u = _extend_backward(lm, unit, n0, model, ctx.z_canonical)
     full_lm = np.concatenate([back_lm, lm])   # back covers [-1, n0-1]
     full_u = np.concatenate([back_u, unit])
