@@ -141,6 +141,8 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
         "tail_bound": sol.tail_bound,
         "u_error_bound": float(np.expm1(sol.H[0])),
         "tail_init": sol.meta["tail_init"],
+        "tail_len": sol.meta["tail_len"],
+        "tail_fit_residual": sol.meta["tail_fit_residual"],
     }
     return SolutionWindow("jost", -1, full_lm, full_u, zp, model, meta)
 

@@ -56,6 +56,11 @@ pipeline only by the last bits of B_n (a real exp against a complex
 one), which the remainder's cancellation amplifies: 6.6e-13 to 1.1e-12
 relative with the unit tail, 9.4e-12 to 2.0e-10 with the asymptotic
 tail; eigenvalue zeros move by at most 6e-17.
+
+The window top is seeded from first-order tail sums of the kernel over
+the next N indices (at most 10^6), their limits fitted against a remainder
+model with Levin's oscillating remainder (_top_boundary); letting the
+oscillation average out instead needed a tail window twice as long.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class VolterraKernel:
     the canonical (upper half-plane) point, conjugation happens when the
     solution is assembled.  X_n, its prefix sums and the pointwise
     majorant h_m are needed only to form H and are not kept: a solve
-    holds the kernel while it builds the 2N tail window, so what the
+    holds the kernel while it builds the tail window, so what the
     kernel keeps adds to the peak memory of the solve.
     """
 
@@ -185,8 +190,8 @@ def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
     if N <= n0:
         raise InvalidParameter("window needs N > n0")
     # Temporaries are dropped as soon as they are dead: the arrays are
-    # built for windows of up to 2N indices, and what is held at once
-    # sets the peak memory of a solve.
+    # built for the solve's window and for its tail window, and what is
+    # held at once sets the peak memory of a solve.
     ns = np.arange(n0, N + 1, dtype=float)
     B = ansatz_ratio_window(ctx, n0, N + 1)              # B_n, n in [n0, N]
     a = model.a_fn(ns)
@@ -367,51 +372,68 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     return out_log, out_unit
 
 
-def _reverse_prefix(logv: np.ndarray, unitv: np.ndarray):
-    """Inclusive reverse prefix sums, log-framed: R_k = sum_{q >= k} v_q."""
-    lg, un = _scaled_prefix_sum(logv[::-1], unitv[::-1])
-    return lg[::-1], un[::-1]
-
-
 def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray,
-                       exponents: tuple[float, ...]) -> np.ndarray:
-    """Limits of partial-sum sequences with power-law remainder shapes.
+                       exponents: tuple[float, ...],
+                       terms: np.ndarray) -> tuple[np.ndarray, float]:
+    """Limits of partial-sum sequences (one per column, each summing terms
+    that oscillate like `terms`) and the fit's relative residual, the
+    largest ||fit - partials|| / ||partials|| of a column.
 
-    partials holds one complex sequence per column.  Each is regressed
-    against {1, m^e1, m^e2} over the second half of the window;
-    oscillatory remainder components average out across many phase
-    periods, the power components are captured by the basis, and the
-    constant term is the limit.  The basis is real, so one real
-    least-squares solve takes the real and imaginary parts of every
-    column as its right-hand sides; real partial sums give real limits.
+    Each column is regressed over the second half of the window against
+    {1, m^e for e in exponents, omega_m}, omega_m = terms_m terms_{m+1} /
+    (terms_m - terms_{m+1}) (Levin's remainder estimate, exact for a
+    geometric series); the constant is the limit.  omega_m is 0 where
+    both terms have underflowed to zero or subnormals; any other
+    non-finite omega_m raises NumericFailure.  A complex omega enters the
+    real basis as its real and imaginary parts, so one real least-squares
+    solve takes the real and imaginary parts of every column.
     """
-    K = len(partials)
+    K = len(partials) - 1                    # the last sum has no omega_m
     lo = K // 2
-    sl = slice(lo, K)
-    cols = [np.ones(K - lo)]
-    cols += [ms[sl].astype(float) ** e for e in exponents]
-    A = np.vstack(cols).T
-    P = partials[sl]
-    if not np.iscomplexobj(P):
-        return np.linalg.lstsq(A, P, rcond=None)[0][0]
-    coef, *_ = np.linalg.lstsq(A, np.hstack([P.real, P.imag]), rcond=None)
-    c = P.shape[1]
-    return coef[0, :c] + 1j * coef[0, c:]
+    y0, y1 = terms[lo:K], terms[lo + 1:K + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        omega = y1 / (1.0 - y1 / y0)         # no product of two small terms
+    bad = ~np.isfinite(omega)                # subnormal neighbours can be equal
+    if not np.all(np.maximum(abs(y0[bad]), abs(y1[bad])) < np.finfo(float).tiny):
+        raise NumericFailure("non-finite tail term omega_m at the window top")
+    omega[bad] = 0.0
+    P = partials[lo:K]
+    c, split = P.shape[1], np.iscomplexobj(P)
+    A = np.empty((K - lo, len(exponents) + 2 + split), order="F")
+    A[:, 0] = 1.0
+    A[:, 1:len(exponents) + 1] = ms[lo:K, None] ** np.asarray(exponents)
+    if split:
+        A[:, -2], A[:, -1] = omega.real, omega.imag
+        P = np.hstack([P.real, P.imag])
+    else:
+        A[:, -1] = omega
+    # unit-size columns: else the SVD cutoff drops a small omega column
+    top = np.maximum(A.max(axis=0), -A.min(axis=0))
+    A /= np.where(top > 0.0, top, 1.0)           # the constant column stays 1
+    coef = np.linalg.lstsq(A, P, rcond=None)[0]
+    R = A @ coef - P
+    err = np.einsum("ij,ij->j", R, R).reshape(-1, c).sum(axis=0)
+    scale = np.einsum("ij,ij->j", P, P).reshape(-1, c).sum(axis=0)
+    lim = coef[0, :c] + 1j * coef[0, c:] if split else coef[0]
+    return lim, float(np.sqrt(np.max(err / np.where(scale > 0.0, scale, 1.0))))
 
 
 def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
-                  tail_len: int) -> tuple[complex, complex]:
-    """Boundary data (u_N, D_N) from the kernel's own tail.
+                  tail_len: int) -> tuple[complex, complex, float]:
+    """Boundary data (u_N, D_N) from the kernel's own tail, and the tail
+    fit's relative residual.
 
-    Approximates u_N = 1 + sum_{m>N} G_{N,m} Rcal_m u_m and
-    D_N = sum_{m>N} (X_{m-1}/X_N) Rcal_m u_m with u_m expanded to second
-    order inside the tail, and extracts the limits of the truncated sums
-    by regression against their power-law remainder shapes.  This removes
-    the top-of-window truncation error, which otherwise decays only like
-    N^(nu - delta + 1) and leaks undamped into Wronskians and the Jost
-    function.  Raises NumericFailure if a tail term is not finite or the
-    second-order correction d_m exceeds e^30.  A real kernel keeps every
-    term real and gives real boundary data.
+    Sums u_N - 1 = sum_{m>N} G_{N,m} Rcal_m u_m and
+    D_N = sum_{m>N} (X_{m-1}/X_N) Rcal_m u_m to first order (u_m = 1) over
+    tail_len indices above N and fits their limits (_fit_partial_limit)
+    with the powers m^(nu - delta + 1), m^(2 nu - delta) and the eikonal
+    correction m^(nu - delta + 1 - sigma), plus the oscillating remainder
+    of the D-sum terms.  This removes the top-of-window truncation error,
+    which otherwise decays only like N^(nu - delta + 1).  No second-order
+    term (u_m - 1 inside the tail): summed only to the tail window's end
+    it is cut short by about its own size and made the limits worse.
+    Raises NumericFailure if a tail term is not finite.  A real kernel
+    keeps every term real and gives real boundary data.
     """
     M = N + int(tail_len)
     # The tail window needs the kernel arrays only, not the majorant.
@@ -419,11 +441,9 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
     del lam
     np.conjugate(uniX, out=uniX)                 # e^{+i arg X}: X's own phase
     K = M - N
-    p = ctx.params
-    # This window is twice the solve's, so what it holds at once sets the
-    # peak memory of a whole solve: arrays are dropped once they are dead.
-    # y_m = (X_{m-1}/X_N) Rcal_m and t_m = G_{N,m} Rcal_m = y_m PS_{m-1} are
-    # carried as log-magnitude and unit phase, like the sums they feed.
+    # What this window holds at once sets the peak memory of a whole
+    # solve, so arrays are dropped once they are dead.  y_m and
+    # t_m = y_m PS_{m-1} are formed from log-magnitudes and unit phases.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         absr = np.abs(rr[1:])
@@ -441,47 +461,22 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
         # before logt and its phases, or lam only here, raised the peak RSS
         # of a 41-point two-thread whole-line density sweep (N = 1e5) by 15
         # to 25 MB (measured when the phases were still angles).
-        del rr, logX, uniX
-        logPS, uniPS = logPS[:-2], uniPS[:-2]
-        # second-order: u_m - 1 ~ d_m = A_m - PS_{m-1} B_m with the
-        # exclusive reverse sums A_m = sum_{q>m} t_q, B_m = sum_{q>m} y_q
-        d = np.zeros(K, dtype=unit.dtype)
-        if K > 64:
-            logA, uniA = _reverse_prefix(logt, unit)
-            d[:-1] = _tail_exp(logA[1:]) * uniA[1:]
-            del logA, uniA
+        del rr, logX, uniX, logPS, uniPS
         # |y| and |t| are h-majorant sized, so plain exponentials are safe
         t = _require_finite(np.exp(logt) * unit, "t")   # G_{N,m} Rcal_m, m = N+1+k
         del logt, unit
-        if K > 64:
-            logB, uniB = _reverse_prefix(logy, uniy)
-            d[:-1] -= _tail_exp(logPS + logB[1:]) * uniPS * uniB[1:]
-            del logB, uniB
-            _require_finite(d, "d")
-        del logPS, uniPS
         y = _require_finite(np.exp(logy) * uniy, "y")   # (X_{m-1}/X_N) Rcal_m
         del logy, uniy
-        sums = np.empty((K, 2), dtype=t.dtype)
-        np.cumsum(t * (1.0 + d), out=sums[:, 0])
-        del t
-        np.cumsum(y * (1.0 + d), out=sums[:, 1])
-        del y, d
-        ms = N + 1.0 + np.arange(K)
-        slow = p.nu - p.delta + 1.0          # power remainder of the sums
-        osc = 2.0 * p.nu - p.delta           # oscillatory-envelope remainder
-        t_lim, y_lim = _fit_partial_limit(sums, ms, (slow, osc))
-    return (1.0 + t_lim).item(), y_lim.item()
-
-
-def _tail_exp(logmag: np.ndarray) -> np.ndarray:
-    """exp(logmag) for the tail correction d_m, refused beyond e^30: the
-    second-order expansion of u_m - 1 has no meaning there."""
-    if np.any(logmag > 30.0):
-        raise NumericFailure("tail correction d_m exceeds e^30 at the window top")
-    # numpy rounds exp differently on a reversed view (scalar loop) than on
-    # a contiguous array (SIMD loop); a contiguous copy keeps the rounding
-    # independent of how the caller sliced its sums.
-    return np.exp(np.ascontiguousarray(logmag))
+    sums = np.empty((K, 2), dtype=t.dtype)
+    np.cumsum(t, out=sums[:, 0])
+    del t
+    np.cumsum(y, out=sums[:, 1])
+    ms = N + 1.0 + np.arange(K)
+    p = ctx.params
+    slow = p.nu - p.delta + 1.0                  # power remainder of the sums
+    exponents = (slow, 2.0 * p.nu - p.delta, slow - p.sigma)
+    (t_lim, y_lim), resid = _fit_partial_limit(sums, ms, exponents, y)
+    return (1.0 + t_lim).item(), y_lim.item(), resid
 
 
 def _require_finite(v: np.ndarray, name: str) -> np.ndarray:
@@ -517,10 +512,13 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
 
     tail_init selects the boundary data at the window top: "unit" sets
     u = 1 beyond N (the bare sweep), "asymptotic" (default) seeds the
-    sweep with tail sums of the kernel itself, removing the slow
-    N^(1-sigma) boundary error that Wronskian-type outputs inherit.
-    Either way u solves the same linear equation, so the
-    difference-equation residual stays at rounding level.
+    sweep with tail sums of the kernel itself over the next min(N, 10^6)
+    indices (_top_boundary), removing the slow N^(1-sigma) boundary error
+    that Wronskian-type outputs inherit.  Either way u solves the same
+    linear equation, so the difference-equation residual stays at
+    rounding level.  meta records the window, tail_init, the tail
+    window's length tail_len (0 for "unit") and the tail fit's relative
+    residual tail_fit_residual (None for "unit").
     """
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start
@@ -537,14 +535,16 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
             f"tail bound {kern.tail_beyond:.3g} >= 1 at N = {N}; "
             "raise N or n0"
         )
-    u_top, d_top = 1.0 + 0.0j, 0.0 + 0.0j
+    u_top, d_top, tail_len, fit_residual = 1.0 + 0.0j, 0.0 + 0.0j, 0, None
     if tail_init == "asymptotic":
-        u_top, d_top = _top_boundary(ctx, model, N, min(2 * N, 1_000_000))
+        tail_len = min(N, 1_000_000)
+        u_top, d_top, fit_residual = _top_boundary(ctx, model, N, tail_len)
     # a non-finite kernel term makes the block products overflow or form
     # inf - inf; the solve checks u itself and raises NumericFailure
     with np.errstate(over="ignore", invalid="ignore"):
         u = kern.sweep(u_top, d_top)
-    meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init}
+    meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init,
+            "tail_len": tail_len, "tail_fit_residual": fit_residual}
     res = kern.residual(u)
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):
         raise NumericFailure(f"non-finite Volterra solution on [{n0}, {N}]")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import loglog_slope, power, remainder_at
-from critjac import ansatz, volterra
+from critjac import ansatz, solutions, volterra
 from critjac.errors import NumericFailure, TruncationTooShort
 from critjac.logcomplex import LogComplex
 
@@ -164,7 +164,7 @@ def test_blocked_sweep_matches_scalar_loop_on_kernels(laguerre0, model, zp, N,
     kern, ctx = kernel_at(zp, p, m, N)
     top = (1.0 + 0.0j, 0.0 + 0.0j)
     if tail_init == "asymptotic":
-        top = volterra._top_boundary(ctx, m, N, 2 * N)
+        top = volterra._top_boundary(ctx, m, N, N)[:2]
     u = kern.sweep(*top)
     assert sweep_error(u, scalar_sweep(kern.lam, kern.rr, *top)) <= 1e-12
 
@@ -253,27 +253,88 @@ def test_prefix_sum_real_terms_give_real_signs():
     assert np.max(np.abs(un - un_c)) <= 2 * np.finfo(float).eps
 
 
+def levin_omega(y: np.ndarray) -> np.ndarray:
+    return y[:-1] * y[1:] / (y[:-1] - y[1:])
+
+
 def test_fit_partial_limit_columns_are_independent():
     # one real solve for several columns gives each column's own fit,
-    # which is the complex least-squares fit against the real basis up to
-    # the basis's conditioning (cond(A) = 5.4e4 here)
+    # which is the complex least-squares fit against {1, m^e, omega,
+    # conj omega} up to the basis's conditioning (cond(A) = 4.1e8 here):
+    # the real and imaginary parts of omega are two real columns
     rng = np.random.default_rng(3)
     K = 4000
     ms = 1001.0 + np.arange(K)
-    ex = (-0.25, -0.5)
+    ex = (-0.25, -0.75, -1.5)
+    y = ms ** -1.75 * np.exp(0.3j * ms + 2e-4j * ms ** 1.5)
     cols = []
     for _ in range(2):
-        c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        cols.append(c[0] + c[1] * ms ** ex[0] + c[2] * ms ** ex[1]
-                    + c[3] * ms ** ex[1] * np.exp(0.3j * ms))
-    both = volterra._fit_partial_limit(np.column_stack(cols), ms, ex)
-    lo = K // 2
-    A = np.vstack([np.ones(K - lo)] + [ms[lo:] ** e for e in ex]).T
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        cols.append(c[0] + sum(ck * ms ** e for ck, e in zip(c[1:], ex))
+                    + c[4] * np.cumsum(y))
+    both, _ = volterra._fit_partial_limit(np.column_stack(cols), ms, ex, y)
+    w = levin_omega(y)
+    sl = slice((K - 1) // 2, K - 1)
+    A = np.column_stack([np.ones(len(w[sl]))] + [ms[sl] ** e for e in ex]
+                        + [w[sl], w[sl].conj()])
     for j, col in enumerate(cols):
-        one = volterra._fit_partial_limit(col[:, None], ms, ex)
-        assert abs(both[j] - one[0]) <= 1e-13 * abs(one[0])
-        ref = np.linalg.lstsq(A.astype(complex), col[lo:], rcond=None)[0][0]
+        one, _ = volterra._fit_partial_limit(col[:, None], ms, ex, y)
+        assert abs(both[j] - one[0]) <= 1e-12 * abs(one[0])
+        ref = np.linalg.lstsq(A, col[sl], rcond=None)[0][0]
         assert abs(one[0] - ref) <= np.finfo(float).eps * np.linalg.cond(A) * abs(ref)
+
+
+def test_fit_partial_limit_oscillating_remainder():
+    # S_m = L + m^-1/2 e^{i psi_m}: an oscillating remainder whose
+    # amplitude and frequency vary slowly; the oscillation is modelled,
+    # so the limit comes out far below the remainder's size (1.4e-2);
+    # the power terms alone miss it by 0.2
+    L = 0.7 - 0.2j
+    m = 1000.0 + np.arange(4001)
+    S = L + m ** -0.5 * np.exp(0.3j * m + 4e-3j * m ** 0.75)
+    y = np.diff(S)
+    lim, resid = volterra._fit_partial_limit(S[1:, None], m[1:],
+                                             (-0.5, -1.0, -1.5), y)
+    assert abs(lim[0] - L) < 1e-6
+    assert resid < 1e-8
+
+
+def test_fit_partial_limit_power_remainder():
+    # S_m = L + c m^slow + d m^(slow - sigma), here slow = -1/4 and
+    # sigma = 1.25 (the whole-line regime); the terms do not oscillate
+    L, c, d = 1.3, -0.8, 2.5
+    slow, sigma = -0.25, 1.25
+    m = 1000.0 + np.arange(4001)
+    S = L + c * m ** slow + d * m ** (slow - sigma)
+    lim, resid = volterra._fit_partial_limit(
+        S[1:, None], m[1:], (slow, -0.75, slow - sigma), np.diff(S))
+    assert lim.dtype == np.float64
+    assert abs(lim[0] - L) < 1e-10
+    assert resid < 1e-12
+
+
+def test_fit_partial_limit_vanishing_terms():
+    # a real kernel whose terms underflow, through equal subnormals to
+    # exact zeros: omega is 0 there and the limit is the plain sum, with
+    # no NaN and no warning
+    m = 1000.0 + np.arange(4000)
+    y = np.where(m < 1500.0, np.exp(-0.1 * (m - 1000.0)), 0.0)
+    y[500:2500:2] = y[501:2500:2] = 5e-321
+    S = np.cumsum(y)
+    lim, resid = volterra._fit_partial_limit(S[:, None], m, (-0.5, -1.0), y)
+    assert lim[0] == pytest.approx(S[-1], rel=1e-14)
+    assert resid < 1e-14
+    zero, resid0 = volterra._fit_partial_limit(np.zeros((4000, 2)), m,
+                                               (-0.5, -1.0), np.zeros(4000))
+    assert np.all(zero == 0.0) and resid0 == 0.0
+
+
+def test_fit_partial_limit_nan_term_raises():
+    m = 1000.0 + np.arange(4000)
+    y = m ** -2.0 * np.exp(0.3j * m)
+    y[3000] = np.nan
+    with pytest.raises(NumericFailure, match="non-finite tail term omega"):
+        volterra._fit_partial_limit(np.cumsum(y)[:, None], m, (-1.0,), y)
 
 
 def test_kernel_factor_examples(laguerre0):
@@ -387,8 +448,9 @@ class TestSolve:
         assert diffs[2] < 1e-3
 
     def test_peak_memory_per_index(self):
-        # the 2N tail window sets a solve's peak memory; with each array
-        # dropped once dead it stays near 460 B per index at N = 2e4
+        # the tail window sets a solve's peak memory; with each array
+        # dropped once dead it stays near 220 B per index at N = 2e4
+        # (370 with a tail window twice the solve's)
         m, p = power(1.25, 0.0, -0.875)
         N = 20_000
         tracemalloc.start()
@@ -397,10 +459,10 @@ class TestSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / N < 550.0
+        assert peak / N < 300.0
 
     def test_tail_window_runs_without_majorant_arrays(self, monkeypatch):
-        # while _top_boundary builds the 2N tail window the solve holds the
+        # while _top_boundary builds the tail window the solve holds the
         # window kernel's lam, rr and H only (40 B per index); a kernel
         # that keeps X, its prefix sums and h holds 88 B per index
         m, p = power(1.25, 0.0, -0.875)
@@ -427,7 +489,7 @@ class TestSolve:
             volterra.solve(ansatz.at_plus(-2.0), p, m, N=2100)
 
     def test_one_kernel_per_solve(self, laguerre0, monkeypatch):
-        # the 2N tail window shares the array build, not the whole kernel
+        # the tail window shares the array build, not the whole kernel
         m, p = laguerre0
         built = []
         init = volterra.VolterraKernel.__init__
@@ -443,19 +505,34 @@ class TestSolve:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tail_term_raises(self, laguerre0, monkeypatch, bad):
-        # a broken tail sum must fail loudly, not be zeroed or clamped
+        # a broken tail term must fail loudly where the terms are formed,
+        # not be zeroed or clamped, nor left to the later checks on the
+        # fit's omega_m or on u
         m, p = laguerre0
-        reverse = volterra._reverse_prefix
+        N = 5000
+        arrays = volterra._kernel_arrays
 
-        def broken(logv, unitv):
-            lg, un = reverse(logv, unitv)
-            lg = lg.copy()
-            lg[len(lg) // 2] = bad
-            return lg, un
+        def broken(ctx, model, n0, top):
+            out = arrays(ctx, model, n0, top)
+            if n0 == N:                          # the tail window
+                out[1][len(out[1]) // 2] = bad
+            return out
 
-        monkeypatch.setattr(volterra, "_reverse_prefix", broken)
-        with pytest.raises(NumericFailure):
-            volterra.solve(ansatz.at_plus(1.0), p, m, N=5000)
+        monkeypatch.setattr(volterra, "_kernel_arrays", broken)
+        with pytest.raises(NumericFailure, match="non-finite tail term [ty]_m"):
+            volterra.solve(ansatz.at_plus(1.0), p, m, N=N)
+
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    def test_meta_records_tail(self, laguerre0, tail_init):
+        m, p = laguerre0
+        sol = volterra.solve(ansatz.at_plus(1.0), p, m, N=5000,
+                             tail_init=tail_init)
+        if tail_init == "unit":
+            assert sol.meta["tail_len"] == 0
+            assert sol.meta["tail_fit_residual"] is None
+        else:
+            assert sol.meta["tail_len"] == 5000
+            assert 0.0 < sol.meta["tail_fit_residual"] < 1e-3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sweep_raises(self, laguerre0, monkeypatch, bad):
@@ -471,6 +548,34 @@ class TestSolve:
         monkeypatch.setattr(volterra, "_kernel_arrays", broken)
         with pytest.raises(NumericFailure):
             volterra.solve(ansatz.at_plus(1.0), p, m, N=5000, tail_init="unit")
+
+
+# |W[f(l+i0), f(l-i0)] / (2i w) - 1| of the earlier tail (second-order
+# d_m, 2N window, three-term fit), measured at these N and cut to four
+# digits: no regime may get worse.  The whole line runs at N = 6e4: below
+# about 5e4 its l = -2 window is too short
+TAIL_REGIMES = [
+    ("whole_line", (1.25, 0.0, -0.875, 1.0), 60_000,
+     {-2.0: 4.132e-3, 1.5: 5.380e-4, 2.0: 7.455e-4}),
+    ("laguerre", None, 20_000, {1.0: 4.212e-5, 4.0: 9.788e-5}),
+    ("sigma_3_2", (1.5, 0.0, -1.0, 1.0), 20_000, {-1.0: 1.643e-5}),
+    ("sigma_1_2", (0.5, 0.0, 0.0, 1.0), 20_000, {1.0: 8.469e-4, 3.0: 2.045e-3}),
+    ("sigma_1_1", (1.1, 0.2, -0.7, -1.0), 20_000, {-1.0: 1.416e-2}),
+    ("tau_1", (1.0, 0.0, 0.0, 1.0), 20_000, {2.0: 1.227e-6}),
+    ("gamma_minus_1", (1.0, 0.3, -0.2, -1.0), 20_000, {-3.0: 1.472e-7}),
+]
+
+
+@pytest.mark.parametrize("coefs, N, bounds", [r[1:] for r in TAIL_REGIMES],
+                         ids=[r[0] for r in TAIL_REGIMES])
+def test_tail_no_worse_than_parent_per_regime(laguerre0, coefs, N, bounds):
+    m, p = power(*coefs) if coefs else laguerre0
+    for lam, bound in bounds.items():
+        fp = solutions.jost(ansatz.at_plus(lam), p, m, N=N)
+        fm = solutions.jost(ansatz.at_minus(lam), p, m, N=N)
+        W = solutions.wronskian(fp, fm)
+        err = abs(W / (2j * solutions.limit_wronskian(lam, p)) - 1.0)
+        assert err <= bound, f"lambda = {lam}: {err:.4g} > {bound:.4g}"
 
 
 # real z off the closure of the a.c. set, where theta_n is purely imaginary
