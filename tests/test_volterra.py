@@ -568,7 +568,7 @@ TAIL_REGIMES = [
 
 @pytest.mark.parametrize("coefs, N, bounds", [r[1:] for r in TAIL_REGIMES],
                          ids=[r[0] for r in TAIL_REGIMES])
-def test_tail_no_worse_than_parent_per_regime(laguerre0, coefs, N, bounds):
+def test_tail_no_worse_than_2n_tail_per_regime(laguerre0, coefs, N, bounds):
     m, p = power(*coefs) if coefs else laguerre0
     for lam, bound in bounds.items():
         fp = solutions.jost(ansatz.at_plus(lam), p, m, N=N)
