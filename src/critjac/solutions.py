@@ -130,21 +130,53 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     fit) keeps the zeros of f_{-1} at real regular points but is off by
     about 1e-3 relative in value there (1e-4 to 7e-3 seen); "asymptotic"
     is the accurate default.
+
+    meta["u_error_bound"] is exp(H_{n0}) - 1, a majorant estimate that can
+    be orders of magnitude above the actual error.  At side-tagged points
+    lambda +- i0 of the a.c. set, meta["normalisation_estimate"] is the
+    a-posteriori estimate |W[f, conj f] / (+-2i w) - 1| of the error in
+    f's normalisation (_normalisation_estimate); it is None elsewhere.
     """
     sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
                          tail_init=tail_init)
     full_lm, full_u = _jost_values(sol, zp, params, model, sol.N)
+    head = slice(sol.n0 + 1, sol.n0 + 3)            # n0 and n0 + 1 (n_lo = -1)
     meta = {
         "n0": sol.n0,
         "N": sol.N,
         "volterra_residual": sol.residual,
         "tail_bound": sol.tail_bound,
         "u_error_bound": float(np.expm1(sol.H[0])),
+        "normalisation_estimate": _normalisation_estimate(
+            zp, params, model, sol.n0, full_lm[head], full_u[head]),
         "tail_init": sol.meta["tail_init"],
         "tail_len": sol.meta["tail_len"],
         "tail_fit_residual": sol.meta["tail_fit_residual"],
     }
     return SolutionWindow("jost", -1, full_lm, full_u, zp, model, meta)
+
+
+def _normalisation_estimate(zp: SpectralPoint, params: CriticalParams,
+                            model: CoefficientModel, n0: int, lm: np.ndarray,
+                            unit: np.ndarray) -> float | None:
+    """|W[f, conj f]_{n0} / (+-2i w) - 1| from f_{n0}, f_{n0+1} given as
+    (log-magnitude, unit phase), at a side-tagged point lambda +- i0 of the
+    a.c. set; None elsewhere.
+
+    There f(lambda -+ i0) = conj f(lambda +- i0), so the window alone gives
+    the Wronskian of the two boundary solutions, which is +-2i w exactly:
+    the deviation estimates the error in f's normalisation a posteriori.
+    W[f, conj f]_n = a_n (f_n conj f_{n+1} - f_{n+1} conj f_n)
+    = 2i a_n Im(f_n conj f_{n+1}).
+    """
+    lam = complex(zp.z).real
+    ac = params.ac_set
+    if zp.side == INTERIOR or ac is None or not ac.contains(lam):
+        return None
+    side = 1.0 if zp.side == PLUS else -1.0
+    im = (complex(unit[0]) * complex(unit[1]).conjugate()).imag
+    half_w = model.a(n0) * math.exp(lm[0] + lm[1]) * im
+    return abs(side * half_w / limit_wronskian(lam, params) - 1.0)
 
 
 def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
@@ -342,10 +374,12 @@ def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     tail_init as for jost: "unit" is cheaper and keeps the real zeros,
     but is about 1e-3 off in value at real regular points.  Only the
     window head [n0, n0 + 1] is assembled: f_{-1} depends on nothing above
-    it, so the value is jost's f_{-1} without its window.
+    it, so the value is jost's f_{-1} without its window, and the solve
+    keeps u only up to n0 + 1 (volterra.solve's n_top).
     """
+    n0 = phase_context(zp, params, n0).n_start
     sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
-                         tail_init=tail_init)
+                         tail_init=tail_init, n_top=n0 + 1)
     lm, unit = _jost_values(sol, zp, params, model, sol.n0 + 1)
     return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))
 

@@ -27,6 +27,19 @@ bound only inside the window: its part beyond N is fitted (twice the
 largest scaled h_m over the last quarter of the window), so
 exp(H_n) - 1 is an estimate, not a certified bound.
 
+The window is built in one forward pass over stretches of 2^14 indices
+(_kernel_chunk).  Lambda_n and Rcal_n are local in n; X_n, its prefix
+sums and the majorant's running quantities are carried from one stretch
+to the next.  A solve keeps the kernel only on the stretches that meet
+[n0, n_top], n_top being the highest index whose u its caller reads.
+Every stretch above folds into one 2x2 transfer (backward_sweep's block
+pass and chain, run from the two unit states), and the kept range's
+sweep starts from that transfer applied to the window-top state.  The
+D direction decays going down, so the product does not overflow.  Omega
+reads u only at n0 and n0 + 1, so its solve holds O(2^14) memory however
+long the window; jost keeps every stretch.  The tail window above N is
+streamed the same way (_top_boundary).
+
 All X-products and prefix sums are carried as (log-magnitude, unit
 phase); exp(+-Im phase-sum) spans hundreds of orders of magnitude off
 the spectrum.  The log-framed sums (_scaled_prefix_sum) take their terms
@@ -49,13 +62,13 @@ resolvent set).  There B_n, Lambda_n, Rcal_n, X_n, the prefix sums and u_n
 are real, so every array takes the dtype of B_n (ansatz_ratio_window)
 and no layer forces complex: Lambda_n > 0, log X_n is a real cumulative
 sum, the unit phases are 1 and the sweep runs in float64.  Points on the
-a.c. set and non-real z run the same functions in complex arithmetic,
-bit for bit as before.  The real remainder rounds its divisions as the
-complex one does, so at real points Omega moves against the complex
-pipeline only by the last bits of B_n (a real exp against a complex
-one), which the remainder's cancellation amplifies: 6.6e-13 to 1.1e-12
-relative with the unit tail, 9.4e-12 to 2.0e-10 with the asymptotic
-tail; eigenvalue zeros move by at most 6e-17.
+a.c. set and non-real z run the same functions in complex arithmetic.
+The real remainder rounds its divisions as the complex one does, so at
+real points Omega moves against the complex pipeline only by the last
+bits of B_n (a real exp against a complex one), which the remainder's
+cancellation amplifies: 6.6e-13 to 1.1e-12 relative with the unit tail,
+9.4e-12 to 2.0e-10 with the asymptotic tail; eigenvalue zeros move by at
+most 6e-17.
 
 The window top is seeded from first-order tail sums of the kernel over
 the next N indices (at most 10^6), their limits fitted against a remainder
@@ -65,10 +78,12 @@ oscillation average out instead needed a tail window twice as long.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .ansatz import (
     PhaseContext,
@@ -82,16 +97,20 @@ from .errors import InvalidParameter, NumericFailure, TruncationTooShort
 
 N_CAP = 10_000_000
 DEFAULT_TOL = 1e-4
+_CHUNK = 2 ** 14                          # indices per stretch of the forward pass
+_WINDOW_START = (0.0, 0.0, 0.0, 1.0)      # X_{n0} = PS_{n0} = 1 (_kernel_chunk's head)
 
 
 @dataclass
 class VolterraSolution:
-    """Correction factors u_n on [n0, N] with error estimates.
+    """Correction factors u_n on [n0, n0 + len(u) - 1] with error estimates.
 
+    The window is [n0, N]; u, H and residual cover its kept range, the
+    stretches that meet [n0, n_top] (all of [n0, N] when n_top = N).
     tail_bound is the fitted majorant sum H_N over m > N; H[k] estimates
     a bound on |u_{n0+k} - 1| through exp(H) - 1 (an estimate because
     H includes the fitted tail_bound); residual is the worst relative
-    defect of the difference equation over the window.  u is float64
+    defect of the difference equation over the kept range.  u is float64
     where the kernel is real, complex128 elsewhere.
     """
 
@@ -105,65 +124,101 @@ class VolterraSolution:
     meta: dict = field(default_factory=dict)
 
     def u_at(self, n: int) -> complex:
-        if not self.n0 <= n <= self.N:
-            raise InvalidParameter(f"u defined on [{self.n0}, {self.N}]")
+        hi = self.n0 + len(self.u) - 1
+        if not self.n0 <= n <= hi:
+            raise InvalidParameter(f"u defined on [{self.n0}, {hi}]")
         return complex(self.u[n - self.n0])
 
 
 class VolterraKernel:
-    """Kernel data on [n0, N]: Lambda_n (lam), Rcal_n (rr), the majorant
-    sums H and the fitted tail (tail_const, tail_beyond).
+    """Kernel of the window [n0, N], built in one forward pass over
+    stretches of _CHUNK indices (_kernel_chunk).
 
-    Arrays are indexed by offset k = n - n0; everything is evaluated at
-    the canonical (upper half-plane) point, conjugation happens when the
-    solution is assembled.  X_n, its prefix sums and the pointwise
-    majorant h_m are needed only to form H and are not kept: a solve
-    holds the kernel while it builds the tail window, so what the
-    kernel keeps adds to the peak memory of the solve.
+    The stretches that meet [n0, n_top] (n_top clamped to [n0 + 1, N],
+    default N) are kept: Lambda_n (lam), Rcal_n (rr) and the majorant
+    sums H, indexed by offset k = n - n0.  Every stretch above folds
+    into `fold`, the 2x2 map ((u0, u1), (d0, d1)) from (u, D) at N to
+    (u, D) at the top of the kept range (None when everything is kept);
+    H there adds the folded sum of h_m.  tail_const and tail_beyond give
+    the fitted majorant beyond N.  X_n, its prefix sums and h_m are
+    carried from stretch to stretch, not kept.  Everything is evaluated
+    at the canonical (upper half-plane) point; conjugation happens when
+    the solution is assembled.
     """
 
     def __init__(self, ctx: PhaseContext, model: CoefficientModel,
-                 n0: int, N: int):
-        self.n0 = int(n0)
-        self.N = int(N)
+                 n0: int, N: int, n_top: int | None = None):
+        self.n0, self.N = int(n0), int(N)
         p = ctx.params
         nu, delta = p.nu, p.delta
         if delta - nu <= 1.0:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
-        self.lam, self.rr, logX, _, logPS, _ = _kernel_arrays(ctx, model, n0, N)
-        del _                                # the phases: the majorant needs none
-        # h-majorant: h_m >= sup_{n0<=n<m} |G_{n,m} Rcal_m|
-        run = np.maximum.accumulate(logPS)
-        del logPS
-        habs = np.abs(self.rr[1:]) * np.exp(logX[:-1] + run[:-1])
-        del run, logX
-        h = np.concatenate([[0.0], 2.0 * habs])
-        del habs
-        self.tail_const, self.tail_beyond = self._fit_tail(h, nu, delta)
+        if self.N <= self.n0:
+            raise InvalidParameter("window needs N > n0")
+        n_top = self.N if n_top is None else min(max(int(n_top), self.n0 + 1), self.N)
+        top = min(self.N, self.n0 + -(-(n_top - self.n0) // _CHUNK) * _CHUNK)
+        self.lam = self.rr = self.fold = None
+        self.H = np.zeros(top - self.n0 + 1)         # h_{n0+k+1} at k until summed
+        quarter = max(self.n0 + 1, int(self.N * 0.75))
+        run, scaled_max, folded_h = -np.inf, 0.0, 0.0
+        head = _WINDOW_START
+        for lo in range(self.n0, self.N, _CHUNK):
+            hi = min(lo + _CHUNK, self.N)
+            lam, rr, logX, _, logPS, _, head = _kernel_chunk(ctx, model, lo, hi, head)
+            # h-majorant: h_m >= sup_{n0<=n<m} |G_{n,m} Rcal_m|, m in (lo, hi]
+            runs = np.maximum(np.maximum.accumulate(logPS), run)
+            run = float(runs[-1])
+            h = np.abs(rr[1:]) * np.exp(logX[:-1] + runs[:-1])
+            h *= 2.0
+            del logX, logPS, runs, _     # a stretch's arrays set the solve's peak
+            if hi >= quarter:       # fitted as h_m ~ C m^(nu-delta) over the last quarter
+                j = max(0, quarter - lo - 1)
+                ns = np.arange(lo + 1 + j, hi + 1, dtype=float)
+                scaled_max = np.maximum(scaled_max, np.max(h[j:] * ns ** (delta - nu)))
+            if lo < top:
+                self._keep(lo - self.n0, lam, rr, h)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                    T = _transfer(lam, rr)
+                self.fold = T if self.fold is None else _compose(self.fold, T)
+                if not all(cmath.isfinite(x) for row in self.fold for x in row):
+                    raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
+                folded_h += float(np.sum(h))
+            del lam, rr, h
+        # C is twice the largest scaled h_m: an estimate, not a bound
+        self.tail_const = 2.0 * float(scaled_max)
+        self.tail_beyond = (self.tail_const * self.N ** (nu - delta + 1.0)
+                            / (delta - nu - 1.0))
         # H_n = sum_{m>n} h_m within the window + fitted tail beyond N
-        rev = np.cumsum(h[::-1])[::-1]
-        self.H = np.concatenate([rev[1:], [0.0]]) + self.tail_beyond
+        np.cumsum(self.H[::-1], out=self.H[::-1])
+        self.H += folded_h + self.tail_beyond
 
-    def _fit_tail(self, h: np.ndarray, nu: float,
-                  delta: float) -> tuple[float, float]:
-        """(C, sum of the majorant beyond N), fitted as h_m ~ C m^(nu-delta)
-        with C twice the largest scaled h_m over the last quarter of the
-        window: an estimate, not a bound."""
-        lo = max(self.n0 + 1, int(self.N * 0.75))
-        ns = np.arange(lo, self.N + 1, dtype=float)
-        scaled = h[lo - self.n0:] * ns ** (delta - nu)
-        C = 2.0 * float(np.max(scaled)) if len(scaled) else 0.0
-        return C, C * self.N ** (nu - delta + 1.0) / (delta - nu - 1.0)
+    def _keep(self, k: int, lam: np.ndarray, rr: np.ndarray,
+              h: np.ndarray) -> None:
+        """Store a kept stretch's Lambda, Rcal and h at offsets (k, k + len(h)]."""
+        if self.lam is None:
+            self.lam = np.empty(len(self.H), dtype=lam.dtype)
+            self.lam[0] = np.nan
+            self.rr = self.lam.copy()
+        elif lam.dtype != self.lam.dtype:            # a complex stretch above a real one
+            self.lam, self.rr = self.lam.astype(lam.dtype), self.rr.astype(lam.dtype)
+        self.lam[k + 1:k + len(lam)] = lam[1:]
+        self.rr[k + 1:k + len(rr)] = rr[1:]
+        self.H[k:k + len(h)] = h
 
     # -- solving ------------------------------------------------------------
 
     def sweep(self, u_top: complex = 1.0 + 0.0j,
               d_top: complex = 0.0 + 0.0j) -> np.ndarray:
-        """Backward sweep for u on [n0, N].
+        """Backward sweep for u on the kept range, from (u_N, D_N) = (u_top,
+        d_top) carried down through the fold.
 
         With the default boundary data the tail beyond N is treated as
         u = 1; tail-corrected boundary values come from _top_boundary().
         """
+        if self.fold is not None:
+            (f00, f01), (f10, f11) = self.fold
+            u_top, d_top = f00 * u_top + f01 * d_top, f10 * u_top + f11 * d_top
         return backward_sweep(self.lam, self.rr, u_top, d_top)
 
     def residual(self, u: np.ndarray) -> float:
@@ -173,58 +228,65 @@ class VolterraKernel:
         return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
 
 
-def _kernel_arrays(ctx: PhaseContext, model: CoefficientModel, n0: int,
-                   N: int) -> tuple[np.ndarray, ...]:
-    """Kernel arrays on offsets [0, N - n0]: (lam, rr, logX, uniXinv, logPS, uniPS).
+def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
+                  head: tuple = _WINDOW_START) -> tuple:
+    """Kernel arrays on the stretch [lo, hi] of a window that starts at n0:
+    (lam, rr, logX, uniXinv, logPS, uniPS, head), indexed by n - lo.
 
-    lam and rr hold Lambda_n and Rcal_n (entry 0 is nan); logX and uniXinv
-    give X_n = Lambda_{n0+1} ... Lambda_n (X_{n0} = 1) as log|X_n| and the
-    unit phase of X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix
-    sums PS_k = sum_{p=n0}^{n0+k} X_p^{-1}, scaled blockwise.
+    lam and rr hold Lambda_n and Rcal_n (entry 0 is nan: it belongs to the
+    stretch below); logX and uniXinv give X_n = Lambda_{n0+1} ... Lambda_n
+    as log|X_n| and the unit phase of X_n^{-1}, e^{-i arg X_n}; logPS,
+    uniPS give the prefix sums PS_n = sum_{p=n0}^{n} X_p^{-1}, scaled
+    blockwise.  `head` is (log|X_lo|, arg X_lo, log|PS_lo|, phase of
+    PS_lo): entry 0 of the X and PS arrays, _WINDOW_START where lo = n0.
+    The returned head is the same at hi, for the stretch above.  The
+    cumulative sums run on from the head, so the stretches of a window add
+    in the order of one pass over it.
 
-    The arrays take the dtype of B_n (ansatz_ratio_window).  A real kernel
-    has Lambda_n > 0, so log X_n is the cumulative sum of the real log
+    The arrays take the dtype of B_n (ansatz_ratio_window), complex also
+    where the stretch below was (a complex head).  A real kernel has
+    Lambda_n > 0, so log X_n is the cumulative sum of the real log
     Lambda_n and every unit phase is 1; Lambda_n <= 0 there raises
     NumericFailure.
     """
-    if N <= n0:
-        raise InvalidParameter("window needs N > n0")
-    # Temporaries are dropped as soon as they are dead: the arrays are
-    # built for the solve's window and for its tail window, and what is
-    # held at once sets the peak memory of a solve.
-    ns = np.arange(n0, N + 1, dtype=float)
-    B = ansatz_ratio_window(ctx, n0, N + 1)              # B_n, n in [n0, N]
-    a = model.a_fn(ns)
-    del ns
-    ratio = a[1:] / a[:-1]                               # a_n/a_{n-1}, n >= n0+1
-    lam = np.empty(N + 1 - n0, dtype=B.dtype)            # Lambda_n, n >= n0+1
+    log0, arg0, logps0, unips0 = head
+    B = ansatz_ratio_window(ctx, lo, hi + 1)              # B_n, n in [lo, hi]
+    B = B.astype(np.result_type(B, unips0), copy=False)
+    a = model.a_fn(np.arange(lo, hi + 1, dtype=float))
+    ratio = a[1:] / a[:-1]                                # a_n/a_{n-1}, n >= lo+1
+    lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
     lam[0] = np.nan
     lam[1:] = ratio * B[1:] * B[:-1]
-    r = remainder_window(ctx, model, n0 + 1, N + 1, B, a)
-    del a
-    rr = np.empty(N + 1 - n0, dtype=B.dtype)             # Rcal_n, n >= n0+1
+    r = remainder_window(ctx, model, lo + 1, hi + 1, B, a)
+    rr = np.empty(hi + 1 - lo, dtype=B.dtype)             # Rcal_n, n >= lo+1
     rr[0] = np.nan
     rr[1:] = -np.sqrt(ratio) * B[:-1] * r
-    del B, r, ratio
+    del B, a, ratio, r                   # what a stretch holds at once sets a solve's peak
 
+    logX = np.empty(hi + 1 - lo)
+    logX[0] = log0
     if np.iscomplexobj(lam):
-        loglam, arglam = _principal_log(lam[1:])         # |arg Lambda| << pi
-        logX = np.concatenate([[0.0], np.cumsum(loglam)])
-        del loglam
-        argX = np.concatenate([[0.0], np.cumsum(arglam)])
-        del arglam
-        uniXinv = np.empty(len(argX), dtype=complex)    # e^{-i arg X_n}
+        argX = np.empty(hi + 1 - lo)
+        argX[0] = arg0
+        logX[1:], argX[1:] = _principal_log(lam[1:])     # |arg Lambda| << pi
+        np.cumsum(argX, out=argX)
+        uniXinv = np.empty(len(argX), dtype=complex)      # e^{-i arg X_n}
         np.cos(argX, out=uniXinv.real)
         np.sin(-argX, out=uniXinv.imag)
-        del argX
+        arg_hi = float(argX[-1])
     else:
         # a real B_n has the sign of -gamma throughout, so Lambda_n > 0
         if not np.all(lam[1:] > 0.0):
             raise NumericFailure("real kernel with Lambda_n <= 0 or not finite")
-        logX = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
+        logX[1:] = np.log(lam[1:])
         uniXinv = np.ones(len(logX))
-    logPS, uniPS = _scaled_prefix_sum(-logX, uniXinv)
-    return lam, rr, logX, uniXinv, logPS, uniPS
+        arg_hi = arg0
+    np.cumsum(logX, out=logX)
+    logv = np.negative(logX)
+    logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
+    logPS, uniPS = _scaled_prefix_sum(logv, uniXinv, carry=(logps0, unips0))
+    return (lam, rr, logX, uniXinv, logPS, uniPS,
+            (float(logX[-1]), arg_hi, float(logPS[-1]), uniPS[-1].item()))
 
 
 def _principal_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +317,12 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
 
     Each step is linear in the state (u, D), so the K steps are cut into
     nb blocks of b ~ sqrt(K/2) steps.  All blocks are first run at once
-    from the unit states (1, 0) and (0, 1) (b vectorised steps over
-    arrays of length nb); a short scalar pass then chains the nb block
-    transfer matrices from (u_top, d_top), and u = U0 u_in + U1 D_in is
-    recombined in one array operation.  The summation order differs from
-    a step-by-step loop, so u differs from it at rounding level only.
+    from the unit states (1, 0) and (0, 1) (_block_pass: b vectorised
+    steps over arrays of length nb); a short scalar pass (_chain) then
+    chains the nb block transfer matrices from (u_top, d_top), and
+    u = U0 u_in + U1 D_in is recombined in one array operation.  The
+    summation order differs from a step-by-step loop, so u differs from it
+    at rounding level only.
 
     The sweep runs in the dtype of lam and rr, and in complex arithmetic
     only if they are complex or the boundary data has an imaginary part.
@@ -271,27 +334,9 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     dtype = np.result_type(lam, rr, 1j if u_top.imag or d_top.imag else 1.0)
     if dtype.kind != "c":
         u_top, d_top = u_top.real, d_top.real
-    R, L = _step_rows(rr, K, b, nb, dtype), _step_rows(lam, K, b, nb, dtype)
     # U[t, j] = u after step t of every block, started from unit state j
     U = np.empty((b, 2, nb), dtype=dtype)
-    u = np.zeros((2, nb), dtype=dtype)
-    d = np.zeros((2, nb), dtype=dtype)
-    u[0] = 1.0
-    d[1] = 1.0
-    tmp = np.empty((2, nb), dtype=dtype)
-    for t in range(b):
-        np.multiply(R[t], u, out=tmp)
-        np.multiply(L[t], d, out=d)
-        d += tmp
-        u = np.add(u, d, out=U[t])
-    del R, L, tmp
-    # chain the block transfers [[u0, u1], [d0, d1]] from the top state
-    ue0, ue1, de0, de1 = u[0].tolist(), u[1].tolist(), d[0].tolist(), d[1].tolist()
-    u_in, d_in = [0j] * nb, [0j] * nb
-    uc, dc = u_top, d_top
-    for i in range(nb):
-        u_in[i], d_in[i] = uc, dc
-        uc, dc = ue0[i] * uc + ue1[i] * dc, de0[i] * uc + de1[i] * dc
+    u_in, d_in, _ = _chain(_block_pass(lam, rr, b, nb, dtype, U), u_top, d_top)
     U0, U1 = U[:, 0, :], U[:, 1, :]
     U0 *= np.asarray(u_in)
     U1 *= np.asarray(d_in)
@@ -305,6 +350,70 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     if rest:
         rev[full * b:] = U0[:rest, full]
     return out
+
+
+def _transfer(lam: np.ndarray, rr: np.ndarray) -> tuple:
+    """The 2x2 map ((u0, u1), (d0, d1)) from (u_K, D_K) to (u_0, D_0) of
+    backward_sweep on the same arrays: its block pass, chained from the two
+    unit states.
+
+    The blocks are shorter than the sweep's: a transfer fills no U and
+    chains twice, and a vectorised step costs about twenty chain steps
+    (8 against 0.35 us at 2^14 indices), so b ~ sqrt(K/10) balances them.
+    """
+    K = len(lam) - 1
+    b = max(1, round(math.sqrt(K / 10.0)))
+    nb = -(-K // b)
+    ends = _block_pass(lam, rr, b, nb, np.result_type(lam, rr))
+    (u0, d0), (u1, d1) = _chain(ends, 1.0, 0.0)[2], _chain(ends, 0.0, 1.0)[2]
+    return (u0, u1), (d0, d1)
+
+
+def _compose(F: tuple, T: tuple) -> tuple:
+    """The product F T of two 2x2 maps given as row pairs, in scalar
+    arithmetic: a fold takes one per stretch, too small for numpy."""
+    (a, b), (c, d) = F
+    (e, f), (g, k) = T
+    return (a * e + b * g, a * f + b * k), (c * e + d * g, c * f + d * k)
+
+
+def _block_pass(lam: np.ndarray, rr: np.ndarray, b: int, nb: int,
+                dtype: np.dtype, U: np.ndarray | None = None) -> tuple[list, ...]:
+    """Run the nb blocks of b steps of the sweep on lam, rr at once from the
+    unit states (1, 0) and (0, 1); U[t] receives u after step t if given.
+    Returns the block transfers [[u0, u1], [d0, d1]] as four lists."""
+    K = len(lam) - 1
+    rest = K % b
+    R, L = _step_rows(rr, K, b, nb, dtype), _step_rows(lam, K, b, nb, dtype)
+    u = np.zeros((2, nb), dtype=dtype)
+    d = np.zeros((2, nb), dtype=dtype)
+    u[0] = 1.0
+    d[1] = 1.0
+    tmp = np.empty((2, nb), dtype=dtype)
+    for t in range(b):
+        np.multiply(R[t], u, out=tmp)
+        np.multiply(L[t], d, out=d)
+        d += tmp
+        u = np.add(u, d, out=u if U is None else U[t])
+        if t + 1 == rest:       # the zero steps past K keep u but zero D
+            d_last = d[:, -1].tolist()
+    ends = u[0].tolist(), u[1].tolist(), d[0].tolist(), d[1].tolist()
+    if rest:
+        ends[2][-1], ends[3][-1] = d_last
+    return ends
+
+
+def _chain(ends: tuple[list, ...], u_top, d_top) -> tuple[list, list, tuple]:
+    """Chain the block transfers `ends` (_block_pass) from (u_top, d_top):
+    the state entering each block, and the state below the last one."""
+    ue0, ue1, de0, de1 = ends
+    nb = len(ue0)
+    u_in, d_in = [0j] * nb, [0j] * nb
+    uc, dc = u_top, d_top
+    for i in range(nb):
+        u_in[i], d_in[i] = uc, dc
+        uc, dc = ue0[i] * uc + ue1[i] * dc, de0[i] * uc + de1[i] * dc
+    return u_in, d_in, (uc, dc)
 
 
 def _block_size(K: int) -> int:
@@ -326,9 +435,10 @@ def _step_rows(a: np.ndarray, K: int, b: int, nb: int,
 
 
 def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
-                       max_block: int = 65536,
-                       span: float = 500.0) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase).
+                       max_block: int = 65536, span: float = 500.0,
+                       carry: tuple = (-np.inf, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase),
+    added to `carry`, a sum already taken in the same form.
 
     Each term comes in as a real log-magnitude and a unit complex phase,
     the form the sums themselves come out in, so a term costs one real
@@ -341,12 +451,13 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     than `span` nats, so every partial sum stays inside the normal
     double range no matter how steeply the magnitudes climb.  A partial
     sum that is exactly zero comes out as (-inf, 1).  The phases come out
-    in the dtype of unitv: real terms give real signs.
+    in the dtype of unitv: real terms give real signs.  The last sum is
+    the carry for the terms that follow.
     """
     n = len(logv)
     out_log = np.empty(n)
     out_unit = np.empty(n, dtype=unitv.dtype)
-    carry_log, carry_unit = -np.inf, 1.0
+    carry_log, carry_unit = carry
     lo = 0
     while lo < n:
         cap = min(lo + max_block, n)
@@ -359,7 +470,7 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
         terms = np.exp(logv[lo:hi] - ref) * unitv[lo:hi]
         partial = np.cumsum(terms)
         if np.isfinite(carry_log):
-            partial = partial + np.exp(carry_log - ref) * carry_unit
+            partial += np.exp(carry_log - ref) * carry_unit
         mag = np.abs(partial)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(mag, out=out_log[lo:hi])
@@ -372,50 +483,120 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     return out_log, out_unit
 
 
-def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray,
-                       exponents: tuple[float, ...],
-                       terms: np.ndarray) -> tuple[np.ndarray, float]:
-    """Limits of partial-sum sequences (one per column, each summing terms
-    that oscillate like `terms`) and the fit's relative residual, the
-    largest ||fit - partials|| / ||partials|| of a column.
+class _TailFit:
+    """The tail fit's state and solve: the rows fed to it by
+    _fit_partial_limit, kept as the R factor of [A | P - origin] (A the
+    unscaled basis, P the partial sums, origin the first fitted row of P),
+    and the least-squares solve for the limits (limits).
 
-    Each column is regressed over the second half of the window against
-    {1, m^e for e in exponents, omega_m}, omega_m = terms_m terms_{m+1} /
-    (terms_m - terms_{m+1}) (Levin's remainder estimate, exact for a
-    geometric series); the constant is the limit.  omega_m is 0 where
-    both terms have underflowed to zero or subnormals; any other
-    non-finite omega_m raises NumericFailure.  A complex omega enters the
-    real basis as its real and imaginary parts, so one real least-squares
-    solve takes the real and imaginary parts of every column.
+    Rows are counted from the first fed; rows below `first` are skipped.
+    Fitting P - origin leaves the limits' rounding relative to how far the
+    sums still move, not to the sums themselves: a D-sum that has
+    converged to 1e-7 keeps all its digits.
     """
-    K = len(partials) - 1                    # the last sum has no omega_m
-    lo = K // 2
-    y0, y1 = terms[lo:K], terms[lo + 1:K + 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        omega = y1 / (1.0 - y1 / y0)         # no product of two small terms
-    bad = ~np.isfinite(omega)                # subnormal neighbours can be equal
-    if not np.all(np.maximum(abs(y0[bad]), abs(y1[bad])) < np.finfo(float).tiny):
-        raise NumericFailure("non-finite tail term omega_m at the window top")
-    omega[bad] = 0.0
-    P = partials[lo:K]
-    c, split = P.shape[1], np.iscomplexobj(P)
-    A = np.empty((K - lo, len(exponents) + 2 + split), order="F")
-    A[:, 0] = 1.0
-    A[:, 1:len(exponents) + 1] = ms[lo:K, None] ** np.asarray(exponents)
-    if split:
-        A[:, -2], A[:, -1] = omega.real, omega.imag
-        P = np.hstack([P.real, P.imag])
-    else:
-        A[:, -1] = omega
-    # unit-size columns: else the SVD cutoff drops a small omega column
-    top = np.maximum(A.max(axis=0), -A.min(axis=0))
-    A /= np.where(top > 0.0, top, 1.0)           # the constant column stays 1
-    coef = np.linalg.lstsq(A, P, rcond=None)[0]
-    R = A @ coef - P
-    err = np.einsum("ij,ij->j", R, R).reshape(-1, c).sum(axis=0)
-    scale = np.einsum("ij,ij->j", P, P).reshape(-1, c).sum(axis=0)
-    lim = coef[0, :c] + 1j * coef[0, c:] if split else coef[0]
-    return lim, float(np.sqrt(np.max(err / np.where(scale > 0.0, scale, 1.0))))
+
+    def __init__(self, exponents: tuple[float, ...], first: int):
+        self.exponents = exponents
+        self.first = first
+        self.seen = 0                        # rows passed, fitted or skipped
+        self.rows = 0                        # rows fitted
+        self.R = self.top = self.pending = self.origin = None
+        self.moved = None                    # sum of P - origin per real column
+        self.split = False
+
+    def add(self, P: np.ndarray, ms: np.ndarray, y: np.ndarray) -> None:
+        """Fold the rows P at ms into R, row i with omega from y[i], y[i+1]."""
+        skip = min(max(0, self.first - self.seen), len(P))
+        self.seen += len(P)
+        P, ms, y0, y1 = P[skip:], ms[skip:], y[skip:-1], y[skip + 1:]
+        if not len(P):
+            return
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            omega = y1 / (1.0 - y1 / y0)     # no product of two small terms
+        bad = ~np.isfinite(omega)            # subnormal neighbours can be equal
+        if not np.all(np.maximum(abs(y0[bad]), abs(y1[bad])) < np.finfo(float).tiny):
+            raise NumericFailure("non-finite tail term omega_m at the window top")
+        omega[bad] = 0.0
+        if self.origin is None:
+            self.origin = P[0].copy()
+        self.split = np.iscomplexobj(P)
+        ne, c = len(self.exponents), P.shape[1]
+        na = ne + 2 + self.split
+        held = 0 if self.R is None else len(self.R)
+        stack = np.empty((held + len(P), na + c * (1 + self.split)), order="F")
+        if held:                                 # [R; A | P - origin]
+            stack[:held] = self.R
+        rows = stack[held:]
+        rows[:, 0] = 1.0
+        rows[:, 1:ne + 1] = ms[:, None] ** np.asarray(self.exponents)
+        moved = P - self.origin
+        if self.split:
+            rows[:, na - 2], rows[:, na - 1] = omega.real, omega.imag
+            rows[:, na:na + c], rows[:, na + c:] = moved.real, moved.imag
+        else:
+            rows[:, na - 1] = omega
+            rows[:, na:] = moved
+        top = np.max(np.abs(rows[:, :na]), axis=0)
+        self.top = top if self.top is None else np.maximum(self.top, top)
+        self.moved = (0.0 if self.moved is None else self.moved) + np.sum(rows[:, na:], axis=0)
+        # LAPACK's Householder QR in place; numpy's qr would copy the stack
+        # twice and hold the GIL throughout, stalling the other threads
+        self.R = np.triu(dgeqrf(stack, overwrite_a=True)[0][:stack.shape[1]])
+        self.rows += len(P)
+
+    def limits(self) -> tuple[np.ndarray, float]:
+        """Limits of the partial-sum columns (the constant's coefficient)
+        and the fit's relative residual, the largest ||fit - partials|| /
+        ||partials|| of a column.
+
+        The columns are scaled to unit size as R D^-1, D their largest
+        sizes: unscaled, the SVD cutoff drops a small omega column.  The
+        cutoff is lstsq's default for the full row count, eps max(rows,
+        columns), so the limits are those of one lstsq over all rows, up to
+        the basis's conditioning (eps cond(A), cond(A) about 2e5).
+        """
+        na = len(self.top)
+        RA = self.R[:na, :na] / np.where(self.top > 0.0, self.top, 1.0)
+        RP = self.R[:na, na:]
+        rcond = np.finfo(float).eps * max(self.rows, na)
+        coef = np.linalg.lstsq(RA, RP, rcond=rcond)[0]
+        err = np.sum((RA @ coef - RP) ** 2, axis=0) + np.sum(self.R[na:, na:] ** 2, axis=0)
+        # ||P||^2 = ||P - o||^2 + 2 o sum(P - o) + rows o^2, per real column
+        o = np.concatenate([self.origin.real, self.origin.imag]) if self.split else self.origin
+        scale = np.sum(self.R[:, na:] ** 2, axis=0) + 2.0 * o * self.moved + self.rows * o ** 2
+        c = (self.R.shape[1] - na) // (1 + self.split)
+        err, scale = err.reshape(-1, c).sum(axis=0), scale.reshape(-1, c).sum(axis=0)
+        lim = coef[0, :c] + 1j * coef[0, c:] if self.split else coef[0]
+        return lim + self.origin, float(np.sqrt(np.max(err / np.where(scale > 0.0, scale, 1.0))))
+
+
+def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray, terms: np.ndarray,
+                       fit: _TailFit) -> None:
+    """Feed rows of partial-sum sequences (one per column, each summing
+    terms that oscillate like `terms`) to the tail fit `fit`.
+
+    Row i is partials[i] at ms[i], regressed against {1, m^e for e in
+    fit.exponents, omega_m}, omega_m = terms_m terms_{m+1} /
+    (terms_m - terms_{m+1}) (Levin's remainder estimate, exact for a
+    geometric series); the constant is the limit (_TailFit.limits).  The
+    last row waits (fit.pending) for the next call's first term.  omega_m
+    is 0 where both terms have underflowed to zero or subnormals; any
+    other non-finite omega_m raises NumericFailure.  A complex omega
+    enters the real basis as its real and imaginary parts, so one real
+    least-squares solve takes the real and imaginary parts of every column.
+
+    The rows are folded into the R factor by Householder QR of [R; A | P]
+    (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34
+    (2012) A206), so the fit holds O(columns^2) memory for any number of
+    rows; the normal equations would square the basis's condition number
+    (2.2e5 on the whole line).
+    """
+    if fit.pending is not None:
+        P0, m0, y0 = fit.pending
+        fit.add(P0[None], np.array([m0]), np.array([y0, terms[0]]))
+    n = len(partials) - 1
+    fit.add(partials[:n], ms[:n], terms)
+    fit.pending = partials[n].copy(), ms[n], terms[n]
 
 
 def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
@@ -425,58 +606,60 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
 
     Sums u_N - 1 = sum_{m>N} G_{N,m} Rcal_m u_m and
     D_N = sum_{m>N} (X_{m-1}/X_N) Rcal_m u_m to first order (u_m = 1) over
-    tail_len indices above N and fits their limits (_fit_partial_limit)
-    with the powers m^(nu - delta + 1), m^(2 nu - delta) and the eikonal
-    correction m^(nu - delta + 1 - sigma), plus the oscillating remainder
-    of the D-sum terms.  This removes the top-of-window truncation error,
-    which otherwise decays only like N^(nu - delta + 1).  No second-order
-    term (u_m - 1 inside the tail): summed only to the tail window's end
-    it is cut short by about its own size and made the limits worse.
+    tail_len indices above N and fits their limits over the second half
+    of the tail window (_fit_partial_limit) with the powers
+    m^(nu - delta + 1), m^(2 nu - delta) and the eikonal correction
+    m^(nu - delta + 1 - sigma), plus the oscillating remainder of the
+    D-sum terms.  This removes the top-of-window truncation error, which
+    otherwise decays only like N^(nu - delta + 1).  No second-order term
+    (u_m - 1 inside the tail): summed only to the tail window's end it is
+    cut short by about its own size and made the limits worse.
+
+    The tail window is streamed like the solve's window (_kernel_chunk):
+    the running sums are carried from stretch to stretch and the fit rows
+    go into the fit's R factor, so the tail holds O(_CHUNK) memory.
     Raises NumericFailure if a tail term is not finite.  A real kernel
     keeps every term real and gives real boundary data.
     """
+    p = ctx.params
+    slow = p.nu - p.delta + 1.0                  # power remainder of the sums
+    fit = _TailFit((slow, 2.0 * p.nu - p.delta, slow - p.sigma),
+                   first=(int(tail_len) - 1) // 2)
     M = N + int(tail_len)
-    # The tail window needs the kernel arrays only, not the majorant.
-    lam, rr, logX, uniX, logPS, uniPS = _kernel_arrays(ctx, model, N, M)
-    del lam
-    np.conjugate(uniX, out=uniX)                 # e^{+i arg X}: X's own phase
-    K = M - N
-    # What this window holds at once sets the peak memory of a whole
-    # solve, so arrays are dropped once they are dead.  y_m and
-    # t_m = y_m PS_{m-1} are formed from log-magnitudes and unit phases.
+    carry, head = 0.0, _WINDOW_START             # the sums below the stretch
+    for lo in range(N, M, _CHUNK):
+        hi = min(lo + _CHUNK, M)
+        arrays = _kernel_chunk(ctx, model, lo, hi, head)
+        head = arrays[-1]
+        sums = np.stack(_tail_terms(*arrays[1:6]), axis=1)  # t_m, y_m, m in (lo, hi]
+        del arrays
+        y = sums[:, 1].copy()
+        sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1].copy()
+        _fit_partial_limit(sums, lo + 1.0 + np.arange(hi - lo), y, fit)
+    (t_lim, y_lim), resid = fit.limits()
+    return (1.0 + t_lim).item(), y_lim.item(), resid
+
+
+def _tail_terms(rr: np.ndarray, logX: np.ndarray, uniXinv: np.ndarray,
+                logPS: np.ndarray, uniPS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t_m = G_{N,m} Rcal_m and y_m = (X_{m-1}/X_N) Rcal_m = t_m / PS_{m-1}
+    over a tail stretch (_kernel_chunk's arrays, m = lo + 1 ... hi), formed
+    from log-magnitudes and unit phases."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         absr = np.abs(rr[1:])
-        logy = np.where(absr > 0.0, np.log(np.where(absr > 0.0, absr, 1.0)),
-                        -np.inf) + logX[:-1]
+        logy = np.log(absr)                      # -inf where Rcal_m = 0
+        logy += logX[:-1]
         uniy = rr[1:] / absr
         if not absr.all():                       # Rcal_m = 0: any unit phase
             uniy[absr == 0.0] = 1.0
-        del absr
-        uniy *= uniX[:-1]
-        logt = logy + logPS[:-1]
-        unit = uniy * uniPS[:-1]
-        # Dropped here, not at their last use: the order of these frees
-        # decides how much freed heap glibc keeps resident.  Freeing them
-        # before logt and its phases, or lam only here, raised the peak RSS
-        # of a 41-point two-thread whole-line density sweep (N = 1e5) by 15
-        # to 25 MB (measured when the phases were still angles).
-        del rr, logX, uniX, logPS, uniPS
+        uniy *= uniXinv[:-1].conjugate()         # e^{+i arg X}: X's own phase
         # |y| and |t| are h-majorant sized, so plain exponentials are safe
-        t = _require_finite(np.exp(logt) * unit, "t")   # G_{N,m} Rcal_m, m = N+1+k
-        del logt, unit
-        y = _require_finite(np.exp(logy) * uniy, "y")   # (X_{m-1}/X_N) Rcal_m
-        del logy, uniy
-    sums = np.empty((K, 2), dtype=t.dtype)
-    np.cumsum(t, out=sums[:, 0])
-    del t
-    np.cumsum(y, out=sums[:, 1])
-    ms = N + 1.0 + np.arange(K)
-    p = ctx.params
-    slow = p.nu - p.delta + 1.0                  # power remainder of the sums
-    exponents = (slow, 2.0 * p.nu - p.delta, slow - p.sigma)
-    (t_lim, y_lim), resid = _fit_partial_limit(sums, ms, exponents, y)
-    return (1.0 + t_lim).item(), y_lim.item(), resid
+        t = _require_finite(np.exp(logy + logPS[:-1]) * (uniy * uniPS[:-1]), "t")
+        y = _require_finite(np.exp(logy) * uniy, "y")
+    return t, y
 
 
 def _require_finite(v: np.ndarray, name: str) -> np.ndarray:
@@ -507,7 +690,8 @@ def default_window(zp: SpectralPoint, params: CriticalParams,
 def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           n0: int | None = None, N: int | None = None,
           tol: float = DEFAULT_TOL,
-          tail_init: str = "asymptotic") -> VolterraSolution:
+          tail_init: str = "asymptotic",
+          n_top: int | None = None) -> VolterraSolution:
     """Bounded solution of the Volterra equation by one backward sweep.
 
     tail_init selects the boundary data at the window top: "unit" sets
@@ -519,6 +703,12 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     rounding level.  meta records the window, tail_init, the tail
     window's length tail_len (0 for "unit") and the tail fit's relative
     residual tail_fit_residual (None for "unit").
+
+    n_top is the highest index whose u the caller reads, clamped to
+    [n0 + 1, N] (default N).  u, H and the residual cover the stretches of
+    2^14 indices that meet [n0, n_top]; the stretches above fold into one
+    2x2 transfer (VolterraKernel).  Omega needs n_top = n0 + 1 and then
+    holds O(2^14) memory for any N.
     """
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start
@@ -529,7 +719,7 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     if tail_init not in ("unit", "asymptotic"):
         raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
 
-    kern = VolterraKernel(ctx, model, n0, N)
+    kern = VolterraKernel(ctx, model, n0, N, n_top=n_top)
     if kern.tail_beyond >= 1.0:
         raise TruncationTooShort(
             f"tail bound {kern.tail_beyond:.3g} >= 1 at N = {N}; "
@@ -557,7 +747,7 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
 
 def diagnostics_rows(sol: VolterraSolution, stride: int = 1):
     """(n, |u_n - 1|, estimated bound exp(H_n) - 1) rows for the test harness."""
-    for k in range(0, sol.N - sol.n0 + 1, stride):
+    for k in range(0, len(sol.u), stride):
         yield sol.n0 + k, abs(sol.u[k] - 1.0), float(np.expm1(sol.H[k]))
 
 

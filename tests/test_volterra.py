@@ -71,14 +71,15 @@ def kernel_at(zp, p, m, N):
 
 
 class KernelLogs:
-    """The log-form kernel arrays of the solve's window on [n_start, N]:
-    logX, uniXinv (the unit phase of X_n^{-1}), logPS and uniPS."""
+    """The log-form kernel arrays of the solve's window on [n_start, N],
+    built as one stretch: logX, uniXinv (the unit phase of X_n^{-1}),
+    logPS and uniPS."""
 
     def __init__(self, zp, p, m, N):
         self.ctx = ansatz.phase_context(zp, p)
         self.n0 = self.ctx.n_start
-        _, _, self.logX, self.uniXinv, self.logPS, self.uniPS = \
-            volterra._kernel_arrays(self.ctx, m, self.n0, N)
+        _, _, self.logX, self.uniXinv, self.logPS, self.uniPS, _ = \
+            volterra._kernel_chunk(self.ctx, m, self.n0, N)
 
 
 def x_at(kern, n: int) -> LogComplex:
@@ -217,12 +218,39 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
     # reference by the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    lam, _, logX, uniXinv, _, _ = volterra._kernel_arrays(ctx, m, ctx.n_start, N)
+    lam, _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
     ref = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
     logref, argref = ref.real, ref.imag
     assert np.all(np.abs(logX - logref) <= 1e-14 * np.maximum(1.0, np.abs(logref)))
     assert np.all(np.abs(uniXinv - np.exp(-1j * argref))
                   <= 1e-14 * np.maximum(1.0, np.abs(argref)))
+
+
+@pytest.mark.parametrize("model, zp, N", [
+    (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 40_000),
+    (None, ansatz.at_plus(1.0), 40_000),                   # Laguerre p = 0
+    (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 40_000),
+], ids=["discrete", "laguerre", "whole_line"])
+def test_stretches_carry_the_window(laguerre0, model, zp, N):
+    # the stretches of the forward pass, each started from the head the
+    # one below returned, give the one-stretch window: Lambda, Rcal, log X
+    # and its phase bit for bit (the cumulative sums run on from the head),
+    # the prefix sums to rounding (their blocks are framed per stretch)
+    m, p = model or laguerre0
+    ctx = ansatz.phase_context(zp, p)
+    n0, C = ctx.n_start, volterra._CHUNK
+    whole = volterra._kernel_chunk(ctx, m, n0, N)
+    head = volterra._WINDOW_START
+    for lo in range(n0, N, C):
+        hi = min(lo + C, N)
+        *part, head = volterra._kernel_chunk(ctx, m, lo, hi, head)
+        sl = slice(lo - n0, hi - n0 + 1)
+        for j in (0, 1):                                     # lam, rr: entry 0 is nan
+            assert np.array_equal(part[j][1:], whole[j][sl][1:])
+        for j in (2, 3):                                     # logX, uniXinv
+            assert np.array_equal(part[j], whole[j][sl])
+        assert np.max(np.abs(part[4] - whole[4][sl])) <= 1e-12   # log|PS|
+        assert np.max(np.abs(part[5] - whole[5][sl])) <= 1e-12   # its phase
 
 
 
@@ -257,6 +285,37 @@ def levin_omega(y: np.ndarray) -> np.ndarray:
     return y[:-1] * y[1:] / (y[:-1] - y[1:])
 
 
+def fit_limit(partials, ms, exponents, terms, chunk=997):
+    """The streamed tail fit over the second half of the rows, fed in
+    chunks of `chunk` rows as _top_boundary feeds it its stretches."""
+    fit = volterra._TailFit(exponents, (len(partials) - 1) // 2)
+    for lo in range(0, len(partials), chunk):
+        sl = slice(lo, lo + chunk)
+        volterra._fit_partial_limit(partials[sl], ms[sl], terms[sl], fit)
+    return fit.limits()
+
+
+def scaled_lstsq(partials, ms, exponents, terms):
+    """One np.linalg.lstsq over the same rows as the streamed fit: the
+    second half of the rows less the last, against {1, m^e, omega} (omega
+    as its real and imaginary parts), columns scaled to unit size.
+    Returns the limits and the scaled basis's condition number."""
+    K = len(partials) - 1
+    sl = slice(K // 2, K)
+    w = levin_omega(terms)[sl]
+    P = partials[sl]
+    cols = [np.ones(len(w))] + [ms[sl] ** e for e in exponents]
+    cols += [w.real, w.imag] if np.iscomplexobj(P) else [w]
+    A = np.column_stack(cols)
+    A /= np.max(np.abs(A), axis=0)
+    if np.iscomplexobj(P):
+        P = np.hstack([P.real, P.imag])
+    coef = np.linalg.lstsq(A, P, rcond=None)[0][0]
+    c = partials.shape[1]
+    lim = coef[:c] + 1j * coef[c:] if np.iscomplexobj(partials) else coef
+    return lim, np.linalg.cond(A)
+
+
 def test_fit_partial_limit_columns_are_independent():
     # one real solve for several columns gives each column's own fit,
     # which is the complex least-squares fit against {1, m^e, omega,
@@ -272,13 +331,13 @@ def test_fit_partial_limit_columns_are_independent():
         c = rng.normal(size=5) + 1j * rng.normal(size=5)
         cols.append(c[0] + sum(ck * ms ** e for ck, e in zip(c[1:], ex))
                     + c[4] * np.cumsum(y))
-    both, _ = volterra._fit_partial_limit(np.column_stack(cols), ms, ex, y)
+    both, _ = fit_limit(np.column_stack(cols), ms, ex, y)
     w = levin_omega(y)
     sl = slice((K - 1) // 2, K - 1)
     A = np.column_stack([np.ones(len(w[sl]))] + [ms[sl] ** e for e in ex]
                         + [w[sl], w[sl].conj()])
     for j, col in enumerate(cols):
-        one, _ = volterra._fit_partial_limit(col[:, None], ms, ex, y)
+        one, _ = fit_limit(col[:, None], ms, ex, y)
         assert abs(both[j] - one[0]) <= 1e-12 * abs(one[0])
         ref = np.linalg.lstsq(A, col[sl], rcond=None)[0][0]
         assert abs(one[0] - ref) <= np.finfo(float).eps * np.linalg.cond(A) * abs(ref)
@@ -293,8 +352,7 @@ def test_fit_partial_limit_oscillating_remainder():
     m = 1000.0 + np.arange(4001)
     S = L + m ** -0.5 * np.exp(0.3j * m + 4e-3j * m ** 0.75)
     y = np.diff(S)
-    lim, resid = volterra._fit_partial_limit(S[1:, None], m[1:],
-                                             (-0.5, -1.0, -1.5), y)
+    lim, resid = fit_limit(S[1:, None], m[1:], (-0.5, -1.0, -1.5), y)
     assert abs(lim[0] - L) < 1e-6
     assert resid < 1e-8
 
@@ -306,8 +364,8 @@ def test_fit_partial_limit_power_remainder():
     slow, sigma = -0.25, 1.25
     m = 1000.0 + np.arange(4001)
     S = L + c * m ** slow + d * m ** (slow - sigma)
-    lim, resid = volterra._fit_partial_limit(
-        S[1:, None], m[1:], (slow, -0.75, slow - sigma), np.diff(S))
+    lim, resid = fit_limit(S[1:, None], m[1:], (slow, -0.75, slow - sigma),
+                           np.diff(S))
     assert lim.dtype == np.float64
     assert abs(lim[0] - L) < 1e-10
     assert resid < 1e-12
@@ -321,11 +379,10 @@ def test_fit_partial_limit_vanishing_terms():
     y = np.where(m < 1500.0, np.exp(-0.1 * (m - 1000.0)), 0.0)
     y[500:2500:2] = y[501:2500:2] = 5e-321
     S = np.cumsum(y)
-    lim, resid = volterra._fit_partial_limit(S[:, None], m, (-0.5, -1.0), y)
+    lim, resid = fit_limit(S[:, None], m, (-0.5, -1.0), y)
     assert lim[0] == pytest.approx(S[-1], rel=1e-14)
     assert resid < 1e-14
-    zero, resid0 = volterra._fit_partial_limit(np.zeros((4000, 2)), m,
-                                               (-0.5, -1.0), np.zeros(4000))
+    zero, resid0 = fit_limit(np.zeros((4000, 2)), m, (-0.5, -1.0), np.zeros(4000))
     assert np.all(zero == 0.0) and resid0 == 0.0
 
 
@@ -334,7 +391,58 @@ def test_fit_partial_limit_nan_term_raises():
     y = m ** -2.0 * np.exp(0.3j * m)
     y[3000] = np.nan
     with pytest.raises(NumericFailure, match="non-finite tail term omega"):
-        volterra._fit_partial_limit(np.cumsum(y)[:, None], m, (-1.0,), y)
+        fit_limit(np.cumsum(y)[:, None], m, (-1.0,), y)
+
+
+# The streamed fit and one lstsq solve the same least-squares problem;
+# both have a forward error up to about eps cond(A) in the limits (here
+# cond(A) = 7.4e4 to 2.1e5, a whole-line tail's 2.2e5 at N = 1e5).
+# Centred, the streamed limits were the closer of the two to a 40-digit
+# solution in every case checked (lstsq: up to 4.6e-12), so the two agree
+# to eps cond(A), not to a fixed 1e-12.
+
+
+@pytest.mark.parametrize("chunk", [1, 997, 4000])
+def test_streamed_fit_matches_lstsq(chunk):
+    # the R factor accumulated chunk by chunk gives the limits of one
+    # np.linalg.lstsq over all rows, whatever the chunking (one row at a
+    # time included); the whole-line-like basis is far from orthogonal
+    rng = np.random.default_rng(11)
+    m = 2000.0 + np.arange(4000)
+    ex = (-0.25, -0.75, -1.5)
+    y = m ** -1.75 * np.exp(0.3j * m + 2e-4j * m ** 1.5)
+    c = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    S = c[0] + sum(np.outer(m ** e, ck) for e, ck in zip(ex, c[1:4])) \
+        + np.outer(np.cumsum(y), c[4]) + 1e-9 * rng.normal(size=(4000, 2))
+    lim, _ = fit_limit(S, m, ex, y, chunk=chunk)
+    ref, cond = scaled_lstsq(S, m, ex, y)
+    assert np.all(np.abs(lim - ref) <= np.finfo(float).eps * cond * np.abs(ref))
+
+
+@pytest.mark.parametrize("zp", [ansatz.at_plus(1.5), ansatz.interior(-3.0)],
+                         ids=["whole_line", "discrete"])
+def test_streamed_fit_matches_lstsq_on_a_tail(zp, monkeypatch):
+    # the rows _top_boundary streams from a real tail window (two
+    # stretches), fitted by one lstsq, give its boundary data
+    m, p = power(1.25, 0.0, -0.875) if zp.side == "plus" else power(1.0, 0.0, 0.0)
+    ctx = ansatz.phase_context(zp, p)
+    N, fed = 20_000, []
+    feed = volterra._fit_partial_limit
+
+    def recording(partials, ms, terms, fit):
+        fed.append((partials.copy(), ms.copy(), terms.copy()))
+        feed(partials, ms, terms, fit)
+
+    monkeypatch.setattr(volterra, "_fit_partial_limit", recording)
+    u_top, d_top, _ = volterra._top_boundary(ctx, m, N, N)
+    assert len(fed) == 2
+    partials, ms, terms = (np.concatenate(a) for a in zip(*fed))
+    slow = p.nu - p.delta + 1.0
+    (t_lim, y_lim), cond = scaled_lstsq(
+        partials, ms, (slow, 2 * p.nu - p.delta, slow - p.sigma), terms)
+    tol = np.finfo(float).eps * cond
+    assert abs(u_top - 1.0 - t_lim) <= tol * abs(t_lim)
+    assert abs(d_top - y_lim) <= tol * abs(y_lim)
 
 
 def test_kernel_factor_examples(laguerre0):
@@ -483,6 +591,43 @@ class TestSolve:
         assert len(held) == 1
         assert held[0] / N < 60.0
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["short", "edge", "over"])
+    def test_kept_stretches_match_whole_window(self, laguerre0, extra):
+        # a window of two stretches less one, exactly two, or two plus one
+        # index; for n_top at the window head, around the first stretch
+        # edge and at N, the kept range ends at the first edge at or above
+        # n_top, and u and H there are the whole-window solve's
+        m, p = laguerre0
+        zp = ansatz.at_plus(1.0)
+        C = volterra._CHUNK
+        n0 = ansatz.phase_context(zp, p).n_start
+        N = n0 + 2 * C + extra
+        full = volterra.solve(zp, p, m, N=N, tail_init="unit")
+        for n_top in (n0 + 1, n0 + C - 1, n0 + C, n0 + C + 1, N):
+            sol = volterra.solve(zp, p, m, N=N, tail_init="unit", n_top=n_top)
+            edge = n0 + -(-(n_top - n0) // C) * C
+            assert len(sol.u) == len(sol.H) == min(N, edge) - n0 + 1
+            k = len(sol.u)
+            assert sol.u_at(n_top) == sol.u[n_top - n0]
+            assert np.max(np.abs(sol.u - full.u[:k]) / np.abs(full.u[:k])) <= 1e-13
+            assert np.max(np.abs(sol.H - full.H[:k]) / full.H[:k]) <= 1e-13
+
+    def test_omega_peak_memory_does_not_grow_with_n(self, laguerre0):
+        # an omega solve keeps its window's first stretch and streams the
+        # rest of the window and the tail window: about 5 MB at any N
+        # (9 MB at N = 5e4 and 64 MB at 4e5 when it built both in full)
+        m, p = laguerre0
+        peaks = []
+        for N in (50_000, 400_000):
+            tracemalloc.start()
+            try:
+                solutions.omega(ansatz.at_plus(1.0), p, m, N=N)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 10e6
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_truncation_too_short(self):
         m, p = power(1.25, 0.0, -0.875)   # quarter-power tail on the axis
         with pytest.raises(TruncationTooShort):
@@ -507,18 +652,18 @@ class TestSolve:
     def test_non_finite_tail_term_raises(self, laguerre0, monkeypatch, bad):
         # a broken tail term must fail loudly where the terms are formed,
         # not be zeroed or clamped, nor left to the later checks on the
-        # fit's omega_m or on u
+        # fit's omega_m or on u; it sits in the tail window's second stretch
         m, p = laguerre0
-        N = 5000
-        arrays = volterra._kernel_arrays
+        N = 20_000
+        chunk = volterra._kernel_chunk
 
-        def broken(ctx, model, n0, top):
-            out = arrays(ctx, model, n0, top)
-            if n0 == N:                          # the tail window
+        def broken(ctx, model, lo, hi, head):
+            out = chunk(ctx, model, lo, hi, head)
+            if lo > N:                           # above the tail's first stretch
                 out[1][len(out[1]) // 2] = bad
             return out
 
-        monkeypatch.setattr(volterra, "_kernel_arrays", broken)
+        monkeypatch.setattr(volterra, "_kernel_chunk", broken)
         with pytest.raises(NumericFailure, match="non-finite tail term [ty]_m"):
             volterra.solve(ansatz.at_plus(1.0), p, m, N=N)
 
@@ -538,16 +683,36 @@ class TestSolve:
     def test_non_finite_sweep_raises(self, laguerre0, monkeypatch, bad):
         # a non-finite kernel term must fail the solve, not reach Omega
         m, p = laguerre0
-        arrays = volterra._kernel_arrays
+        chunk = volterra._kernel_chunk
 
         def broken(*args):
-            out = arrays(*args)
+            out = chunk(*args)
             out[1][len(out[1]) // 2] = bad
             return out
 
-        monkeypatch.setattr(volterra, "_kernel_arrays", broken)
+        monkeypatch.setattr(volterra, "_kernel_chunk", broken)
         with pytest.raises(NumericFailure):
             volterra.solve(ansatz.at_plus(1.0), p, m, N=5000, tail_init="unit")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1], ids=["lam", "rr"])
+    def test_non_finite_folded_term_raises(self, laguerre0, monkeypatch,
+                                           which, bad):
+        # a non-finite Lambda or Rcal in a stretch above n_top must fail
+        # where the stretch is folded, not be absorbed into the transfer
+        m, p = laguerre0
+        chunk = volterra._kernel_chunk
+        n0 = ansatz.phase_context(ansatz.at_plus(1.0), p).n_start
+
+        def broken(ctx, model, lo, hi, head):
+            out = chunk(ctx, model, lo, hi, head)
+            if lo > n0:                          # the stretches above n0 + 1
+                out[which][len(out[which]) // 2] = bad
+            return out
+
+        monkeypatch.setattr(volterra, "_kernel_chunk", broken)
+        with pytest.raises(NumericFailure, match="non-finite kernel transfer"):
+            solutions.omega(ansatz.at_plus(1.0), p, m, N=40_000, tail_init="unit")
 
 
 # |W[f(l+i0), f(l-i0)] / (2i w) - 1| of the earlier tail (second-order
@@ -652,20 +817,23 @@ def test_x_prod_monotone_off_axis(laguerre0):
 
 
 def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
-    # Rcal = 0 makes the majorant h, hence its fitted tail, exactly zero
+    # Rcal = 0 makes the majorant h, hence its fitted tail, exactly zero,
+    # in a one-stretch window and in the stretches folded above n_top
     m, p = laguerre0
-    arrays = volterra._kernel_arrays
+    chunk = volterra._kernel_chunk
 
     def zero_rr(*args):
-        out = arrays(*args)
+        out = chunk(*args)
         out[1][1:] = 0.0
         return out
 
-    monkeypatch.setattr(volterra, "_kernel_arrays", zero_rr)
+    monkeypatch.setattr(volterra, "_kernel_chunk", zero_rr)
     ctx = ansatz.phase_context(ansatz.at_plus(1.0), p)
-    kern = volterra.VolterraKernel(ctx, m, ctx.n_start, 3000)
-    assert kern.tail_const == 0.0 and kern.tail_beyond == 0.0
-    assert np.all(kern.H == 0.0)
+    for N in (3000, 40_000):
+        kern = volterra.VolterraKernel(ctx, m, ctx.n_start, N, n_top=ctx.n_start + 1)
+        assert kern.tail_const == 0.0 and kern.tail_beyond == 0.0
+        assert np.all(kern.H == 0.0)
+        assert (kern.fold is None) == (N < ctx.n_start + volterra._CHUNK)
 
 
 def test_diagnostics_csv(laguerre0):
