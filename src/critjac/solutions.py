@@ -375,11 +375,10 @@ def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     but is about 1e-3 off in value at real regular points.  Only the
     window head [n0, n0 + 1] is assembled: f_{-1} depends on nothing above
     it, so the value is jost's f_{-1} without its window, and the solve
-    keeps u only up to n0 + 1 (volterra.solve's n_top).
+    keeps u only on the head (volterra.solve's n_top = 0).
     """
-    n0 = phase_context(zp, params, n0).n_start
     sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
-                         tail_init=tail_init, n_top=n0 + 1)
+                         tail_init=tail_init, n_top=0)
     lm, unit = _jost_values(sol, zp, params, model, sol.n0 + 1)
     return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))
 

@@ -30,15 +30,16 @@ exp(H_n) - 1 is an estimate, not a certified bound.
 The window is built in one forward pass over stretches of 2^14 indices
 (_kernel_chunk).  Lambda_n and Rcal_n are local in n; X_n, its prefix
 sums and the majorant's running quantities are carried from one stretch
-to the next.  A solve keeps the kernel only on the stretches that meet
-[n0, n_top], n_top being the highest index whose u its caller reads.
-Every stretch above folds into one 2x2 transfer (backward_sweep's block
-pass and chain, run from the two unit states), and the kept range's
-sweep starts from that transfer applied to the window-top state.  The
-D direction decays going down, so the product does not overflow.  Omega
-reads u only at n0 and n0 + 1, so its solve holds O(2^14) memory however
-long the window; jost keeps every stretch.  The tail window above N is
-streamed the same way (_top_boundary).
+to the next.  A solve keeps the kernel only on the sweep's blocks that
+meet [n0, n_top], n_top being the highest index whose u its caller
+reads.  Every block above is run from the unit states as soon as its
+indices are built (VolterraKernel._fold), and only its 2x2 transfer is
+kept: O(sqrt N) numbers.  The sweep then chains those transfers from the
+window-top state exactly as the whole-window sweep chains them, so u on
+the kept range is the whole-window u bit for bit.  Omega reads u only at
+n0 and n0 + 1, so its solve holds O(2^14) memory however long the window;
+jost keeps every block.  The tail window above N is streamed the same
+way (_top_boundary).
 
 All X-products and prefix sums are carried as (log-magnitude, unit
 phase); exp(+-Im phase-sum) spans hundreds of orders of magnitude off
@@ -98,6 +99,7 @@ from .errors import InvalidParameter, NumericFailure, TruncationTooShort
 N_CAP = 10_000_000
 DEFAULT_TOL = 1e-4
 _CHUNK = 2 ** 14                          # indices per stretch of the forward pass
+_FOLD = 4 * _CHUNK                        # indices a fold pass takes at most
 _WINDOW_START = (0.0, 0.0, 0.0, 1.0)      # X_{n0} = PS_{n0} = 1 (_kernel_chunk's head)
 
 
@@ -106,7 +108,7 @@ class VolterraSolution:
     """Correction factors u_n on [n0, n0 + len(u) - 1] with error estimates.
 
     The window is [n0, N]; u, H and residual cover its kept range, the
-    stretches that meet [n0, n_top] (all of [n0, N] when n_top = N).
+    sweep's blocks that meet [n0, n_top] (all of [n0, N] when n_top = N).
     tail_bound is the fitted majorant sum H_N over m > N; H[k] estimates
     a bound on |u_{n0+k} - 1| through exp(H) - 1 (an estimate because
     H includes the fitted tail_bound); residual is the worst relative
@@ -134,16 +136,16 @@ class VolterraKernel:
     """Kernel of the window [n0, N], built in one forward pass over
     stretches of _CHUNK indices (_kernel_chunk).
 
-    The stretches that meet [n0, n_top] (n_top clamped to [n0 + 1, N],
-    default N) are kept: Lambda_n (lam), Rcal_n (rr) and the majorant
-    sums H, indexed by offset k = n - n0.  Every stretch above folds
-    into `fold`, the 2x2 map ((u0, u1), (d0, d1)) from (u, D) at N to
-    (u, D) at the top of the kept range (None when everything is kept);
-    H there adds the folded sum of h_m.  tail_const and tail_beyond give
-    the fitted majorant beyond N.  X_n, its prefix sums and h_m are
-    carried from stretch to stretch, not kept.  Everything is evaluated
-    at the canonical (upper half-plane) point; conjugation happens when
-    the solution is assembled.
+    backward_sweep runs its K = N - n0 steps in blocks of b ~ sqrt(K/2)
+    laid from N down.  The blocks that meet [n0, n_top] (n_top clamped to
+    [n0 + 1, N], default N) are kept: Lambda_n (lam), Rcal_n (rr) and the
+    majorant sums H on offsets k = n - n0 in [0, top].  Every block above
+    is reduced to its transfer as it is built (_fold); `above` holds them,
+    top block first (None when everything is kept), and H adds the folded
+    sum of h_m.  tail_const and tail_beyond give the fitted majorant
+    beyond N.  X_n, its prefix sums and h_m are carried from stretch to
+    stretch, not kept.  Everything is evaluated at the canonical (upper
+    half-plane) point; conjugation happens when the solution is assembled.
     """
 
     def __init__(self, ctx: PhaseContext, model: CoefficientModel,
@@ -155,10 +157,13 @@ class VolterraKernel:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
         if self.N <= self.n0:
             raise InvalidParameter("window needs N > n0")
-        n_top = self.N if n_top is None else min(max(int(n_top), self.n0 + 1), self.N)
-        top = min(self.N, self.n0 + -(-(n_top - self.n0) // _CHUNK) * _CHUNK)
-        self.lam = self.rr = self.fold = None
-        self.H = np.zeros(top - self.n0 + 1)         # h_{n0+k+1} at k until summed
+        K = self.N - self.n0
+        k_top = K if n_top is None else min(max(int(n_top) - self.n0, 1), K)
+        self.b = _block_size(K)
+        top = K - max(0, (K - 1 - k_top) // self.b) * self.b   # lowest block edge >= k_top
+        self.lam = self.rr = self.above = None
+        self.H = np.zeros(top + 1)                   # h_{n0+k+1} at k until summed
+        self._buf, self._fill, self._batches = None, 0, []
         quarter = max(self.n0 + 1, int(self.N * 0.75))
         run, scaled_max, folded_h = -np.inf, 0.0, 0.0
         head = _WINDOW_START
@@ -175,16 +180,20 @@ class VolterraKernel:
                 j = max(0, quarter - lo - 1)
                 ns = np.arange(lo + 1 + j, hi + 1, dtype=float)
                 scaled_max = np.maximum(scaled_max, np.max(h[j:] * ns ** (delta - nu)))
-            if lo < top:
-                self._keep(lo - self.n0, lam, rr, h)
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):   # checked below
-                    T = _transfer(lam, rr)
-                self.fold = T if self.fold is None else _compose(self.fold, T)
-                if not all(cmath.isfinite(x) for row in self.fold for x in row):
-                    raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
-                folded_h += float(np.sum(h))
+            k = lo - self.n0
+            kept = min(max(top - k, 0), hi - lo)     # entries of lam[1:], rr[1:], h kept
+            if kept:
+                self._keep(k, lam[:kept + 1], rr[:kept + 1], h[:kept])
+            if kept < hi - lo:
+                self._fold(lam[kept + 1:], rr[kept + 1:], hi)
+                folded_h += float(np.sum(h[kept:]))
             del lam, rr, h
+        if self._batches:
+            if self._buf.dtype.kind == "c" and self.lam.dtype.kind != "c":
+                self.lam, self.rr = self.lam.astype(complex), self.rr.astype(complex)
+            self.above = tuple([x for ends in reversed(self._batches) for x in ends[j]]
+                               for j in range(4))
+        self._buf = self._batches = None
         # C is twice the largest scaled h_m: an estimate, not a bound
         self.tail_const = 2.0 * float(scaled_max)
         self.tail_beyond = (self.tail_const * self.N ** (nu - delta + 1.0)
@@ -195,7 +204,7 @@ class VolterraKernel:
 
     def _keep(self, k: int, lam: np.ndarray, rr: np.ndarray,
               h: np.ndarray) -> None:
-        """Store a kept stretch's Lambda, Rcal and h at offsets (k, k + len(h)]."""
+        """Store a stretch's kept Lambda, Rcal and h at offsets (k, k + len(h)]."""
         if self.lam is None:
             self.lam = np.empty(len(self.H), dtype=lam.dtype)
             self.lam[0] = np.nan
@@ -206,20 +215,56 @@ class VolterraKernel:
         self.rr[k + 1:k + len(rr)] = rr[1:]
         self.H[k:k + len(h)] = h
 
+    def _fold(self, lam: np.ndarray, rr: np.ndarray, hi: int) -> None:
+        """Reduce the sweep's blocks above the kept range to their transfers.
+
+        lam and rr continue the Lambda_n and Rcal_n handed up so far.  They
+        wait in a buffer of _FOLD indices (entry 0 unused, as in
+        backward_sweep's arrays); once it is full, and at the window top,
+        _block_pass runs its whole blocks from the unit states, exactly as
+        the whole-window sweep runs them.  A pass costs b vectorised steps
+        whatever its width, so the buffer holds several stretches.
+        """
+        n = len(lam)
+        if self._buf is None:
+            cap = min(_FOLD, self.N - self.n0 - len(self.H) + 1)
+            self._buf = np.empty((2, 1 + cap), dtype=lam.dtype)
+        elif self._buf.dtype != np.result_type(self._buf, lam):   # complex above real
+            self._buf = self._buf.astype(lam.dtype)
+        if self._fill + n >= self._buf.shape[1]:
+            self._flush()
+        buf, fill = self._buf, self._fill
+        buf[0, 1 + fill:1 + fill + n] = lam
+        buf[1, 1 + fill:1 + fill + n] = rr
+        self._fill += n
+        if hi == self.N:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Run the buffer's whole blocks (_fold) and keep the rest."""
+        b, buf, fill = self.b, self._buf, self._fill
+        nb = fill // b
+        K = nb * b
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            ends = _block_pass(buf[0, :K + 1], buf[1, :K + 1], b, nb, buf.dtype)
+        if not np.all(np.isfinite(ends)):
+            first = self.n0 + len(self.H) + b * sum(len(e[0]) for e in self._batches)
+            raise NumericFailure(f"non-finite kernel transfer on [{first}, {first + K - 1}]")
+        self._batches.append(ends)                   # top block first
+        buf[:, 1:1 + fill - K] = buf[:, 1 + K:1 + fill]
+        self._fill = fill - K
+
     # -- solving ------------------------------------------------------------
 
     def sweep(self, u_top: complex = 1.0 + 0.0j,
               d_top: complex = 0.0 + 0.0j) -> np.ndarray:
-        """Backward sweep for u on the kept range, from (u_N, D_N) = (u_top,
-        d_top) carried down through the fold.
+        """Backward sweep for u on the kept range from (u_N, D_N) = (u_top,
+        d_top), chained down through the folded blocks (backward_sweep).
 
         With the default boundary data the tail beyond N is treated as
         u = 1; tail-corrected boundary values come from _top_boundary().
         """
-        if self.fold is not None:
-            (f00, f01), (f10, f11) = self.fold
-            u_top, d_top = f00 * u_top + f01 * d_top, f10 * u_top + f11 * d_top
-        return backward_sweep(self.lam, self.rr, u_top, d_top)
+        return backward_sweep(self.lam, self.rr, u_top, d_top, self.b, self.above)
 
     def residual(self, u: np.ndarray) -> float:
         du = u[1:] - u[:-1]
@@ -309,7 +354,8 @@ def _principal_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,
                    u_top: complex = 1.0 + 0.0j,
-                   d_top: complex = 0.0 + 0.0j) -> np.ndarray:
+                   d_top: complex = 0.0 + 0.0j,
+                   b: int | None = None, above: tuple | None = None) -> np.ndarray:
     """u on offsets [0, K] from D_k = Rcal_{k+1} u_{k+1} + Lambda_{k+1} D_{k+1},
     u_k = u_{k+1} + D_k, started from (u_K, D_K) = (u_top, d_top).
 
@@ -326,14 +372,24 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
 
     The sweep runs in the dtype of lam and rr, and in complex arithmetic
     only if they are complex or the boundary data has an imaginary part.
+
+    A kernel that keeps only the lower part of its window (VolterraKernel)
+    passes the whole window's block size b and the transfers of the
+    blocks above lam, top first (`above`, _block_pass's lists); (u_top,
+    d_top) is then the state at the window top, chained down through
+    `above` as over the whole window.  u is then the whole-window sweep's
+    bit for bit, except its top entry (the chained state, which the whole
+    sweep recombines in numpy), equal to rounding.
     """
     K = len(lam) - 1
-    b = _block_size(K)
+    b = _block_size(K) if b is None else b
     nb = -(-K // b)
     u_top, d_top = complex(u_top), complex(d_top)
     dtype = np.result_type(lam, rr, 1j if u_top.imag or d_top.imag else 1.0)
     if dtype.kind != "c":
         u_top, d_top = u_top.real, d_top.real
+    if above is not None:
+        u_top, d_top = _chain(above, u_top, d_top)[2]
     # U[t, j] = u after step t of every block, started from unit state j
     U = np.empty((b, 2, nb), dtype=dtype)
     u_in, d_in, _ = _chain(_block_pass(lam, rr, b, nb, dtype, U), u_top, d_top)
@@ -350,31 +406,6 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     if rest:
         rev[full * b:] = U0[:rest, full]
     return out
-
-
-def _transfer(lam: np.ndarray, rr: np.ndarray) -> tuple:
-    """The 2x2 map ((u0, u1), (d0, d1)) from (u_K, D_K) to (u_0, D_0) of
-    backward_sweep on the same arrays: its block pass, chained from the two
-    unit states.
-
-    The blocks are shorter than the sweep's: a transfer fills no U and
-    chains twice, and a vectorised step costs about twenty chain steps
-    (8 against 0.35 us at 2^14 indices), so b ~ sqrt(K/10) balances them.
-    """
-    K = len(lam) - 1
-    b = max(1, round(math.sqrt(K / 10.0)))
-    nb = -(-K // b)
-    ends = _block_pass(lam, rr, b, nb, np.result_type(lam, rr))
-    (u0, d0), (u1, d1) = _chain(ends, 1.0, 0.0)[2], _chain(ends, 0.0, 1.0)[2]
-    return (u0, u1), (d0, d1)
-
-
-def _compose(F: tuple, T: tuple) -> tuple:
-    """The product F T of two 2x2 maps given as row pairs, in scalar
-    arithmetic: a fold takes one per stretch, too small for numpy."""
-    (a, b), (c, d) = F
-    (e, f), (g, k) = T
-    return (a * e + b * g, a * f + b * k), (c * e + d * g, c * f + d * k)
 
 
 def _block_pass(lam: np.ndarray, rr: np.ndarray, b: int, nb: int,
@@ -492,7 +523,9 @@ class _TailFit:
     Rows are counted from the first fed; rows below `first` are skipped.
     Fitting P - origin leaves the limits' rounding relative to how far the
     sums still move, not to the sums themselves: a D-sum that has
-    converged to 1e-7 keeps all its digits.
+    converged to 1e-7 keeps all its digits, and sums that no longer move
+    give their limit exactly (uncentred, the basis's conditioning costs
+    them digits: 5e-13 relative in test_fit_partial_limit_vanishing_terms).
     """
 
     def __init__(self, exponents: tuple[float, ...], first: int):
@@ -501,7 +534,7 @@ class _TailFit:
         self.seen = 0                        # rows passed, fitted or skipped
         self.rows = 0                        # rows fitted
         self.R = self.top = self.pending = self.origin = None
-        self.moved = None                    # sum of P - origin per real column
+        self.sq = 0.0                        # ||P||^2 per real column
         self.split = False
 
     def add(self, P: np.ndarray, ms: np.ndarray, y: np.ndarray) -> None:
@@ -538,7 +571,7 @@ class _TailFit:
             rows[:, na:] = moved
         top = np.max(np.abs(rows[:, :na]), axis=0)
         self.top = top if self.top is None else np.maximum(self.top, top)
-        self.moved = (0.0 if self.moved is None else self.moved) + np.sum(rows[:, na:], axis=0)
+        self.sq += np.sum(np.abs(P) ** 2, axis=0)
         # LAPACK's Householder QR in place; numpy's qr would copy the stack
         # twice and hold the GIL throughout, stalling the other threads
         self.R = np.triu(dgeqrf(stack, overwrite_a=True)[0][:stack.shape[1]])
@@ -561,11 +594,8 @@ class _TailFit:
         rcond = np.finfo(float).eps * max(self.rows, na)
         coef = np.linalg.lstsq(RA, RP, rcond=rcond)[0]
         err = np.sum((RA @ coef - RP) ** 2, axis=0) + np.sum(self.R[na:, na:] ** 2, axis=0)
-        # ||P||^2 = ||P - o||^2 + 2 o sum(P - o) + rows o^2, per real column
-        o = np.concatenate([self.origin.real, self.origin.imag]) if self.split else self.origin
-        scale = np.sum(self.R[:, na:] ** 2, axis=0) + 2.0 * o * self.moved + self.rows * o ** 2
-        c = (self.R.shape[1] - na) // (1 + self.split)
-        err, scale = err.reshape(-1, c).sum(axis=0), scale.reshape(-1, c).sum(axis=0)
+        c = len(self.origin)
+        err, scale = err.reshape(-1, c).sum(axis=0), self.sq
         lim = coef[0, :c] + 1j * coef[0, c:] if self.split else coef[0]
         return lim + self.origin, float(np.sqrt(np.max(err / np.where(scale > 0.0, scale, 1.0))))
 
@@ -705,10 +735,13 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     residual tail_fit_residual (None for "unit").
 
     n_top is the highest index whose u the caller reads, clamped to
-    [n0 + 1, N] (default N).  u, H and the residual cover the stretches of
-    2^14 indices that meet [n0, n_top]; the stretches above fold into one
-    2x2 transfer (VolterraKernel).  Omega needs n_top = n0 + 1 and then
-    holds O(2^14) memory for any N.
+    [n0 + 1, N] (default N), so any n_top <= n0 + 1 asks for the head
+    [n0, n0 + 1] alone, as Omega does.  u, H and the residual cover the
+    sweep's blocks that meet [n0, n_top], [n0, n0 + k] with k - (N - n0) a
+    multiple of the block size; the blocks above are reduced to their
+    transfers (VolterraKernel), so below its top entry u is the
+    whole-window u bit for bit.  Omega's solve holds O(2^14) memory for
+    any N.
     """
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start

@@ -592,24 +592,29 @@ class TestSolve:
         assert held[0] / N < 60.0
 
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["short", "edge", "over"])
-    def test_kept_stretches_match_whole_window(self, laguerre0, extra):
-        # a window of two stretches less one, exactly two, or two plus one
-        # index; for n_top at the window head, around the first stretch
-        # edge and at N, the kept range ends at the first edge at or above
-        # n_top, and u and H there are the whole-window solve's
+    def test_kept_blocks_match_whole_window(self, laguerre0, extra):
+        # a window of five stretches less one index, exactly five, or five
+        # plus one, so that the folded blocks straddle stretch edges and fill
+        # the fold buffer more than once; for n_top at the window head,
+        # around the first stretch edge and at N, the kept range ends at
+        # the first edge of the sweep's blocks at or above n_top, and u there
+        # is the whole-window solve's bit for bit (its top entry, the
+        # chained state, to rounding), H to rounding
         m, p = laguerre0
         zp = ansatz.at_plus(1.0)
         C = volterra._CHUNK
         n0 = ansatz.phase_context(zp, p).n_start
-        N = n0 + 2 * C + extra
+        N = n0 + 5 * C + extra
+        K, b = N - n0, volterra._block_size(N - n0)
         full = volterra.solve(zp, p, m, N=N, tail_init="unit")
         for n_top in (n0 + 1, n0 + C - 1, n0 + C, n0 + C + 1, N):
             sol = volterra.solve(zp, p, m, N=N, tail_init="unit", n_top=n_top)
-            edge = n0 + -(-(n_top - n0) // C) * C
-            assert len(sol.u) == len(sol.H) == min(N, edge) - n0 + 1
             k = len(sol.u)
+            assert k == len(sol.H)
+            assert (K - (k - 1)) % b == 0 and n_top - n0 < k <= n_top - n0 + b + 1
             assert sol.u_at(n_top) == sol.u[n_top - n0]
-            assert np.max(np.abs(sol.u - full.u[:k]) / np.abs(full.u[:k])) <= 1e-13
+            assert np.array_equal(sol.u[:-1], full.u[:k - 1])
+            assert abs(sol.u[-1] - full.u[k - 1]) <= 1e-15 * abs(full.u[k - 1])
             assert np.max(np.abs(sol.H - full.H[:k]) / full.H[:k]) <= 1e-13
 
     def test_omega_peak_memory_does_not_grow_with_n(self, laguerre0):
@@ -818,7 +823,7 @@ def test_x_prod_monotone_off_axis(laguerre0):
 
 def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
     # Rcal = 0 makes the majorant h, hence its fitted tail, exactly zero,
-    # in a one-stretch window and in the stretches folded above n_top
+    # in a one-stretch window and in a longer one, above n_top folded
     m, p = laguerre0
     chunk = volterra._kernel_chunk
 
@@ -833,7 +838,7 @@ def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
         kern = volterra.VolterraKernel(ctx, m, ctx.n_start, N, n_top=ctx.n_start + 1)
         assert kern.tail_const == 0.0 and kern.tail_beyond == 0.0
         assert np.all(kern.H == 0.0)
-        assert (kern.fold is None) == (N < ctx.n_start + volterra._CHUNK)
+        assert kern.above is not None and len(kern.H) <= kern.b + 2
 
 
 def test_diagnostics_csv(laguerre0):
