@@ -618,8 +618,8 @@ class TestSolve:
             assert np.max(np.abs(sol.H - full.H[:k]) / full.H[:k]) <= 1e-13
 
     def test_omega_peak_memory_does_not_grow_with_n(self, laguerre0):
-        # an omega solve keeps its window's first stretch and streams the
-        # rest of the window and the tail window: about 5 MB at any N
+        # an omega solve keeps only its window's lowest blocks and streams
+        # the rest of the window and the tail window: about 5 MB at any N
         # (9 MB at N = 5e4 and 64 MB at 4e5 when it built both in full)
         m, p = laguerre0
         peaks = []
