@@ -6,10 +6,11 @@ grow along the partner solution.  Both laws are checked here against
 direct three-term-recurrence evaluation.
 """
 
+import numpy as np
+
 from critjac import (
-    PhaseAccumulator,
+    LogComplex,
     amplitude_phase,
-    at_plus,
     classify,
     interior,
     laguerre_model,
@@ -30,11 +31,11 @@ print(f"limit amplitude kappa = {kappa:.6f}, limit phase eta = {eta:.6f}, "
       f"w = {w}")
 
 P = poly_eval(m, lam, 10_030)
-acc = PhaseAccumulator(at_plus(lam), p)
+ns = np.arange(10_000, 10_030, 4)
+preds = poly_asymptotic_ac(ns, lam, kappa, eta, p)
 print("\noscillation law on the a.c. set (n^1/4-scaled values):")
 print(f"{'n':>6s} {'P_n (recurrence)':>18s} {'prediction':>14s} {'diff':>10s}")
-for n in range(10_000, 10_030, 4):
-    pred = poly_asymptotic_ac(n, lam, kappa, eta, p, acc)
+for n, pred in zip(ns.tolist(), preds):
     actual = P.complex_at(n).real
     print(f"{n:6d} {actual:18.10f} {pred:14.10f} {abs(actual - pred):10.2e}")
 
@@ -42,11 +43,11 @@ z = -1.0
 zp = interior(z)
 om = omega(zp, p, m, N=100_000)
 P2 = poly_eval(m, z, 10_000)
-acc2 = PhaseAccumulator(zp, p)
+ns = [1000, 3000, 10_000]
+logmag, unit = poly_asymptotic_regular(ns, zp, om, p)
 print(f"\nregular point z = {z}: Omega = {om.real:.6f}")
 print("growth law P_n ~ -Omega * (i / 2 varkappa) * envelope:")
-for n in (1000, 3000, 10_000):
-    pred = poly_asymptotic_regular(n, zp, om, p, acc2)
-    ratio = (P2.value(n) / pred).to_complex()
+for n, lm, u in zip(ns, logmag, unit):
+    ratio = (P2.value(n) / LogComplex(lm, u)).to_complex()
     print(f"  n={n:6d}  log|P_n| = {P2.log_abs(n):9.2f}   "
           f"recurrence/prediction = {ratio.real:.5f}{ratio.imag:+.1e}j")

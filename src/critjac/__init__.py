@@ -13,7 +13,6 @@ import importlib
 
 from . import ansatz, coeffs, eikonal, recurrence, solutions, spectral, volterra
 from .ansatz import (
-    PhaseAccumulator,
     SpectralPoint,
     asymptotic_phase,
     at_minus,

@@ -19,9 +19,10 @@ ansatz_ratio_window then returns them as float64, and every kernel built
 from them stays real: a kernel is float64 exactly when theta_n is purely
 imaginary on its window.  The data decides, once per window.
 
-All operations are pure given (n, point, params, model); the only mutable
-object is the PhaseAccumulator memo, which has no lock: use one
-instance per thread.
+Every function here is pure given (n, point, params, model) and the
+module keeps no state, so calls at different points share nothing: the
+CLI's thread pool (density --threads) relies on that.  The phase sum
+phi_n has one path, phi_window, a cumulative sum of one theta_window.
 """
 
 from __future__ import annotations
@@ -227,51 +228,11 @@ def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
     return branch_sqrt(T)
 
 
-class PhaseAccumulator:
-    """Memoized theta_n and prefix sums phi_n for one spectral point.
-
-    phi(n_start) = 0 and phi(n+1) - phi(n) = theta(n) exactly as stored.
-    The memo grows without a lock, so an instance must not be shared
-    between threads; distinct points never share state.
-    """
-
-    def __init__(self, zp: SpectralPoint, params: CriticalParams,
-                 n_start: int | None = None):
-        self.ctx = phase_context(zp, params, n_start)
-        self.params = params
-        self.n_start = self.ctx.n_start
-        self._theta = np.empty(0, dtype=complex)
-        self._phi = np.zeros(1, dtype=complex)  # phi[k] = phi_{n_start+k}
-
-    def _grow(self, n: int):
-        need = n - self.n_start + 1
-        have = len(self._theta)
-        if have >= need:
-            return
-        new = theta_window(self.ctx, self.n_start + have,
-                           self.n_start + max(need, 2 * have, 64))
-        self._theta = np.concatenate([self._theta, new])
-        self._phi = np.concatenate([[0.0], np.cumsum(self._theta)])
-
-    def theta(self, n: int) -> complex:
-        if n < self.n_start:
-            raise InvalidParameter(f"phase window starts at n = {self.n_start}")
-        self._grow(n)
-        val = self._theta[n - self.n_start]
-        return complex(-val.conjugate()) if self.ctx.conj else complex(val)
-
-    def phi(self, n: int) -> complex:
-        if n < self.n_start:
-            raise InvalidParameter(f"phase window starts at n = {self.n_start}")
-        self._grow(n)
-        val = self._phi[n - self.n_start]
-        return complex(-val.conjugate()) if self.ctx.conj else complex(val)
-
-    def phi_array(self, n0: int, n1: int) -> np.ndarray:
-        """phi_n for n in [n0, n1), canonical-and-conjugated as needed."""
-        self._grow(n1 - 1)
-        sl = self._phi[n0 - self.n_start: n1 - self.n_start]
-        return -sl.conjugate() if self.ctx.conj else sl.copy()
+def phi_window(ctx: PhaseContext, n1: int) -> np.ndarray:
+    """phi_n for n in [ctx.n_start, n1] at the canonical point (no
+    conjugation): phi_{n_start} = 0 and phi_{n+1} - phi_n = theta_n."""
+    th = theta_window(ctx, ctx.n_start, n1)
+    return np.concatenate([[0.0 + 0.0j], np.cumsum(th)])
 
 
 # -- the Ansatz and its remainder ---------------------------------------

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import recurrence, solutions, spectral, volterra
-from .ansatz import PhaseAccumulator, SpectralPoint, at_plus, interior
+from .ansatz import SpectralPoint, at_plus, interior, phase_context
 from .coeffs import (
     CoefficientModel,
     classify,
@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedRegime,
     UnsupportedTauZero,
 )
+from .logcomplex import LogComplex
 
 EXIT_OK = 0
 EXIT_REGIME = 2
@@ -247,38 +248,41 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
     if cfg.get("z") is None:
         raise InvalidParameter("poly needs --z")
     z = _parse_complex(str(cfg["z"]))
-    n_lo = int(cfg.get("n0") or 2)
+    zp = _spectral_point(z)
+    # the asymptotic phases start at n_start, so the rows do too
+    n_start = phase_context(zp, params).n_start
+    n_lo = n_start if cfg.get("n0") is None else int(cfg["n0"])
+    if n_lo < n_start:
+        raise InvalidParameter(
+            f"--n0 {n_lo} is below the phase window start n = {n_start}")
     n_hi = int(cfg.get("N") or (n_lo + 50))
     if n_hi < n_lo:
         raise InvalidParameter("need N >= n0 for the index window")
     tol = float(cfg.get("tol", volterra.DEFAULT_TOL))
+    N_jost = int(cfg["N_jost"]) if cfg.get("N_jost") else None
     P = recurrence.poly_eval(model, z, n_hi + 1)
+    ns = np.arange(n_lo, n_hi + 1)
     ac = params.ac_set
-    on_ac = z.imag == 0.0 and ac is not None and ac.contains(z.real)
     rows = []
-    if on_ac:
+    if z.imag == 0.0 and ac is not None and ac.contains(z.real):
         lam = z.real
         kappa, eta = spectral.amplitude_phase(lam, params, model, tol=tol,
-                                              N=int(cfg["N_jost"]) if cfg.get("N_jost") else None)
+                                              N=N_jost)
         w = solutions.limit_wronskian(lam, params)
-        acc = PhaseAccumulator(at_plus(lam), params)
+        pred = recurrence.poly_asymptotic_ac(ns, lam, kappa, eta, params)
         rows.append("n,p_n,prediction,residual,envelope")
-        for n in range(n_lo, n_hi + 1):
-            pred = recurrence.poly_asymptotic_ac(n, lam, kappa, eta, params, acc)
+        for n, pr in zip(ns.tolist(), pred.tolist()):
             actual = P.complex_at(n).real
             env = kappa / w * float(n) ** (-params.rho)
-            rows.append(",".join([str(n), _fmt(actual), _fmt(pred),
-                                  _fmt(abs(actual - pred)), _fmt(env)]))
+            rows.append(",".join([str(n), _fmt(actual), _fmt(pr),
+                                  _fmt(abs(actual - pr)), _fmt(env)]))
     else:
-        zp = _spectral_point(z)
-        om = solutions.omega(zp, params, model, tol=tol,
-                             N=int(cfg["N_jost"]) if cfg.get("N_jost") else None)
-        acc = PhaseAccumulator(zp, params)
+        om = solutions.omega(zp, params, model, tol=tol, N=N_jost)
+        logmag, unit = recurrence.poly_asymptotic_regular(ns, zp, om, params)
         rows.append("n,log_abs_p,log_abs_prediction,rel_deviation")
-        for n in range(n_lo, n_hi + 1):
-            pred = recurrence.poly_asymptotic_regular(n, zp, om, params, acc)
-            ratio = (P.value(n) / pred).to_complex()
-            rows.append(",".join([str(n), _fmt(P.log_abs(n)), _fmt(pred.logmag),
+        for n, lm, u in zip(ns.tolist(), logmag.tolist(), unit.tolist()):
+            ratio = (P.value(n) / LogComplex(lm, u)).to_complex()
+            rows.append(",".join([str(n), _fmt(P.log_abs(n)), _fmt(lm),
                                   _fmt(abs(ratio - 1.0))]))
     return "\n".join(rows) + "\n", EXIT_OK
 

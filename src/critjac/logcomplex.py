@@ -35,10 +35,6 @@ class LogComplex:
         return LogComplex(math.log(r), v / r)
 
     @staticmethod
-    def from_polar(logmag: float, phase: float) -> "LogComplex":
-        return LogComplex(logmag, cmath.exp(1j * phase))
-
-    @staticmethod
     def zero() -> "LogComplex":
         return LogComplex(_NEG_INF, 1.0 + 0.0j)
 

@@ -22,10 +22,9 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .ansatz import PhaseAccumulator, SpectralPoint, at_plus, phase_context
+from .ansatz import SpectralPoint, at_plus, phase_context, phi_window
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import InvalidParameter, NumericFailure, OnSpectrum, OutsideAC
-from .logcomplex import LogComplex
 from .solutions import (
     SolutionWindow,
     alternating_sign,
@@ -195,51 +194,66 @@ def truncated_matrix_eigs(model: CoefficientModel, N: int,
 # -- closed-form asymptotics for comparison tests ----------------------------
 
 
-def poly_asymptotic_ac(n: int, lam: float, kappa: float, eta: float,
-                       params: CriticalParams,
-                       phases: PhaseAccumulator | None = None) -> float:
-    """Oscillatory asymptotic value on the a.c. set:
+def _phases(zp: SpectralPoint, params: CriticalParams,
+             ns: np.ndarray) -> np.ndarray:
+    """phi_n(gamma z) at the integer indices ns, from the default window
+    start and conjugated back to zp as phase_context says."""
+    ctx = phase_context(zp, params)
+    if not np.issubdtype(ns.dtype, np.integer):
+        raise InvalidParameter("asymptotic laws take integer indices n")
+    if ns.min(initial=ctx.n_start) < ctx.n_start:
+        raise InvalidParameter(f"phase window starts at n = {ctx.n_start}")
+    phi = phi_window(ctx, int(ns.max(initial=ctx.n_start)))[ns - ctx.n_start]
+    return -phi.conjugate() if ctx.conj else phi
+
+
+def poly_asymptotic_ac(ns, lam: float, kappa: float, eta: float,
+                       params: CriticalParams) -> np.ndarray:
+    """Oscillatory asymptotic values on the a.c. set at the indices ns:
 
         kappa w^-1 (-gamma)^n n^-rho sin(Phi_n - eta),
 
-    with Phi_n the (real) accumulated phase at lambda + i0.  kappa and
-    eta must come from the same phase window (same n_start) as `phases`;
-    by default both use the standard start index, which keeps them
-    consistent.
+    with Phi_n the (real) accumulated phase at lambda + i0.  Phi_n is
+    summed from the default window start n_start (phase_context), and
+    kappa and eta must come from a solve over that same window, as
+    spectral.amplitude_phase's are; n < n_start raises InvalidParameter.
+    The phases cost one theta_window up to max(ns) per call.
     """
     ac = params.ac_set
     if ac is None or not ac.contains(lam):
         raise OutsideAC(f"lambda = {lam:g} outside the a.c. set")
-    if phases is None:
-        phases = PhaseAccumulator(at_plus(lam), params)
+    ns = np.asarray(ns)
+    Phi = _phases(at_plus(lam), params, ns)
     w = limit_wronskian(lam, params)
-    Phi = phases.phi(n)
-    sign = float(alternating_sign(n, params.gamma))
-    return kappa / w * sign * float(n) ** (-params.rho) * math.sin(Phi.real - eta)
+    sign = alternating_sign(ns, params.gamma)
+    return (kappa / w * sign * ns.astype(float) ** (-params.rho)
+            * np.sin(Phi.real - eta))
 
 
-def poly_asymptotic_regular(n: int, zp: SpectralPoint, omega_value: complex,
-                            params: CriticalParams,
-                            phases: PhaseAccumulator | None = None) -> LogComplex:
-    """Growing asymptotic value at a regular point:
+def poly_asymptotic_regular(ns, zp: SpectralPoint, omega_value: complex,
+                            params: CriticalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Growing asymptotic values at a regular point, at the indices ns:
 
-        -Omega(z) * (i / (2 varkappa)) * (-gamma)^{n+1} n^-rho e^{-i phi_n(gamma z)}.
+        -Omega(z) * (i / (2 varkappa)) * (-gamma)^{n+1} n^-rho e^{-i phi_n(gamma z)},
 
-    The prefactor i/(2 varkappa) is pinned by W[f, g] = 1 and verified
-    against the recurrence oracle.
+    returned as (log-magnitude, unit phase) arrays; Omega = 0 gives
+    log-magnitude -inf and unit 1.  phi_n is summed from the default
+    window start n_start (phase_context), and Omega must come from a
+    solve over that same window, as solutions.omega's default does;
+    n < n_start raises InvalidParameter.  The prefactor i/(2 varkappa)
+    is pinned by W[f, g] = 1 and verified against the recurrence oracle.
     """
     z = complex(zp.z)
     ac = params.ac_set
     if z.imag == 0.0 and ac is not None and ac.closure_contains(z.real):
         raise OnSpectrum("regular-point asymptotics need z off the a.c. set")
-    if phases is None:
-        phases = PhaseAccumulator(zp, params)
-    kap = kappa_phase(phase_context(zp, params), params)
+    ns = np.asarray(ns)
+    ph = _phases(zp, params, ns)
+    kap = kappa_phase(zp, params)
     pref = -complex(omega_value) * 1j / (2.0 * kap)
     if pref == 0:
-        return LogComplex.zero()
-    ph = phases.phi(n)
-    sign = float(alternating_sign(n + 1, params.gamma))
+        return np.full(ns.shape, -np.inf), np.ones(ns.shape, dtype=complex)
+    sign = alternating_sign(ns + 1, params.gamma)
     unit = sign * np.exp(-1j * ph.real) * pref / abs(pref)
-    logmag = math.log(abs(pref)) - params.rho * math.log(n) + ph.imag
-    return LogComplex(logmag, complex(unit / abs(unit)))
+    logmag = math.log(abs(pref)) - params.rho * np.log(ns) + ph.imag
+    return logmag, unit / np.abs(unit)

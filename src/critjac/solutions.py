@@ -25,8 +25,8 @@ from .ansatz import (
     PhaseContext,
     SpectralPoint,
     phase_context,
+    phi_window,
     sqrt_cut,
-    theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import (
@@ -194,8 +194,7 @@ def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
     u = sol.u[:n_top - n0 + 1]
     if sol.conjugated:
         u = u.conjugate()
-    th = theta_window(ctx, n0, n_top)
-    phi = np.concatenate([[0.0 + 0.0j], np.cumsum(th)])
+    phi = phi_window(ctx, n_top)
     ns = np.arange(n0, n_top + 1)
     umag = np.abs(u)
     lm = -params.rho * np.log(ns.astype(float)) - phi.imag + np.log(umag)

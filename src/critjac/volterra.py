@@ -777,16 +777,3 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
                             residual=res, H=kern.H, conjugated=ctx.conj,
                             meta=meta)
 
-
-def diagnostics_rows(sol: VolterraSolution, stride: int = 1):
-    """(n, |u_n - 1|, estimated bound exp(H_n) - 1) rows for the test harness."""
-    for k in range(0, len(sol.u), stride):
-        yield sol.n0 + k, abs(sol.u[k] - 1.0), float(np.expm1(sol.H[k]))
-
-
-def diagnostics_csv(sol: VolterraSolution, stride: int = 1) -> str:
-    header = "n,abs_u_minus_1,bound"
-    lines = [header] + [
-        f"{n},{du:.17g},{bd:.17g}" for n, du, bd in diagnostics_rows(sol, stride)
-    ]
-    return "\n".join(lines) + "\n"

@@ -39,3 +39,12 @@ def remainder_at(ctx, model, ns):
     B = ansatz.ansatz_ratio_window(ctx, n0, n1)
     a = model.a_fn(np.arange(n0, n1, dtype=float))
     return ansatz.remainder_window(ctx, model, n0 + 1, n1, B, a)[ns - n0 - 1]
+
+
+def phi_at(zp, params, ns):
+    """phi_n at the indices ns, from one phi_window over the default
+    window, conjugated back to zp as phase_context says."""
+    ctx = ansatz.phase_context(zp, params)
+    ns = np.asarray(ns, dtype=int)
+    phi = ansatz.phi_window(ctx, int(ns.max()))[ns - ctx.n_start]
+    return -phi.conjugate() if ctx.conj else phi

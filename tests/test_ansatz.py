@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_sample_indices, loglog_slope, power, remainder_at
+from conftest import log_sample_indices, loglog_slope, phi_at, power, remainder_at
 from critjac import ansatz, coeffs
 from critjac.errors import BranchPoint, InvalidParameter
 
 
+def thetas(zp, params, n0, n1):
+    """theta_n for n in [n0, n1) from a window that starts at n0,
+    conjugated back to zp as phase_context says."""
+    ctx = ansatz.phase_context(zp, params, n0)
+    th = ansatz.theta_window(ctx, n0, n1)
+    return -th.conjugate() if ctx.conj else th
+
+
 def theta_at(n, zp, params):
-    """theta_n from a phase accumulator that starts at n."""
-    return ansatz.PhaseAccumulator(zp, params, n).theta(n)
+    return complex(thetas(zp, params, n, n + 1)[0])
 
 
-def ansatz_logmag(acc, n):
-    """ln|A_n| = -rho ln n - Im phi_n."""
-    return -acc.params.rho * math.log(n) - acc.phi(n).imag
+def ansatz_logmag(zp, params, ns):
+    """ln|A_n| = -rho ln n - Im phi_n at the indices ns."""
+    ns = np.asarray(ns, dtype=int)
+    return -params.rho * np.log(ns) - phi_at(zp, params, ns).imag
 
 
 class TestSqrtCut:
@@ -68,11 +76,13 @@ class TestPhases:
 
     def test_phi_prefix_convention(self, laguerre0):
         _, p = laguerre0
-        acc = ansatz.PhaseAccumulator(ansatz.at_plus(1.0), p)
-        assert acc.phi(acc.n_start) == 0.0
-        for n in range(acc.n_start, acc.n_start + 20):
-            assert acc.phi(n + 1) - acc.phi(n) == pytest.approx(acc.theta(n),
-                                                                abs=1e-14)
+        ctx = ansatz.phase_context(ansatz.at_plus(1.0), p)
+        n0 = ctx.n_start
+        phi = ansatz.phi_window(ctx, n0 + 20)
+        assert len(phi) == 21 and phi[0] == 0.0
+        np.testing.assert_allclose(np.diff(phi),
+                                   ansatz.theta_window(ctx, n0, n0 + 20),
+                                   rtol=0.0, atol=1e-14)
 
     def test_im_theta_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -82,9 +92,8 @@ class TestPhases:
             for _ in range(6):
                 z = complex(rng.normal(), rng.normal())
                 zp = ansatz.interior(z) if z.imag != 0 else ansatz.at_plus(z.real)
-                acc = ansatz.PhaseAccumulator(zp, p)
-                for n in range(acc.n_start, acc.n_start + 50):
-                    assert acc.theta(n).imag >= -1e-15
+                n0 = ansatz.default_n_start(zp, p)
+                assert np.all(thetas(zp, p, n0, n0 + 50).imag >= -1e-15)
 
     def test_conjugate_point_flips(self):
         # real tau and real T-coefficients give theta(conj z) = -conj theta(z),
@@ -97,12 +106,17 @@ class TestPhases:
             t_dn = theta_at(n, ansatz.interior(z.conjugate()), p)
             assert t_dn == pytest.approx(-t_up.conjugate())
             assert t_dn.imag >= 0
+            # the same identity evaluated directly at conj(w), unconjugated
+            up = ansatz.phase_context(ansatz.interior(z), p, n)
+            raw = ansatz.PhaseContext(up.w.conjugate(), False, n, p)
+            t_raw = complex(ansatz.theta_window(raw, n, n + 1)[0])
+            assert t_raw == pytest.approx(-t_up.conjugate())
 
     def test_im_phi_monotone_upper_half(self, laguerre0):
         _, p = laguerre0
-        acc = ansatz.PhaseAccumulator(ansatz.interior(1 + 1j), p)
-        vals = [acc.phi(n).imag for n in range(acc.n_start, acc.n_start + 200)]
-        assert np.all(np.diff(vals) >= 0)
+        ctx = ansatz.phase_context(ansatz.interior(1 + 1j), p)
+        vals = ansatz.phi_window(ctx, ctx.n_start + 199).imag
+        assert len(vals) == 200 and np.all(np.diff(vals) >= 0)
 
     def test_interior_on_cut_rejected(self):
         _, p = power(1.25, 0.0, -0.875)  # ac set = R
@@ -120,18 +134,15 @@ class TestAnsatzValue:
         _, p = laguerre0
         zp = ansatz.at_plus(1.0)
         n0 = ansatz.default_n_start(zp, p)
-        acc = ansatz.PhaseAccumulator(zp, p)
-        assert acc.n_start == n0
-        assert ansatz_logmag(acc, n0) == pytest.approx(-p.rho * math.log(n0))
+        assert ansatz.phase_context(zp, p).n_start == n0
+        assert ansatz_logmag(zp, p, [n0])[0] == pytest.approx(-p.rho * math.log(n0))
 
     def test_exponential_decay_positive_tau(self):
         # tau > 0: |A_n| e^{2 sqrt(tau n)} n^rho stays bounded (z = 0)
         _, p = power(1.25, 0.0, -0.125)  # tau = 1
-        acc = ansatz.PhaseAccumulator(ansatz.interior(0.0), p)
-        vals = []
-        for n in (100, 1000, 10000, 100000):
-            vals.append(ansatz_logmag(acc, n) + 2.0 * math.sqrt(p.tau * n)
-                        + p.rho * math.log(n))
+        ns = np.array([100, 1000, 10000, 100000])
+        vals = (ansatz_logmag(ansatz.interior(0.0), p, ns)
+                + 2.0 * np.sqrt(p.tau * ns) + p.rho * np.log(ns))
         assert max(vals) - min(vals) < 0.2
 
     def test_sigma_three_halves_power_law(self):
@@ -140,9 +151,8 @@ class TestAnsatzValue:
         # is -1/2 - eps/(2 sqrt(|tau|)).
         _, p = power(1.5, 0.0, -1.25)    # tau = -1
         eps = 0.25
-        acc = ansatz.PhaseAccumulator(ansatz.interior(0.5 + eps * 1j), p)
         ns = log_sample_indices(3e3, 3e5, 25)
-        lm = np.array([ansatz_logmag(acc, int(n)) for n in ns])
+        lm = ansatz_logmag(ansatz.interior(0.5 + eps * 1j), p, ns)
         A = np.vstack([np.log(ns), np.ones(len(ns))]).T
         slope = float(np.linalg.lstsq(A, lm, rcond=None)[0][0])
         expected = -0.5 - eps / (2.0 * math.sqrt(abs(p.tau)))
@@ -197,18 +207,18 @@ class TestAsymptoticPhase:
 
     def test_gap_bounded_sigma_one(self, laguerre0):
         _, p = laguerre0
-        zp = ansatz.at_plus(1.0)
-        acc = ansatz.PhaseAccumulator(zp, p)
-        gaps = [acc.phi(n).real - ansatz.asymptotic_phase(n, 1.0, p).real
-                for n in (10_000, 40_000, 160_000, 640_000)]
+        ns = (10_000, 40_000, 160_000, 640_000)
+        phi = phi_at(ansatz.at_plus(1.0), p, ns)
+        gaps = [ph.real - ansatz.asymptotic_phase(n, 1.0, p).real
+                for n, ph in zip(ns, phi)]
         assert max(gaps) - min(gaps) < 5e-3
 
     def test_gap_growth_above_one(self):
         # sigma in (1, 3/2): gap grows no faster than n^{5/2 - 2 sigma}
         _, p = power(1.1, 0.0, -0.8)  # tau = -0.5
-        zp = ansatz.at_plus(0.7)
-        acc = ansatz.PhaseAccumulator(zp, p)
+        ns = (10_000, 100_000, 1_000_000)
+        phi = phi_at(ansatz.at_plus(0.7), p, ns)
         pow_ = 2.5 - 2 * p.sigma
-        scaled = [abs(acc.phi(n).real - ansatz.asymptotic_phase(n, 0.7, p).real)
-                  / (1.0 + n ** pow_) for n in (10_000, 100_000, 1_000_000)]
+        scaled = [abs(ph.real - ansatz.asymptotic_phase(n, 0.7, p).real)
+                  / (1.0 + n ** pow_) for n, ph in zip(ns, phi)]
         assert max(scaled) < 10.0 * max(min(scaled), 1e-6)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import critjac
-from critjac import cli, spectral
+from critjac import cli, recurrence, spectral
 from critjac.errors import NumericFailure
 
 
@@ -121,6 +121,57 @@ def test_poly_oscillatory_window(capsys):
     for line in lines[1:]:
         n, pn, pred, resid, env = line.split(",")
         assert float(resid) <= 0.05 * float(env)
+
+
+def _jost_window(tmp_path, N_jost):
+    """A config file that sets the Jost window the poly laws solve on."""
+    path = tmp_path / "jost.json"
+    path.write_text(json.dumps({"N_jost": N_jost}))
+    return str(path)
+
+
+# n_start = ansatz.default_n_start: 8 for Laguerre at 1, and 8 n_* = 2048
+# on the whole line at -2 (turning index n_* = (w / tau)^4 = 256)
+@pytest.mark.parametrize("model, z, n_start, N_jost", [
+    (["--p", "0"], "1.0", 8, 20_000),
+    (["--sigma", "1.25", "--beta", "-0.875"], "-2", 2048, 100_000),
+])
+def test_poly_default_rows_start_at_phase_window(model, z, n_start, N_jost,
+                                                 tmp_path, capsys):
+    # without --n0 the rows start where the phase sum does
+    code, out, err = run(["poly", *model, "--z", z,
+                          "--config", _jost_window(tmp_path, N_jost)], capsys)
+    assert code == 0, err
+    ns = [int(l.split(",")[0]) for l in out.strip().split("\n")[1:]]
+    assert ns == list(range(n_start, n_start + 51))
+
+
+def test_poly_rejects_n0_below_window_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("poly solved before checking --n0")
+
+    monkeypatch.setattr(recurrence, "poly_eval", no_solve)
+    monkeypatch.setattr(spectral, "amplitude_phase", no_solve)
+    code, _, err = run(["poly", "--p", "0", "--z", "1.0", "--n0", "7"], capsys)
+    assert code == 4
+    assert "InvalidParameter" in err and "n = 8" in err
+
+
+def test_poly_regular_point(tmp_path, capsys):
+    # off the spectrum P_n follows the growth law; the relative deviation
+    # is the law's O(n^-nu) error, 3.6e-2 at n = 1000 (Laguerre, z = -1)
+    code, out, _ = run(["poly", "--p", "0", "--z", "-1.0", "--n0", "1000",
+                        "--N", "1050", "--config", _jost_window(tmp_path, 20_000)],
+                       capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "n,log_abs_p,log_abs_prediction,rel_deviation"
+    rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1000, 1051))
+    for n, lp, lpred, dev in rows:
+        assert dev < 0.05
+        assert abs(lp - lpred) < 0.05
+    assert rows[-1][1] > rows[0][1] + 1.0    # growing
 
 
 def test_jost_decaying_tail(capsys):

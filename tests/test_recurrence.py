@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import power
+from conftest import phi_at, power
 from critjac import ansatz, coeffs, recurrence, solutions
-from critjac.errors import NumericFailure, OnSpectrum, OutsideAC
+from critjac.errors import InvalidParameter, NumericFailure, OnSpectrum, OutsideAC
+from critjac.logcomplex import LogComplex
 
 
 def scalar_poly(model, z, N):
@@ -149,12 +150,12 @@ def test_ac_asymptotics_envelope(laguerre0):
     from critjac import spectral
     kappa, eta = spectral.amplitude_phase(lam, p, m, N=50_000)
     w = solutions.limit_wronskian(lam, p)
-    acc = ansatz.PhaseAccumulator(ansatz.at_plus(lam), p)
-    for n in (500, 2000, 8000):
-        pred = recurrence.poly_asymptotic_ac(n, lam, kappa, eta, p, acc)
-        assert abs(pred) <= kappa / w * n ** (-p.rho) + 1e-15
+    ns = np.array([500, 2000, 8000])
+    pred = recurrence.poly_asymptotic_ac(ns, lam, kappa, eta, p)
+    assert pred.dtype == float and pred.shape == ns.shape
+    assert np.all(np.abs(pred) <= kappa / w * ns ** (-p.rho) + 1e-15)
     with pytest.raises(OutsideAC):
-        recurrence.poly_asymptotic_ac(100, -3.0, kappa, eta, p)
+        recurrence.poly_asymptotic_ac([100], -3.0, kappa, eta, p)
 
 
 def test_regular_asymptotics_ratio(laguerre0):
@@ -162,16 +163,13 @@ def test_regular_asymptotics_ratio(laguerre0):
     zp = ansatz.interior(-1.0)
     om = solutions.omega(zp, p, m, N=100_000)
     P = recurrence.poly_eval(m, -1.0, 10_000)
-    acc = ansatz.PhaseAccumulator(zp, p)
-    pred = recurrence.poly_asymptotic_regular(10_000, zp, om, p, acc)
-    ratio = (P.value(10_000) / pred).to_complex()
+    lm, unit = recurrence.poly_asymptotic_regular([5000, 9000, 10_000], zp, om, p)
+    ratio = (P.value(10_000) / LogComplex(lm[2], unit[2])).to_complex()
     assert abs(ratio - 1.0) < 0.02
     # prediction grows off the spectrum
-    lm1 = recurrence.poly_asymptotic_regular(5000, zp, om, p, acc).logmag
-    lm2 = recurrence.poly_asymptotic_regular(9000, zp, om, p, acc).logmag
-    assert lm2 > lm1
+    assert lm[1] > lm[0]
     with pytest.raises(OnSpectrum):
-        recurrence.poly_asymptotic_regular(100, ansatz.at_plus(1.0), om, p)
+        recurrence.poly_asymptotic_regular([100], ansatz.at_plus(1.0), om, p)
 
 
 def test_eigenvalue_kills_prediction():
@@ -185,12 +183,57 @@ def test_eigenvalue_kills_prediction():
     assert zeros
     lam0 = zeros[0]
     zp = ansatz.interior(lam0)
-    acc = ansatz.PhaseAccumulator(zp, p)
-    pred0 = recurrence.poly_asymptotic_regular(1000, zp, 0.0, p, acc)
-    assert pred0.is_zero
-    envelope = recurrence.poly_asymptotic_regular(1000, zp, 1.0, p, acc)
+    lm0, unit0 = recurrence.poly_asymptotic_regular([1000], zp, 0.0, p)
+    assert lm0[0] == -np.inf and unit0[0] == 1.0
+    envelope, _ = recurrence.poly_asymptotic_regular([1000], zp, 1.0, p)
     P = recurrence.poly_eval(m, lam0, 1000)
-    assert P.log_abs(1000) < envelope.logmag - 5.0
+    assert P.log_abs(1000) < envelope[0] - 5.0
+
+
+def test_asymptotic_laws_match_their_scalar_forms():
+    # one phase sum serves every index: each law at any set of indices,
+    # in any order and with repeats, equals its formula term by term
+    # with the phase read off phi_window
+    # both signs of gamma (the (-gamma)^n rule) and both half-planes (the
+    # conjugation back from the canonical point)
+    cases = [(power(1.25, 0.0, -0.875, gamma)[1], ansatz.interior(1.0 + s * 0.5j))
+             for gamma in (1.0, -1.0) for s in (1.0, -1.0)]
+    for p, zp in cases:
+        n0 = ansatz.default_n_start(zp, p)
+        ns = np.array([n0 + 300, n0, n0 + 17, n0 + 17, 4 * n0])
+        om = 0.3 - 0.2j
+        kap = solutions.kappa_phase(zp, p)
+        pref = -om * 1j / (2.0 * kap)
+        lm, unit = recurrence.poly_asymptotic_regular(ns, zp, om, p)
+        for n, ph, lmn, un in zip(ns.tolist(), phi_at(zp, p, ns), lm, unit):
+            want = (pref * (-p.gamma) ** (n + 1) * n ** (-p.rho)
+                    * np.exp(-1j * ph))
+            assert lmn == pytest.approx(math.log(abs(want)), abs=1e-12)
+            assert un == pytest.approx(want / abs(want), abs=1e-12)
+    mL = coeffs.laguerre_model(0.0)
+    pL = coeffs.classify(mL)
+    lam, kappa, eta = 1.0, 0.8, 0.3
+    n0 = ansatz.default_n_start(ansatz.at_plus(lam), pL)
+    ns = np.arange(n0, 20_000, 997)[::-1]
+    pred = recurrence.poly_asymptotic_ac(ns, lam, kappa, eta, pL)
+    w = solutions.limit_wronskian(lam, pL)
+    for n, ph, pr in zip(ns.tolist(), phi_at(ansatz.at_plus(lam), pL, ns), pred):
+        env = kappa / w * n ** (-pL.rho)
+        assert abs(pr - env * (-1) ** n * math.sin(ph.real - eta)) <= 1e-15 * env
+
+
+def test_asymptotic_laws_reject_indices_below_window_start(laguerre0):
+    # phi_n is summed from n_start; below it the laws have no phase
+    _, p = laguerre0
+    lam, zp = 1.0, ansatz.interior(-1.0)
+    n_ac = ansatz.default_n_start(ansatz.at_plus(lam), p)
+    n_reg = ansatz.default_n_start(zp, p)
+    assert recurrence.poly_asymptotic_ac([n_ac], lam, 1.0, 0.0, p).shape == (1,)
+    assert recurrence.poly_asymptotic_regular([n_reg], zp, 1.0, p)[0].shape == (1,)
+    with pytest.raises(InvalidParameter):
+        recurrence.poly_asymptotic_ac([n_ac + 5, n_ac - 1], lam, 1.0, 0.0, p)
+    with pytest.raises(InvalidParameter):
+        recurrence.poly_asymptotic_regular([n_reg - 1], zp, 1.0, p)
 
 
 # -- the blocked recurrence against one step per index -----------------------

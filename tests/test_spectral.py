@@ -124,7 +124,7 @@ class TestResolvent:
     @pytest.mark.parametrize("n, m", [(0, 0), (3, 7), (5, 48)])
     def test_matches_whole_jost_window(self, n, m):
         # the Jost solution is assembled only up to max(n, m); the value is
-        # P_min f_max / Omega from the whole window, and theta_n is asked
+        # P_min f_max / Omega from the whole window, and phi_n is asked
         # for no further than max(n, m) (n0 = 8 here)
         mdl, p = power(1.25, 0.0, -0.875)
         zp = ansatz.interior(-2.0 + 1.0j)
@@ -134,18 +134,18 @@ class TestResolvent:
         P = recurrence.poly_eval(mdl, zp.z, lo)
         ref = (P.value(lo) * win.value(hi)).to_complex() / solutions.omega_from_window(win)
         asked = []
-        theta = solutions.theta_window
+        phi = solutions.phi_window
 
-        def counting(ctx, n_lo, n_hi):
-            asked.append((n_lo, n_hi - n_lo))
-            return theta(ctx, n_lo, n_hi)
+        def counting(ctx, n1):
+            asked.append((ctx.n_start, n1))
+            return phi(ctx, n1)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solutions, "theta_window", counting)
+            mp.setattr(solutions, "phi_window", counting)
             r = spectral.resolvent_element(n, m, zp, p, mdl, N=N)
         assert r == pytest.approx(ref, rel=1e-13)
         n0 = win.meta["n0"]
-        assert asked == [(n0, max(hi, n0 + 1) - n0)]
+        assert asked == [(n0, max(hi, n0 + 1))]
 
     def test_index_beyond_window(self, laguerre0):
         m, p = laguerre0

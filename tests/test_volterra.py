@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import loglog_slope, power, remainder_at
+from conftest import loglog_slope, phi_at, power, remainder_at
 from critjac import ansatz, solutions, volterra
 from critjac.errors import NumericFailure, TruncationTooShort
 from critjac.logcomplex import LogComplex
@@ -465,12 +465,12 @@ def test_x_prod_empty_and_closed_form(laguerre0):
     n0 = kern.n0
     assert x_at(kern, n0).to_complex() == pytest.approx(1.0)
     # X_n * kappa_n e^{-i bold(phi)_n} is one fixed constant across n
-    acc = ansatz.PhaseAccumulator(zp, p)
+    ns = np.arange(n0 + 1, n0 + 400, 40)
+    phases = phi_at(zp, p, ns) + phi_at(zp, p, ns + 1)
     vals = []
-    for n in range(n0 + 1, n0 + 400, 40):
+    for n, phase in zip(ns.tolist(), phases):
         X = x_at(kern, n)
         kap = n ** p.rho * (n + 1) ** p.rho / m.a(n)
-        phase = acc.phi(n) + acc.phi(n + 1)
         closed = LogComplex.from_complex(kap) * LogComplex(
             phase.imag, complex(np.exp(-1j * phase.real)))
         vals.append((X * closed).to_complex())
@@ -840,13 +840,3 @@ def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
         assert np.all(kern.H == 0.0)
         assert kern.above is not None and len(kern.H) <= kern.b + 2
 
-
-def test_diagnostics_csv(laguerre0):
-    m, p = laguerre0
-    sol = volterra.solve(ansatz.at_plus(1.0), p, m, N=5000)
-    text = volterra.diagnostics_csv(sol, stride=500)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,abs_u_minus_1,bound"
-    for line in lines[1:]:
-        _, du, bd = line.split(",")
-        assert float(du) <= float(bd) + 1e-14
