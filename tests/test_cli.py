@@ -159,7 +159,7 @@ def test_poly_rejects_n0_below_window_before_solving(monkeypatch, capsys):
 
 def test_poly_regular_point(tmp_path, capsys):
     # off the spectrum P_n follows the growth law; the relative deviation
-    # is the law's O(n^-nu) error, 3.6e-2 at n = 1000 (Laguerre, z = -1)
+    # is the law's O(n^-nu) error, about 4e-2 at n = 1000 (Laguerre, z = -1)
     code, out, _ = run(["poly", "--p", "0", "--z", "-1.0", "--n0", "1000",
                         "--N", "1050", "--config", _jost_window(tmp_path, 20_000)],
                        capsys)

@@ -192,10 +192,10 @@ def test_eigenvalue_kills_prediction():
 
 def test_asymptotic_laws_match_their_scalar_forms():
     # one phase sum serves every index: each law at any set of indices,
-    # in any order and with repeats, equals its formula term by term
-    # with the phase read off phi_window
-    # both signs of gamma (the (-gamma)^n rule) and both half-planes (the
-    # conjugation back from the canonical point)
+    # in any order and with repeats, equals its formula term by term with
+    # the phase read off phi_window, for both signs of gamma (the
+    # (-gamma)^n rule) and both half-planes (the conjugation back from
+    # the canonical point)
     cases = [(power(1.25, 0.0, -0.875, gamma)[1], ansatz.interior(1.0 + s * 0.5j))
              for gamma in (1.0, -1.0) for s in (1.0, -1.0)]
     for p, zp in cases:
