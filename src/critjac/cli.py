@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import recurrence, solutions, spectral, volterra
+from . import recurrence, solutions, spectral
 from .ansatz import SpectralPoint, at_plus, interior, phase_context
 from .coeffs import (
     CoefficientModel,
@@ -72,7 +72,7 @@ def _load_config(args) -> dict:
     # flags override file values
     for key in ("model", "p", "sigma", "alpha", "beta", "gamma", "z",
                 "lambda_min", "lambda_max", "lambda_step", "n0", "N",
-                "tol", "out", "format", "threads", "n", "m"):
+                "out", "format", "threads", "n", "m"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -191,20 +191,18 @@ def cmd_density(cfg: dict) -> tuple[str, int]:
     params = classify(model)
     lams = _grid(cfg)
     N = int(cfg["N"]) if cfg.get("N") else None
-    tol = float(cfg.get("tol", volterra.DEFAULT_TOL))
     threads = int(cfg.get("threads", 1))
+    if threads < 1:
+        raise InvalidParameter(f"--threads must be at least 1, got {threads}")
 
     def one(lam: float):
         try:
-            return spectral.density(float(lam), params, model, N=N, tol=tol)
+            return spectral.density(float(lam), params, model, N=N)
         except CritJacError as exc:
             return exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, lams))
-    else:
-        results = [one(lam) for lam in lams]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one, lams))
 
     # continue eta by nearest branch along the sweep
     rows = ["lambda,xi,kappa,eta,w"]
@@ -229,8 +227,7 @@ def cmd_jost(cfg: dict) -> tuple[str, int]:
     zp = _spectral_point(_parse_complex(str(cfg["z"])))
     N = int(cfg.get("N") or 10000)
     n0 = int(cfg["n0"]) if cfg.get("n0") else None
-    win = solutions.jost(zp, params, model, N=N, n0=n0,
-                         tol=float(cfg.get("tol", volterra.DEFAULT_TOL)))
+    win = solutions.jost(zp, params, model, N=N, n0=n0)
     rows = ["n,re_f,im_f,log_abs_f"]
     for n in range(win.n_lo, win.n_hi + 1):
         lm = win.log_abs(n)
@@ -258,7 +255,6 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
     n_hi = int(cfg.get("N") or (n_lo + 50))
     if n_hi < n_lo:
         raise InvalidParameter("need N >= n0 for the index window")
-    tol = float(cfg.get("tol", volterra.DEFAULT_TOL))
     N_jost = int(cfg["N_jost"]) if cfg.get("N_jost") else None
     P = recurrence.poly_eval(model, z, n_hi + 1)
     ns = np.arange(n_lo, n_hi + 1)
@@ -266,8 +262,7 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
     rows = []
     if z.imag == 0.0 and ac is not None and ac.contains(z.real):
         lam = z.real
-        kappa, eta = spectral.amplitude_phase(lam, params, model, tol=tol,
-                                              N=N_jost)
+        kappa, eta = spectral.amplitude_phase(lam, params, model, N=N_jost)
         w = solutions.limit_wronskian(lam, params)
         pred = recurrence.poly_asymptotic_ac(ns, lam, kappa, eta, params)
         rows.append("n,p_n,prediction,residual,envelope")
@@ -277,7 +272,7 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
             rows.append(",".join([str(n), _fmt(actual), _fmt(pr),
                                   _fmt(abs(actual - pr)), _fmt(env)]))
     else:
-        om = solutions.omega(zp, params, model, tol=tol, N=N_jost)
+        om = solutions.omega(zp, params, model, N=N_jost)
         logmag, unit = recurrence.poly_asymptotic_regular(ns, zp, om, params)
         rows.append("n,log_abs_p,log_abs_prediction,rel_deviation")
         for n, lm, u in zip(ns.tolist(), logmag.tolist(), unit.tolist()):
@@ -295,8 +290,7 @@ def cmd_eigs(cfg: dict) -> tuple[str, int]:
     N = int(cfg["N"]) if cfg.get("N") else None
     report = spectral.eigenvalue_report(float(cfg["lambda_min"]),
                                         float(cfg["lambda_max"]),
-                                        params, model, N=N,
-                                        tol=float(cfg.get("tol", volterra.DEFAULT_TOL)))
+                                        params, model, N=N)
     return json.dumps(report, sort_keys=True, indent=2) + "\n", EXIT_OK
 
 
@@ -310,7 +304,7 @@ def cmd_resolvent(cfg: dict) -> tuple[str, int]:
     m = int(cfg.get("m", 0))
     N = int(cfg["N"]) if cfg.get("N") else None
     val = spectral.resolvent_element(n, m, _spectral_point(z), params, model,
-                                     N=N, tol=float(cfg.get("tol", volterra.DEFAULT_TOL)))
+                                     N=N)
     report = {"n": n, "m": m, "z_re": z.real, "z_im": z.imag,
               "re": val.real, "im": val.imag}
     return json.dumps(report, sort_keys=True, indent=2) + "\n", EXIT_OK
@@ -348,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-step", dest="lambda_step", type=float)
         p.add_argument("--n0", type=int)
         p.add_argument("--N", type=int)
-        p.add_argument("--tol", type=float)
         p.add_argument("--out")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--threads", type=int)

@@ -121,11 +121,11 @@ def _extend_backward(logmag: np.ndarray, unit: np.ndarray, n_from: int,
 
 def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
          N: int | None = None, n0: int | None = None,
-         tol: float = volterra.DEFAULT_TOL,
          tail_init: str = "asymptotic") -> SolutionWindow:
     """Jost solution window on [-1, N]: f_n = A_n u_n beyond n0, extended
     downwards by the recurrence with a_{-1} = 1.
 
+    N defaults to volterra.solve's fixed window, 10^6 for most points.
     tail_init is passed to volterra.solve.  "unit" (bare sweep, no tail
     fit) keeps the zeros of f_{-1} at real regular points but is off by
     about 1e-3 relative in value there (1e-4 to 7e-3 seen); "asymptotic"
@@ -137,7 +137,7 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     a-posteriori estimate |W[f, conj f] / (+-2i w) - 1| of the error in
     f's normalisation (_normalisation_estimate); it is None elsewhere.
     """
-    sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
+    sol = volterra.solve(zp, params, model, n0=n0, N=N,
                          tail_init=tail_init)
     full_lm, full_u = _jost_values(sol, zp, params, model, sol.N)
     head = slice(sol.n0 + 1, sol.n0 + 3)            # n0 and n0 + 1 (n_lo = -1)
@@ -228,7 +228,6 @@ def _require_regular(zp: SpectralPoint, params: CriticalParams):
 
 def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
             n0g: int | None = None, N: int | None = None,
-            tol: float = volterra.DEFAULT_TOL,
             f: SolutionWindow | None = None) -> SolutionWindow:
     """Exponentially growing partner of the Jost solution (regular z only).
 
@@ -239,7 +238,7 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """
     _require_regular(zp, params)
     if f is None:
-        f = jost(zp, params, model, N=N, n0=None, tol=tol)
+        f = jost(zp, params, model, N=N, n0=None)
     n0 = f.meta["n0"]
     N = f.n_hi
     if n0g is None:
@@ -366,17 +365,16 @@ def omega_from_window(win: SolutionWindow) -> complex:
 
 def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           N: int | None = None, n0: int | None = None,
-          tol: float = volterra.DEFAULT_TOL,
           tail_init: str = "asymptotic") -> complex:
     """Wronskian of the polynomial and Jost solutions, via f_{-1}.
 
-    tail_init as for jost: "unit" is cheaper and keeps the real zeros,
+    N and tail_init as for jost: "unit" is cheaper and keeps the real zeros,
     but is about 1e-3 off in value at real regular points.  Only the
     window head [n0, n0 + 1] is assembled: f_{-1} depends on nothing above
     it, so the value is jost's f_{-1} without its window, and the solve
     keeps u only on the head (volterra.solve's n_top = 0).
     """
-    sol = volterra.solve(zp, params, model, n0=n0, N=N, tol=tol,
+    sol = volterra.solve(zp, params, model, n0=n0, N=N,
                          tail_init=tail_init, n_top=0)
     lm, unit = _jost_values(sol, zp, params, model, sol.n0 + 1)
     return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))

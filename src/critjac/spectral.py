@@ -32,9 +32,12 @@ from .errors import (
     ThresholdPoint,
 )
 
-DENSITY_N_DEFAULT = 200_000
 EIG_XTOL = 1e-9
 EIG_CROSS_TOL = 1e-6
+EIG_GRID_POINTS = 64            # uniform points of the sign-change scan
+MATRIX_START_N = 400            # first truncation of matrix_eigs_adaptive
+MATRIX_CAP_N = 200_000          # its largest truncation
+MATRIX_SETTLE = 1e-8            # eigenvalue movement that counts as settled
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,24 @@ def _require_in_ac(lam: float, params: CriticalParams):
 
 
 def amplitude_phase(lam: float, params: CriticalParams, model: CoefficientModel,
-                    N: int | None = None, n0: int | None = None,
-                    tol: float = volterra.DEFAULT_TOL) -> tuple[float, float]:
+                    N: int | None = None,
+                    n0: int | None = None) -> tuple[float, float]:
     """Limit amplitude kappa = |Omega(lambda+i0)| and principal-branch
     phase eta = arg Omega(lambda+i0); unwrap along sweeps externally."""
     _require_in_ac(lam, params)
-    om = solutions.omega(at_plus(lam), params, model, N=N, n0=n0, tol=tol)
+    om = solutions.omega(at_plus(lam), params, model, N=N, n0=n0)
     return abs(om), math.atan2(om.imag, om.real)
 
 
 def density(lam: float, params: CriticalParams, model: CoefficientModel,
-            N: int | None = None, n0: int | None = None,
-            tol: float = volterra.DEFAULT_TOL) -> DensitySample:
-    """One density sample xi = w / (pi kappa^2) at lambda in the a.c. set."""
-    kappa, eta = amplitude_phase(lam, params, model, N=N, n0=n0, tol=tol)
+            N: int | None = None, n0: int | None = None) -> DensitySample:
+    """One density sample xi = w / (pi kappa^2) at lambda in the a.c. set.
+
+    N defaults to volterra.solve's fixed window (10^6 for most points),
+    a length, not an accuracy target: on Laguerre at lambda = 0.5, xi is
+    2.0e-6 relative off e^-lambda at N = 2e5 but 2.5e-5 at N = 10^6.
+    """
+    kappa, eta = amplitude_phase(lam, params, model, N=N, n0=n0)
     w = solutions.limit_wronskian(lam, params)
     return DensitySample(lam=float(lam), xi=w / (math.pi * kappa ** 2),
                          kappa=kappa, eta=eta, w=w)
@@ -123,12 +130,12 @@ def nearest_branch(eta: float, prev_eta: float | None) -> float:
 
 
 def density_sweep(lams, params: CriticalParams, model: CoefficientModel,
-                  N: int | None = None, tol: float = volterra.DEFAULT_TOL) -> list[DensitySample]:
+                  N: int | None = None) -> list[DensitySample]:
     """Density over a lambda grid with eta continued by nearest branch."""
     out: list[DensitySample] = []
     prev_eta = None
     for lam in lams:
-        s = density(float(lam), params, model, N=N, tol=tol)
+        s = density(float(lam), params, model, N=N)
         prev_eta = nearest_branch(s.eta, prev_eta)
         out.append(DensitySample(s.lam, s.xi, s.kappa, prev_eta, s.w))
     return out
@@ -139,8 +146,7 @@ def density_sweep(lams, params: CriticalParams, model: CoefficientModel,
 
 def resolvent_element(n: int, m: int, zp: SpectralPoint,
                       params: CriticalParams, model: CoefficientModel,
-                      N: int | None = None,
-                      tol: float = volterra.DEFAULT_TOL) -> complex:
+                      N: int | None = None) -> complex:
     """<R(z) e_n, e_m> = Omega(z)^{-1} P_min(z) f_max(z).
 
     Defined for Im z != 0, for boundary values lambda +- i0 on the a.c.
@@ -151,7 +157,7 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
     if n < 0 or m < 0:
         raise InvalidParameter("resolvent indices must be nonnegative")
     lo, hi = min(n, m), max(n, m)
-    sol = volterra.solve(zp, params, model, N=N, tol=tol, n_top=hi)
+    sol = volterra.solve(zp, params, model, N=N, n_top=hi)
     if hi > sol.N:
         raise InvalidParameter(f"index {hi} beyond the Jost window [-1, {sol.N}]")
     lm, unit = solutions._jost_values(sol, zp, params, model, max(sol.n0 + 1, hi))
@@ -167,11 +173,10 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
 
 
 def projector_density(n: int, m: int, lam: float, params: CriticalParams,
-                      model: CoefficientModel, N: int | None = None,
-                      tol: float = volterra.DEFAULT_TOL) -> float:
+                      model: CoefficientModel, N: int | None = None) -> float:
     """d<E(lambda) e_n, e_m>/dlambda = pi^{-1} w |Omega|^{-2} P_n P_m."""
     _require_in_ac(lam, params)
-    s = density(lam, params, model, N=N, tol=tol)
+    s = density(lam, params, model, N=N)
     P = recurrence.poly_eval(model, lam, max(n, m))
     pn = P.complex_at(n).real
     pm = P.complex_at(m).real
@@ -182,43 +187,42 @@ def projector_density(n: int, m: int, lam: float, params: CriticalParams,
 
 
 def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
-                N: int | None, tol: float) -> float:
+                N: int | None) -> float:
     """Re Omega(lam) from one bare Volterra window (tail_init="unit").
 
     Accurate in sign and zeros, which is all the eigenvalue search uses;
     the value itself is off by about 1e-3 relative.
     """
-    om = solutions.omega(interior(complex(lam)), params, model, N=N, tol=tol,
+    om = solutions.omega(interior(complex(lam)), params, model, N=N,
                          tail_init="unit")
     return om.real
 
 
-def matrix_eigs_adaptive(model: CoefficientModel, window: tuple[float, float],
-                         start_N: int = 400, cap: int = 200_000,
-                         settle: float = 1e-8) -> tuple[np.ndarray, int]:
+def matrix_eigs_adaptive(model: CoefficientModel,
+                         window: tuple[float, float]) -> tuple[np.ndarray, int]:
     """Eigenvalues of growing truncations until the in-window set settles.
 
-    Doubles N until every eigenvalue in the window moves less than
-    `settle` and the count is stable; below the a.c. threshold the
-    truncation converges fast, so this terminates quickly.
+    Doubles N from MATRIX_START_N until every eigenvalue in the window
+    moves less than MATRIX_SETTLE and the count is stable, or N reaches
+    MATRIX_CAP_N; below the a.c. threshold the truncation converges fast,
+    so this terminates quickly.
     """
-    N = start_N
+    N = MATRIX_START_N
     prev = None
     while True:
         eigs = recurrence.truncated_matrix_eigs(model, N, window=window)
         if prev is not None and len(prev) == len(eigs):
-            if len(eigs) == 0 or np.max(np.abs(prev - eigs)) < settle:
+            if len(eigs) == 0 or np.max(np.abs(prev - eigs)) < MATRIX_SETTLE:
                 return eigs, N
-        if N >= cap:
+        if N >= MATRIX_CAP_N:
             return eigs, N
         prev = eigs
-        N = min(2 * N, cap)
+        N = min(2 * N, MATRIX_CAP_N)
 
 
 def discrete_eigenvalues(lo: float, hi: float, params: CriticalParams,
-                         model: CoefficientModel, N: int | None = None,
-                         tol: float = volterra.DEFAULT_TOL,
-                         grid_points: int = 64) -> list[float]:
+                         model: CoefficientModel,
+                         N: int | None = None) -> list[float]:
     """Real zeros of Omega on [lo, hi] (disjoint from the a.c. closure).
 
     Sign-change scan refined around matrix-oracle predictions, then
@@ -226,15 +230,11 @@ def discrete_eigenvalues(lo: float, hi: float, params: CriticalParams,
     separated by the refined grid the search raises RefineGrid rather
     than silently merging them.
     """
-    return eigenvalue_report(lo, hi, params, model, N=N, tol=tol,
-                             grid_points=grid_points)["omega_zeros"]
+    return eigenvalue_report(lo, hi, params, model, N=N)["omega_zeros"]
 
 
 def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
-                      model: CoefficientModel, N: int | None = None,
-                      tol: float = volterra.DEFAULT_TOL,
-                      grid_points: int = 64,
-                      cross_tol: float = EIG_CROSS_TOL) -> dict:
+                      model: CoefficientModel, N: int | None = None) -> dict:
     """Eigenvalues by both routes plus deviations (dict for JSON export)."""
     if hi <= lo:
         raise InvalidParameter("need lo < hi")
@@ -245,13 +245,13 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
     ref, N_mat = matrix_eigs_adaptive(model, (lo, hi))
 
     # scan grid: uniform points plus midpoints between predicted eigenvalues
-    pts = set(np.linspace(lo, hi, grid_points))
+    pts = set(np.linspace(lo, hi, EIG_GRID_POINTS))
     for i in range(len(ref) + 1):
         a = lo if i == 0 else ref[i - 1]
         b = hi if i == len(ref) else ref[i]
         pts.add(0.5 * (a + b))
     grid = np.array(sorted(pts))
-    om = np.array([_omega_real(x, params, model, N, tol) for x in grid])
+    om = np.array([_omega_real(x, params, model, N) for x in grid])
 
     zeros: list[float] = []
     for i in range(len(grid) - 1):
@@ -259,7 +259,7 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
             zeros.append(float(grid[i]))
         elif om[i] * om[i + 1] < 0.0:
             root = brentq(_omega_real, grid[i], grid[i + 1],
-                          args=(params, model, N, tol), xtol=EIG_XTOL)
+                          args=(params, model, N), xtol=EIG_XTOL)
             zeros.append(float(root))
     if om[-1] == 0.0:
         zeros.append(float(grid[-1]))
@@ -269,13 +269,13 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         # missed predictions before giving up
         for r in ref:
             if all(abs(r - z) > 1e-7 for z in zeros):
-                half = min((hi - lo) / (4 * grid_points), 1e-3)
+                half = min((hi - lo) / (4 * EIG_GRID_POINTS), 1e-3)
                 a, b = max(lo, r - half), min(hi, r + half)
-                fa = _omega_real(a, params, model, N, tol)
-                fb = _omega_real(b, params, model, N, tol)
+                fa = _omega_real(a, params, model, N)
+                fb = _omega_real(b, params, model, N)
                 if fa * fb < 0.0:
                     zeros.append(float(brentq(_omega_real, a, b,
-                                              args=(params, model, N, tol),
+                                              args=(params, model, N),
                                               xtol=EIG_XTOL)))
                 else:
                     raise RefineGrid(
@@ -293,5 +293,5 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         "deviations": deviations,
         "matrix_N": int(N_mat),
         "agree": bool(len(zeros) == len(ref)
-                      and all(d <= cross_tol for d in deviations)),
+                      and all(d <= EIG_CROSS_TOL for d in deviations)),
     }

@@ -97,7 +97,7 @@ from .coeffs import CoefficientModel, CriticalParams
 from .errors import InvalidParameter, NumericFailure, TruncationTooShort
 
 N_CAP = 10_000_000
-DEFAULT_TOL = 1e-4
+_TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # indices per stretch of the forward pass
 _FOLD = 4 * _CHUNK                        # indices a fold pass takes at most
 _WINDOW_START = (0.0, 0.0, 0.0, 1.0)      # X_{n0} = PS_{n0} = 1 (_kernel_chunk's head)
@@ -701,28 +701,18 @@ def _require_finite(v: np.ndarray, name: str) -> np.ndarray:
 # -- public operations -------------------------------------------------------
 
 
-def default_window(zp: SpectralPoint, params: CriticalParams,
-                   model: CoefficientModel, n0: int | None = None,
-                   tol: float = DEFAULT_TOL) -> tuple[int, int]:
-    """Smallest N with fitted H_N < tol, capped at 10^7."""
-    ctx = phase_context(zp, params, n0)
-    n0 = ctx.n_start
-    probe_N = 4 * n0 + 2000
-    kern = VolterraKernel(ctx, model, n0, probe_N)
-    C = kern.tail_const
-    s = params.delta - params.nu - 1.0
-    if C == 0.0:
-        return n0, probe_N
-    N = int((C / (s * tol)) ** (1.0 / s)) + 1
-    return n0, min(max(N, probe_N), N_CAP)
-
-
 def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           n0: int | None = None, N: int | None = None,
-          tol: float = DEFAULT_TOL,
           tail_init: str = "asymptotic",
           n_top: int | None = None) -> VolterraSolution:
     """Bounded solution of the Volterra equation by one backward sweep.
+
+    The window is [n0, N], n0 defaulting to the phase window start.  The
+    default N is 10^6 (at least 4 n0 + 2000, at most N_CAP = 10^7): the
+    longest window whose tail window is still N long.  It is a fixed
+    length, not an accuracy target; pass N to trade time for accuracy.
+    A window start at or beyond the cap raises InvalidParameter before
+    anything is built.
 
     tail_init selects the boundary data at the window top: "unit" sets
     u = 1 beyond N (the bare sweep), "asymptotic" (default) seeds the
@@ -746,9 +736,9 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start
     if N is None:
-        _, N = default_window(zp, params, model, n0, tol)
+        N = min(max(_TAIL_CAP, 4 * n0 + 2000), N_CAP)
     if N <= n0 + 2:
-        raise InvalidParameter("window too short")
+        raise InvalidParameter(f"window too short: n0 = {n0}, N = {N}")
     if tail_init not in ("unit", "asymptotic"):
         raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
 
@@ -760,13 +750,13 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
         )
     u_top, d_top, tail_len, fit_residual = 1.0 + 0.0j, 0.0 + 0.0j, 0, None
     if tail_init == "asymptotic":
-        tail_len = min(N, 1_000_000)
+        tail_len = min(N, _TAIL_CAP)
         u_top, d_top, fit_residual = _top_boundary(ctx, model, N, tail_len)
     # a non-finite kernel term makes the block products overflow or form
     # inf - inf; the solve checks u itself and raises NumericFailure
     with np.errstate(over="ignore", invalid="ignore"):
         u = kern.sweep(u_top, d_top)
-    meta = {"n0": n0, "N": N, "tol": tol, "tail_init": tail_init,
+    meta = {"n0": n0, "N": N, "tail_init": tail_init,
             "tail_len": tail_len, "tail_fit_residual": fit_residual}
     res = kern.residual(u)
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):

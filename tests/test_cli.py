@@ -63,11 +63,28 @@ def test_density_error_row(capsys):
     assert "ERROR:OutsideAC" in out
 
 
+def test_density_default_window_past_cap(capsys):
+    # no --N: the phase window at lambda = -50 starts beyond N_CAP, which
+    # the row reports instead of allocating a window
+    code, out, _ = run(["density", "--sigma", "1.25", "--beta", "-0.875",
+                        "--lambda-min", "-50"], capsys)
+    assert code == 3
+    assert out.strip().split("\n")[1] == "-50,ERROR:InvalidParameter,,,"
+
+
+def test_density_rejects_zero_threads(capsys):
+    code, out, err = run(["density", "--p", "0", "--lambda-min", "1.0",
+                          "--N", "20000", "--threads", "0"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err
+
+
 def test_density_error_row_mid_sweep(monkeypatch, capsys):
     # an error row keeps its place, and eta continues from the last good row
     etas = {1.0: 3.0, 2.0: -3.0, 4.0: -2.5, 5.0: -2.0}
 
-    def fake_density(lam, params, model, N=None, tol=None):
+    def fake_density(lam, params, model, N=None):
         if lam not in etas:
             raise NumericFailure("injected")
         return spectral.DensitySample(lam, 0.1, 1.0, etas[lam], 0.5)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import loglog_slope, phi_at, power, remainder_at
 from critjac import ansatz, solutions, volterra
-from critjac.errors import NumericFailure, TruncationTooShort
+from critjac.errors import InvalidParameter, NumericFailure, TruncationTooShort
 from critjac.logcomplex import LogComplex
 
 
@@ -632,6 +632,19 @@ class TestSolve:
                 tracemalloc.stop()
         assert peaks[1] <= 10e6
         assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_default_window(self, laguerre0):
+        m, p = laguerre0
+        sol = volterra.solve(ansatz.at_plus(1.0), p, m, tail_init="unit", n_top=0)
+        assert sol.N == 1_000_000
+        assert sol.meta["N"] == sol.N
+
+    def test_default_window_start_beyond_cap(self):
+        # the whole line at lambda = -50 starts its phase window near 8e8,
+        # past N_CAP: rejected before any kernel is built
+        m, p = power(1.25, 0.0, -0.875)
+        with pytest.raises(InvalidParameter, match=r"n0 = \d+, N = 10000000"):
+            volterra.solve(ansatz.at_plus(-50.0), p, m)
 
     def test_truncation_too_short(self):
         m, p = power(1.25, 0.0, -0.875)   # quarter-power tail on the axis
