@@ -15,9 +15,10 @@ branch is ever evaluated.
 
 For real z off the closure of the a.c. set T_n < 0 on the window, so
 theta_n is purely imaginary and the ratios B_n are real.
-ansatz_ratio_window then returns them as float64, and every kernel built
-from them stays real: a kernel is float64 exactly when theta_n is purely
-imaginary on its window.  The data decides, once per window.
+ansatz_ratio_window then returns them as float64, and a kernel built
+from them stays real: a kernel stretch is float64 exactly when theta_n
+is purely imaginary on it and on every stretch below it.  The data
+decides, once per call.
 
 Every function here is pure given (n, point, params, model) and the
 module keeps no state, so calls at different points share nothing: the
@@ -238,16 +239,17 @@ def phi_window(ctx: PhaseContext, n1: int) -> np.ndarray:
 # -- the Ansatz and its remainder ---------------------------------------
 
 
-def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
+def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int,
+                        th: np.ndarray) -> np.ndarray:
     """B_n = A_{n+1}/A_n = (-gamma) (n+1)^(-rho) n^rho e^{i theta_n},
-    for n in [n0, n1), at the canonical point.
+    for n in [n0, n1), at the canonical point, from the caller's
+    th = theta_window(ctx, n0, n1).
 
     The dtype follows the data: where theta_n is purely imaginary on the
     whole window (real z off the closure of the a.c. set) B_n is real and
     comes out as float64 from a real exp; otherwise it is complex.
     """
     ns = np.arange(n0, n1, dtype=float)
-    th = theta_window(ctx, n0, n1)
     p = ctx.params
     return (-p.gamma) * (ns / (ns + 1.0)) ** p.rho * (
         np.exp(1j * th) if th.real.any() else np.exp(-th.imag))

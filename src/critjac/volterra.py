@@ -47,29 +47,32 @@ the spectrum.  The log-framed sums (_scaled_prefix_sum) take their terms
 in the same form, a real log-magnitude and a unit complex phase, so a
 term costs a real exp and a complex product; a complex exp of
 log + i*angle costs over ten times that, and turning unit phases back
-into angles costs an arctan2 per element.  arg X_n is the one angle
-left: it is the real cumulative sum of arg Lambda_n and becomes a unit
-phase once, by cos and sin.
+into angles costs an np.angle per element.  arg X_n is the one angle
+left and becomes a unit phase once, by cos and sin.
 
-log Lambda_n is taken in real arithmetic (_principal_log),
-not by numpy's complex log: on the a.c. set |Lambda_n| - 1 lies in
-[2.5e-6, 0.07], where glibc's clog takes a slow exact path on every
-element; the real form is over ten times faster and gives log|Lambda_n| to
-a few eps and arg Lambda_n as arctan2.
+X_n is not summed from logs of the rounded Lambda_n: the product
+telescopes to a_n A_n A_{n+1} / (a_{n0} A_{n0} A_{n0+1}), so log|X_n| and
+arg X_n come in closed form from log a_n, rho log(n (n + 1)) and the
+running sum Phi_n of theta_k + theta_{k-1} (_kernel_chunk), one formula
+for real and complex kernels.  Against a 40-digit sum of log Lambda_k,
+log|X_N| is off by 8.9e-16 on the Laguerre kernel at 1 + i0 (N = 2e5);
+the summed logs of the rounded Lambda_n are off by 5.7e-12 there.
 
-A kernel is float64 exactly when theta_n is purely imaginary on its
-window: real z off the closure of the a.c. set (the discrete region, the
-resolvent set).  There B_n, Lambda_n, Rcal_n, X_n, the prefix sums and u_n
-are real, so every array takes the dtype of B_n (ansatz_ratio_window)
-and no layer forces complex: Lambda_n > 0, log X_n is a real cumulative
-sum, the unit phases are 1 and the sweep runs in float64.  Points on the
-a.c. set and non-real z run the same functions in complex arithmetic.
-The real remainder rounds its divisions as the complex one does, so at
-real points Omega moves against the complex pipeline only by the last
-bits of B_n (a real exp against a complex one), which the remainder's
-cancellation amplifies: 6.6e-13 to 1.1e-12 relative with the unit tail,
-9.4e-12 to 2.0e-10 with the asymptotic tail; eigenvalue zeros move by at
-most 6e-17.
+A kernel stretch is float64 exactly when theta_n is purely imaginary on
+it and on every stretch below it: real z off the closure of the a.c. set
+(the discrete region, the resolvent set).  There B_n, Lambda_n, Rcal_n,
+X_n, the prefix sums and u_n are real, so every array takes the dtype of
+B_n (ansatz_ratio_window) and no layer forces complex: Re Phi_n = 0, the
+unit phases are 1 and the sweep runs in float64.  The dtype is decided
+per stretch: a complex stretch makes every stretch above it complex
+through its head, and the real stretches below it, kept or folded, are
+promoted (VolterraKernel).  Points on the a.c. set and non-real z run the
+same functions in complex arithmetic.  The real remainder rounds its
+divisions as the complex one does, so at real points Omega moves against
+the complex pipeline only by the last bits of B_n (a real exp against a
+complex one), which the remainder's cancellation amplifies: 6.6e-13 to
+1.1e-12 relative with the unit tail, 9.4e-12 to 2.0e-10 with the
+asymptotic tail; eigenvalue zeros move by at most 6e-17.
 
 The window top is seeded from first-order tail sums of the kernel over
 the next N indices (at most 10^6), their limits fitted against a remainder
@@ -79,7 +82,6 @@ oscillation average out instead needed a tail window twice as long.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -92,6 +94,7 @@ from .ansatz import (
     ansatz_ratio_window,
     phase_context,
     remainder_window,
+    theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import InvalidParameter, NumericFailure, TruncationTooShort
@@ -100,7 +103,7 @@ N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # indices per stretch of the forward pass
 _FOLD = 4 * _CHUNK                        # indices a fold pass takes at most
-_WINDOW_START = (0.0, 0.0, 0.0, 1.0)      # X_{n0} = PS_{n0} = 1 (_kernel_chunk's head)
+_WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
 
 
 @dataclass
@@ -282,74 +285,66 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
     stretch below); logX and uniXinv give X_n = Lambda_{n0+1} ... Lambda_n
     as log|X_n| and the unit phase of X_n^{-1}, e^{-i arg X_n}; logPS,
     uniPS give the prefix sums PS_n = sum_{p=n0}^{n} X_p^{-1}, scaled
-    blockwise.  `head` is (log|X_lo|, arg X_lo, log|PS_lo|, phase of
-    PS_lo): entry 0 of the X and PS arrays, _WINDOW_START where lo = n0.
-    The returned head is the same at hi, for the stretch above.  The
-    cumulative sums run on from the head, so the stretches of a window add
-    in the order of one pass over it.
+    blockwise.
+
+    X_n telescopes to a_n A_n A_{n+1} / (a_{n0} A_{n0} A_{n0+1}), so with
+    |gamma| = 1 it is taken in closed form, not from Lambda_n:
+    log|X_n| = log a_n - rho log(n (n + 1)) - Im Phi_n - c0 and
+    arg X_n = Re Phi_n, where Phi_n is the running sum of
+    theta_k + theta_{k-1} over k in (n0, n] and c0 is log a_n0 -
+    rho log(n0 (n0 + 1)).  `head` is (c0, Phi_lo, log|PS_lo|, phase of
+    PS_lo), _WINDOW_START where lo = n0 (c0 is then taken at lo); the
+    returned head is the same at hi, for the stretch above.  The running
+    sums go on from the head, so the stretches of a window add in the
+    order of one pass over it.
 
     The arrays take the dtype of B_n (ansatz_ratio_window), complex also
-    where the stretch below was (a complex head).  A real kernel has
-    Lambda_n > 0, so log X_n is the cumulative sum of the real log
-    Lambda_n and every unit phase is 1; Lambda_n <= 0 there raises
-    NumericFailure.
+    where the stretch below was (a complex PS phase in the head; Phi is
+    always complex).  On a real kernel Re Phi_n = 0 and every unit phase
+    is 1.
     """
-    log0, arg0, logps0, unips0 = head
-    B = ansatz_ratio_window(ctx, lo, hi + 1)              # B_n, n in [lo, hi]
+    c0, phi0, logps0, unips0 = head
+    th = theta_window(ctx, lo, hi + 1)                    # theta_n, n in [lo, hi]
+    B = ansatz_ratio_window(ctx, lo, hi + 1, th)          # B_n, n in [lo, hi]
     B = B.astype(np.result_type(B, unips0), copy=False)
-    a = model.a_fn(np.arange(lo, hi + 1, dtype=float))
+    phi = np.empty(hi + 1 - lo, dtype=complex)            # Phi_n
+    phi[0] = phi0
+    np.add(th[1:], th[:-1], out=phi[1:])
+    del th
+    np.cumsum(phi, out=phi)
+    ns = np.arange(lo, hi + 1, dtype=float)
+    a = model.a_fn(ns)
+    logX = np.log(a)
+    ns *= ns + 1.0                                        # n (n + 1)
+    logX -= ctx.params.rho * np.log(ns, out=ns)
+    del ns
+    if c0 is None:
+        c0 = float(logX[0])
+    logX -= phi.imag
+    logX -= c0
+    uniXinv = np.ones(hi + 1 - lo, dtype=B.dtype)         # e^{-i arg X_n}: 1 on a real kernel
+    if uniXinv.dtype.kind == "c":
+        np.cos(phi.real, out=uniXinv.real)
+        np.sin(-phi.real, out=uniXinv.imag)
+    phi_hi = complex(phi[-1])
+    del phi
+
+    r = remainder_window(ctx, model, lo + 1, hi + 1, B, a)
     ratio = a[1:] / a[:-1]                                # a_n/a_{n-1}, n >= lo+1
+    del a                                # what a stretch holds at once sets a solve's peak
     lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
     lam[0] = np.nan
     lam[1:] = ratio * B[1:] * B[:-1]
-    r = remainder_window(ctx, model, lo + 1, hi + 1, B, a)
     rr = np.empty(hi + 1 - lo, dtype=B.dtype)             # Rcal_n, n >= lo+1
     rr[0] = np.nan
     rr[1:] = -np.sqrt(ratio) * B[:-1] * r
-    del B, a, ratio, r                   # what a stretch holds at once sets a solve's peak
+    del B, ratio, r
 
-    logX = np.empty(hi + 1 - lo)
-    logX[0] = log0
-    if np.iscomplexobj(lam):
-        argX = np.empty(hi + 1 - lo)
-        argX[0] = arg0
-        logX[1:], argX[1:] = _principal_log(lam[1:])     # |arg Lambda| << pi
-        np.cumsum(argX, out=argX)
-        uniXinv = np.empty(len(argX), dtype=complex)      # e^{-i arg X_n}
-        np.cos(argX, out=uniXinv.real)
-        np.sin(-argX, out=uniXinv.imag)
-        arg_hi = float(argX[-1])
-    else:
-        # a real B_n has the sign of -gamma throughout, so Lambda_n > 0
-        if not np.all(lam[1:] > 0.0):
-            raise NumericFailure("real kernel with Lambda_n <= 0 or not finite")
-        logX[1:] = np.log(lam[1:])
-        uniXinv = np.ones(len(logX))
-        arg_hi = arg0
-    np.cumsum(logX, out=logX)
     logv = np.negative(logX)
     logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
     logPS, uniPS = _scaled_prefix_sum(logv, uniXinv, carry=(logps0, unips0))
     return (lam, rr, logX, uniXinv, logPS, uniPS,
-            (float(logX[-1]), arg_hi, float(logPS[-1]), uniPS[-1].item()))
-
-
-def _principal_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal log of z as (log|z|, arg z), in real arithmetic.
-
-    log|z| = log1p(|z|^2 - 1) / 2 with |z|^2 - 1 = (x - 1)(x + 1) + y^2
-    where that is below 1/2 in size, log(hypot(x, y)) elsewhere; arg z =
-    arctan2(y, x).  This is glibc's near-unit formula without its
-    extended-precision |z|^2 - 1, so log|z| agrees with np.log(z).real to
-    a few eps absolute, i.e. |z| to a few ulp.
-    """
-    x, y = z.real, z.imag
-    s = (x - 1.0) * (x + 1.0) + y * y                    # |z|^2 - 1
-    logabs = 0.5 * np.log1p(s)
-    far = np.abs(s) >= 0.5
-    if far.any():
-        logabs[far] = np.log(np.hypot(x[far], y[far]))
-    return logabs, np.arctan2(y, x)
+            (c0, phi_hi, float(logPS[-1]), uniPS[-1].item()))
 
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critjac import ansatz, coeffs
+from critjac import ansatz, coeffs, volterra
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def remainder_at(ctx, model, ns):
     """r_n at the indices ns, from one remainder_window over [n_start + 1, max(ns)]."""
     ns = np.asarray(ns, dtype=int)
     n0, n1 = ctx.n_start, int(ns.max()) + 1
-    B = ansatz.ansatz_ratio_window(ctx, n0, n1)
+    B = ansatz.ansatz_ratio_window(ctx, n0, n1, ansatz.theta_window(ctx, n0, n1))
     a = model.a_fn(np.arange(n0, n1, dtype=float))
     return ansatz.remainder_window(ctx, model, n0 + 1, n1, B, a)[ns - n0 - 1]
 
@@ -48,3 +48,10 @@ def phi_at(zp, params, ns):
     ns = np.asarray(ns, dtype=int)
     phi = ansatz.phi_window(ctx, int(ns.max()))[ns - ctx.n_start]
     return -phi.conjugate() if ctx.conj else phi
+
+
+def force_complex(monkeypatch):
+    """Run the Volterra pipeline in complex arithmetic at real points too."""
+    ratio = volterra.ansatz_ratio_window
+    monkeypatch.setattr(volterra, "ansatz_ratio_window",
+                        lambda *args: ratio(*args).astype(complex))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_sample_indices, loglog_slope, phi_at, power
-from critjac import ansatz, coeffs, solutions, spectral, volterra
+from conftest import force_complex, log_sample_indices, loglog_slope, phi_at, power
+from critjac import ansatz, coeffs, solutions, spectral
 from critjac.errors import OnSpectrum, OutsideAC, OutsideDomain, WindowMismatch
 
 
@@ -278,13 +278,6 @@ REAL_OMEGA_CASES = {
     "laguerre_minus_1": (None, ansatz.interior(-1.0), 200_000),
     "all_discrete_sigma_3_2": (power(1.5, 0.0, 0.0), ansatz.interior(-1.0), 20_000),
 }
-
-
-def force_complex(monkeypatch):
-    """Run the Volterra pipeline in complex arithmetic at real points too."""
-    ratio = volterra.ansatz_ratio_window
-    monkeypatch.setattr(volterra, "ansatz_ratio_window",
-                        lambda *args: ratio(*args).astype(complex))
 
 
 class TestRealArithmetic:

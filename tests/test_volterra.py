@@ -1,11 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from conftest import loglog_slope, phi_at, power, remainder_at
+from conftest import force_complex, loglog_slope, phi_at, power, remainder_at
 from critjac import ansatz, solutions, volterra
 from critjac.errors import InvalidParameter, NumericFailure, TruncationTooShort
 from critjac.logcomplex import LogComplex
@@ -186,23 +186,40 @@ def test_sweep_peak_memory_per_index():
     assert peak / K < 100.0
 
 
-# |z| across [0.2, 5], where the helper takes both branches, and a band
-# ||z| - 1| in [1e-9, 1e-1], where glibc's clog takes its slow exact path
-_moduli = st.one_of(
-    st.floats(0.2, 5.0),
-    st.tuples(st.floats(1e-9, 1e-1), st.sampled_from([-1.0, 1.0])).map(
-        lambda t: 1.0 + t[1] * t[0]),
-)
+def log_x_reference(ctx, model, N, stride=97):
+    """log|X_n| and arg X_n on the window [n0, N] at the offsets
+    k = n - n0 in ks (every stride-th and the top), in 40 digits.
 
+    X_n is the product of Lambda_m over m in (n0, n], whose logs are
+    formed from the double a_m and theta_m:
+    log Lambda_m = log(a_m / a_{m-1}) + rho log((m - 1) / (m + 1))
+    + i (theta_m + theta_{m-1}).  The logs of a_m and of m telescope, and
+    the theta terms are summed exactly by fsum (two fsums give the sum
+    and its rounding error).  Returns (ks, log|X|, arg X) as doubles.
+    """
+    n0, rho = ctx.n_start, mpmath.mpf(ctx.params.rho)
+    th = ansatz.theta_window(ctx, n0, N + 1)
+    a = model.a_fn(np.arange(n0, N + 1, dtype=float)).tolist()
+    re, im = th.real.tolist(), th.imag.tolist()
+    ks = list(range(0, N - n0, stride)) + [N - n0]
 
-@given(_moduli, st.floats(-1.57, 1.57))
-def test_principal_log_matches_numpy(r, phi):
-    z = r * complex(math.cos(phi), math.sin(phi))
-    logabs, arg = volterra._principal_log(np.array([z]))
-    ref = np.log(z)
-    eps = np.finfo(float).eps
-    assert abs(logabs[0] - ref.real) <= 4 * eps * max(1.0, abs(ref.real))
-    assert abs(arg[0] - ref.imag) <= 4 * eps * max(1.0, abs(ref.imag))
+    def exact_sum(xs):
+        s = math.fsum(xs)
+        return mpmath.mpf(s) + math.fsum(xs + [-s])
+
+    logs, args = [], []
+    with mpmath.workdps(40):
+        def outer(k):                    # log a_n - rho log(n (n + 1)), n = n0 + k
+            return mpmath.log(a[k]) - rho * (mpmath.log(n0 + k) + mpmath.log(n0 + k + 1))
+
+        c0, sre, sim, prev = outer(0), mpmath.mpf(0), mpmath.mpf(0), 0
+        for k in ks:
+            sre += exact_sum(re[prev + 1:k + 1] + re[prev:k])
+            sim += exact_sum(im[prev + 1:k + 1] + im[prev:k])
+            prev = k
+            logs.append(float(outer(k) - c0 - sim))
+            args.append(float(sre))
+    return np.array(ks), np.array(logs), np.array(args)
 
 
 @pytest.mark.parametrize("model, zp, N", [
@@ -211,19 +228,22 @@ def test_principal_log_matches_numpy(r, phi):
     (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 100_000),
 ], ids=["discrete", "laguerre", "whole_line"])
 def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
-    # logX and arg X are the cumulative sums of log Lambda_n; the helper
-    # may differ from numpy's complex log only at rounding level (logX
-    # reaches -1.9e3 on the discrete kernel, where one ulp is 2.3e-13).
-    # arg X comes out as the unit phase e^{-i arg X}, which is off its
-    # reference by the error in arg X plus the rounding of cos and sin
+    # log|X_n| and arg X_n against the 40-digit sum of log Lambda_k
+    # (log_x_reference).  Besides 1e-14 the bound allows eps sqrt(k) for
+    # the running sum of theta over k indices, a random walk of k
+    # roundings: 1.5e-11 at k = 3.3e4 on the discrete kernel, where
+    # |log X| = 1.4e3.  Logs of the rounded Lambda_n, summed, miss it by
+    # 5.7e-12 on the Laguerre kernel (ten times the bound).  arg X comes
+    # out as the unit phase e^{-i arg X}, which is off its reference by
+    # the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    lam, _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
-    ref = np.concatenate([[0.0], np.cumsum(np.log(lam[1:]))])
-    logref, argref = ref.real, ref.imag
-    assert np.all(np.abs(logX - logref) <= 1e-14 * np.maximum(1.0, np.abs(logref)))
-    assert np.all(np.abs(uniXinv - np.exp(-1j * argref))
-                  <= 1e-14 * np.maximum(1.0, np.abs(argref)))
+    _, _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
+    ks, logref, argref = log_x_reference(ctx, m, N)
+    tol = 1e-14 + np.finfo(float).eps * np.sqrt(ks)
+    assert np.all(np.abs(logX[ks] - logref) <= tol * np.maximum(1.0, np.abs(logref)))
+    assert np.all(np.abs(uniXinv[ks] - np.exp(-1j * argref))
+                  <= tol * np.maximum(1.0, np.abs(argref)))
 
 
 @pytest.mark.parametrize("model, zp, N", [
@@ -507,6 +527,13 @@ def test_tail_bound_power_law(laguerre0):
     assert hs[2] < hs[1] < hs[0]
 
 
+# the kernels of the non-finite-term tests: the complex Laguerre kernel
+# at 1 + i0 keeps the bare ids, the real discrete kernel (sigma = 1) at
+# z = -3 takes "real-" ones
+NON_FINITE_KERNELS = [("", None, ansatz.at_plus(1.0)),
+                      ("real-", power(1.0, 0.0, 0.0), ansatz.interior(-3.0))]
+
+
 class TestSolve:
     @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
     def test_residual_and_bound(self, laguerre0, tail_init):
@@ -697,10 +724,12 @@ class TestSolve:
             assert sol.meta["tail_len"] == 5000
             assert 0.0 < sol.meta["tail_fit_residual"] < 1e-3
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_sweep_raises(self, laguerre0, monkeypatch, bad):
+    @pytest.mark.parametrize("model, zp, bad", [
+        pytest.param(m, zp, bad, id=f"{tag}{bad}")
+        for tag, m, zp in NON_FINITE_KERNELS for bad in (np.nan, np.inf)])
+    def test_non_finite_sweep_raises(self, laguerre0, monkeypatch, model, zp, bad):
         # a non-finite kernel term must fail the solve, not reach Omega
-        m, p = laguerre0
+        m, p = model or laguerre0
         chunk = volterra._kernel_chunk
 
         def broken(*args):
@@ -710,17 +739,19 @@ class TestSolve:
 
         monkeypatch.setattr(volterra, "_kernel_chunk", broken)
         with pytest.raises(NumericFailure):
-            volterra.solve(ansatz.at_plus(1.0), p, m, N=5000, tail_init="unit")
+            volterra.solve(zp, p, m, N=5000, tail_init="unit")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("which", [0, 1], ids=["lam", "rr"])
+    @pytest.mark.parametrize("model, zp, which, bad", [
+        pytest.param(m, zp, which, bad, id=f"{tag}{name}-{bad}")
+        for tag, m, zp in NON_FINITE_KERNELS
+        for which, name in enumerate(["lam", "rr"]) for bad in (np.nan, np.inf)])
     def test_non_finite_folded_term_raises(self, laguerre0, monkeypatch,
-                                           which, bad):
+                                           model, zp, which, bad):
         # a non-finite Lambda or Rcal in a stretch above n_top must fail
         # where the stretch is folded, not be absorbed into the transfer
-        m, p = laguerre0
+        m, p = model or laguerre0
         chunk = volterra._kernel_chunk
-        n0 = ansatz.phase_context(ansatz.at_plus(1.0), p).n_start
+        n0 = ansatz.phase_context(zp, p).n_start
 
         def broken(ctx, model, lo, hi, head):
             out = chunk(ctx, model, lo, hi, head)
@@ -730,7 +761,7 @@ class TestSolve:
 
         monkeypatch.setattr(volterra, "_kernel_chunk", broken)
         with pytest.raises(NumericFailure, match="non-finite kernel transfer"):
-            solutions.omega(ansatz.at_plus(1.0), p, m, N=40_000, tail_init="unit")
+            solutions.omega(zp, p, m, N=40_000, tail_init="unit")
 
 
 # |W[f(l+i0), f(l-i0)] / (2i w) - 1| of the earlier tail (second-order
@@ -775,7 +806,8 @@ COMPLEX_POINTS = {
 
 class TestDtype:
     """The kernel, the sweep and u are float64 exactly where theta_n is
-    purely imaginary on the window, and complex128 elsewhere."""
+    purely imaginary on the whole window, and complex128 elsewhere: a
+    window whose stretches mix the two is complex throughout."""
 
     @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
     @pytest.mark.parametrize("case", list(REAL_POINTS) + list(COMPLEX_POINTS))
@@ -787,20 +819,48 @@ class TestDtype:
         sol = volterra.solve(zp, p, m, N=5000, tail_init=tail_init)
         assert kern.lam.dtype == kern.rr.dtype == sol.u.dtype == dtype
 
-    def test_real_kernel_refuses_nonpositive_lambda(self, monkeypatch):
-        # Lambda_n > 0 holds by construction on a real kernel; a B_n of the
-        # wrong sign must fail, not be logged as a complex number
-        m, p = power(1.0, 0.0, 0.0)
-        ratio = volterra.ansatz_ratio_window
+    @pytest.mark.parametrize("n_top", [None, 0])
+    def test_mixed_window_matches_complex_build(self, monkeypatch, n_top):
+        # the whole line at -5.9 + i0 from n0 = 100: theta_n is purely
+        # imaginary on the first stretch only, so its real arrays are
+        # promoted when the complex stretch above is kept (n_top None) or
+        # folded, and after the pass (n_top = 0); every array equals a
+        # build forced complex from the same B_n bit for bit
+        m, p = power(1.25, 0.0, -0.875)
+        n0, N = 100, 60_000
+        ctx = ansatz.phase_context(ansatz.at_plus(-5.9), p, n0)
+        th = ansatz.theta_window(ctx, n0, N + 1)
+        assert not th[:volterra._CHUNK + 1].real.any() and th.real.any()
+        kern = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
+        u = kern.sweep()
+        force_complex(monkeypatch)
+        ref = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
+        assert kern.lam.dtype == kern.rr.dtype == u.dtype == np.complex128
+        assert np.array_equal(kern.lam, ref.lam, equal_nan=True)
+        assert np.array_equal(kern.rr, ref.rr, equal_nan=True)
+        assert np.array_equal(kern.H, ref.H) and kern.above == ref.above
+        assert np.array_equal(u, ref.sweep())
 
-        def flipped(*args):
-            B = ratio(*args)
-            B[len(B) // 2] *= -1.0
-            return B
-
-        monkeypatch.setattr(volterra, "ansatz_ratio_window", flipped)
-        with pytest.raises(NumericFailure):
-            volterra.solve(ansatz.interior(-3.0), p, m, N=5000, tail_init="unit")
+    @pytest.mark.parametrize("tail_init, rel", [("unit", 0.0), ("asymptotic", 1e-12)])
+    @pytest.mark.parametrize("z", [-0.5, -0.2])
+    def test_low_window_start_matches_complex_pipeline(self, monkeypatch, z,
+                                                       tail_init, rel):
+        # sigma = 1/2, tau = -3/2 from n0 = 50, N = 2e5: at z = -0.5 theta_n
+        # is purely imaginary on all 13 stretches, whose heads carry the
+        # closed-form log X; at z = -0.2 it is so only above the turning
+        # point n = 56.25, so the real stretches above the first are made
+        # complex by its head.  Omega is jost's f_{-1} bit for bit and the
+        # forced-complex pipeline's, exactly with the unit tail
+        m, p = power(0.5, 1.0, 0.0)
+        zp, n0, N = ansatz.interior(z), 50, 200_000
+        th = ansatz.theta_window(ansatz.phase_context(zp, p, n0), n0, N + 1)
+        assert not th[57 - n0:].real.any() and th[:57 - n0].real.any() == (z == -0.2)
+        om = solutions.omega(zp, p, m, N=N, n0=n0, tail_init=tail_init)
+        f = solutions.jost(zp, p, m, N=N, n0=n0, tail_init=tail_init)
+        assert om == solutions.omega_from_window(f)
+        force_complex(monkeypatch)
+        ref = solutions.omega(zp, p, m, N=N, n0=n0, tail_init=tail_init)
+        assert abs(om - ref) <= rel * abs(ref)
 
     def test_real_solve_peak_memory_per_index(self):
         # a real unit-tail solve holds float64 kernel arrays: 88 B per index
