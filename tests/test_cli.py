@@ -28,6 +28,119 @@ def test_classify_laguerre(capsys):
     assert rep["spectrum"] == "half_line_ac"
 
 
+# `critjac classify` for one model per regime, byte for byte.  Every field
+# of the report derives from the regime table in coeffs, so any change
+# to that table or to the report shows here.
+CLASSIFY_GOLDEN = {
+    "whole_line": (
+        ["--sigma", "1.25", "--beta", "-0.875"],
+        '{\n'
+        '  "L": 1,\n'
+        '  "ac": "(-inf,inf)",\n'
+        '  "case": "sigma in (1,3/2], tau < 0: a.c. spectrum covers the real line",\n'
+        '  "delta": 1.75,\n'
+        '  "discrete_region": "empty",\n'
+        '  "eikonal": {},\n'
+        '  "gamma": 1.0,\n'
+        '  "kind": "power",\n'
+        '  "notes": [],\n'
+        '  "nu": 0.5,\n'
+        '  "rho": 0.375,\n'
+        '  "sigma": 1.25,\n'
+        '  "spectrum": "whole_line_ac",\n'
+        '  "tau": -0.5,\n'
+        '  "varsigma": 0.25\n'
+        '}\n'),
+    "all_discrete": (
+        ["--sigma", "1.25", "--beta", "0.3"],
+        '{\n'
+        '  "L": 1,\n'
+        '  "ac": "empty",\n'
+        '  "case": "sigma in (1,3/2], tau > 0: purely discrete spectrum",\n'
+        '  "delta": 1.75,\n'
+        '  "discrete_region": "(-inf,inf)",\n'
+        '  "eikonal": {},\n'
+        '  "gamma": 1.0,\n'
+        '  "kind": "power",\n'
+        '  "notes": [],\n'
+        '  "nu": 0.5,\n'
+        '  "rho": 0.375,\n'
+        '  "sigma": 1.25,\n'
+        '  "spectrum": "all_discrete",\n'
+        '  "tau": 1.85,\n'
+        '  "varsigma": 0.25\n'
+        '}\n'),
+    "sigma_1_gamma_minus": (
+        ["--sigma", "1", "--gamma", "-1"],
+        '{\n'
+        '  "L": 1,\n'
+        '  "ac": "(-inf,-1)",\n'
+        '  "case": "sigma = 1: a.c. spectrum on a tau-shifted half-axis",\n'
+        '  "delta": 2.0,\n'
+        '  "discrete_region": "(-1,inf)",\n'
+        '  "eikonal": {},\n'
+        '  "gamma": -1.0,\n'
+        '  "kind": "power",\n'
+        '  "notes": [],\n'
+        '  "nu": 0.5,\n'
+        '  "rho": 0.25,\n'
+        '  "sigma": 1.0,\n'
+        '  "spectrum": "half_line_ac",\n'
+        '  "tau": 1.0,\n'
+        '  "varsigma": 0.5\n'
+        '}\n'),
+    "sigma_1_2": (
+        ["--sigma", "0.5"],
+        '{\n'
+        '  "L": 2,\n'
+        '  "ac": "(0,inf)",\n'
+        '  "case": "sigma in (0,1): a.c. spectrum on a half-axis from 0",\n'
+        '  "delta": 1.5,\n'
+        '  "discrete_region": "(-inf,0)",\n'
+        '  "eikonal": {\n'
+        '    "p2": "1/12"\n'
+        '  },\n'
+        '  "gamma": 1.0,\n'
+        '  "kind": "power",\n'
+        '  "notes": [],\n'
+        '  "nu": 0.25,\n'
+        '  "rho": 0.125,\n'
+        '  "sigma": 0.5,\n'
+        '  "spectrum": "half_line_ac",\n'
+        '  "tau": 0.5,\n'
+        '  "varsigma": 0.75\n'
+        '}\n'),
+    "sigma_3_2_tau_negative": (
+        ["--sigma", "1.5", "--beta", "-1"],
+        '{\n'
+        '  "L": 1,\n'
+        '  "ac": "(-inf,inf)",\n'
+        '  "case": "sigma in (1,3/2], tau < 0: a.c. spectrum covers the real line",\n'
+        '  "delta": 2.0,\n'
+        '  "discrete_region": "empty",\n'
+        '  "eikonal": {},\n'
+        '  "gamma": 1.0,\n'
+        '  "kind": "power",\n'
+        '  "notes": [\n'
+        '    "sigma = 3/2 with tau < 0: the decaying solution is unique only under the strengthened normalization u_n = 1 + O(n^{-1/2}), which the Volterra construction satisfies"\n'
+        '  ],\n'
+        '  "nu": 0.5,\n'
+        '  "rho": 0.5,\n'
+        '  "sigma": 1.5,\n'
+        '  "spectrum": "whole_line_ac",\n'
+        '  "tau": -0.5,\n'
+        '  "varsigma": 0.0\n'
+        '}\n'),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASSIFY_GOLDEN))
+def test_classify_report_golden(name, capsys):
+    argv, expected = CLASSIFY_GOLDEN[name]
+    code, out, _ = run(["classify"] + argv, capsys)
+    assert code == 0
+    assert out == expected
+
 def test_classify_rejects_limit_circle(capsys):
     code, _, err = run(["classify", "--sigma", "2.0"], capsys)
     assert code == 2
