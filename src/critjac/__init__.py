@@ -47,7 +47,6 @@ from .solutions import (
     jost,
     limit_wronskian,
     omega,
-    varkappa,
     wronskian,
     wronskian_detail,
 )

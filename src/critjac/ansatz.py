@@ -130,27 +130,19 @@ class PhaseContext:
         return self.params.gamma * self.w
 
 
-def _asymptotically_on_cut(w: complex, params: CriticalParams) -> bool:
-    """True when t_n(w) > 0 for all large n (real w on the oscillatory side)."""
-    if w.imag != 0.0:
-        return False
-    x = w.real
-    if params.sigma > 1:
-        return params.tau < 0
-    if params.sigma == 1:
-        return x > params.tau
-    return x > 0
-
-
 def _turning_index(w: float, params: CriticalParams) -> float:
-    """Largest n at which t_n(w) changes sign for real w, or 0 if none."""
-    tau, sigma = params.tau, params.sigma
-    if tau == 0.0 or sigma == 1.0 or w == 0.0:
+    """Largest n at which t_n(w) changes sign for real w, 0 if none, inf
+    if it lies beyond the float range (w near 0 or tau near 0)."""
+    tau = params.tau
+    if tau == 0.0 or params.single_power or w == 0.0:
         return 0.0
     ratio = w / tau
     if ratio <= 0.0:
         return 0.0
-    return ratio ** (1.0 / (sigma - 1.0))
+    try:
+        return ratio ** (1.0 / (params.sigma - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def default_n_start(zp: SpectralPoint, params: CriticalParams) -> int:
@@ -159,7 +151,8 @@ def default_n_start(zp: SpectralPoint, params: CriticalParams) -> int:
     Keeps |t_n| <= 1/2 on the window and, for real arguments, clears the
     sign change of t_n with a wide margin so T_n stays away from the cut.
     A finite number of dropped leading terms only rescales the Jost
-    solution by a constant.
+    solution by a constant.  A sign change beyond the float range raises
+    InvalidParameter: no window reaches past it.
     """
     w = params.gamma * complex(zp.z)
     base = max(
@@ -168,15 +161,22 @@ def default_n_start(zp: SpectralPoint, params: CriticalParams) -> int:
         math.ceil(4.0 * abs(params.tau)) + 1,
     )
     if w.imag == 0.0:
-        nstar = _turning_index(w.real, params)
-        if nstar > 0.0:
-            base = max(base, math.ceil(8.0 * nstar))
+        margin = 8.0 * _turning_index(w.real, params)
+        if margin == math.inf:
+            raise InvalidParameter(
+                f"t_n changes sign beyond n = 1e308 at gamma z = {w.real:g}")
+        base = max(base, math.ceil(margin))
     return base
 
 
 def phase_context(zp: SpectralPoint, params: CriticalParams,
                   n_start: int | None = None) -> PhaseContext:
-    """Canonicalize a spectral point; validates threshold and side rules."""
+    """Canonicalize a spectral point; validates threshold and side rules.
+
+    At real w the leading coefficient c(w) of t_n decides: c > 0 (z in
+    the a.c. set) needs a side tag, c = 0 (an a.c. endpoint) is a
+    branch point.
+    """
     z = complex(zp.z)
     w = params.gamma * z
     conj = False
@@ -184,20 +184,19 @@ def phase_context(zp: SpectralPoint, params: CriticalParams,
         if w.imag < 0.0:
             w = w.conjugate()
             conj = True
-        elif w.imag == 0.0 and _asymptotically_on_cut(w, params):
-            raise InvalidParameter(
-                "real z inside the a.c. set needs an explicit side tag "
-                "(+i0 or -i0), not side=interior"
-            )
     else:
         eff_plus = (zp.side == PLUS) == (params.gamma > 0)
         conj = not eff_plus
         w = complex(w.real, 0.0)
     if w.imag == 0.0:
-        if params.sigma == 1.0 and w.real == params.tau:
-            raise BranchPoint("z at the spectral threshold gamma*tau")
-        if params.sigma < 1.0 and w.real == 0.0:
-            raise BranchPoint("z at the spectral threshold 0")
+        c = params.leading_coefficient(w.real)
+        if c == 0.0:
+            raise BranchPoint(f"z = {z.real:g} at an endpoint of the a.c. set")
+        if c > 0.0 and zp.side == INTERIOR:
+            raise InvalidParameter(
+                "real z inside the a.c. set needs an explicit side tag "
+                "(+i0 or -i0), not side=interior"
+            )
     if n_start is None:
         n_start = default_n_start(zp, params)
     return PhaseContext(w=w, conj=conj, n_start=int(n_start), params=params)
@@ -215,10 +214,9 @@ def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
     """theta_n for n in [n0, n1) at the canonical point (no conjugation)."""
     ns = np.arange(n0, n1, dtype=float)
     p = ctx.params
-    if p.sigma == 1.0:
-        # explicit sqrt(gamma z - tau) n^{-1/2}; avoids cancellation in t_n
-        root = sqrt_cut(ctx.w - p.tau, PLUS if ctx.w.imag == 0.0 else INTERIOR)
-        return root / np.sqrt(ns)
+    if p.single_power:
+        # explicit sqrt(c) n^{-1/2}, c = gamma z - tau; avoids cancellation in t_n
+        return sqrt_cut(p.leading_coefficient(ctx.w)) / np.sqrt(ns)
     t = t_values(ns, ctx.w, p)
     T = t.copy()
     if p.L > 1:

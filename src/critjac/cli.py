@@ -153,19 +153,20 @@ def _convert_format(text: str, fmt: str | None) -> str:
 
 # -- commands -----------------------------------------------------------
 
+# classify's case line, by spectrum kind and whether t_n has a single power
+_CASES = {
+    ("whole_line_ac", False):
+        "sigma in (1,3/2], tau < 0: a.c. spectrum covers the real line",
+    ("all_discrete", False): "sigma in (1,3/2], tau > 0: purely discrete spectrum",
+    ("half_line_ac", True): "sigma = 1: a.c. spectrum on a tau-shifted half-axis",
+    ("half_line_ac", False): "sigma in (0,1): a.c. spectrum on a half-axis from 0",
+}
+
 
 def cmd_classify(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
     spec = spectral.classify_spectrum(params)
-    if params.sigma > 1:
-        case = (f"sigma in (1,3/2], tau {'<' if params.tau < 0 else '>'} 0: "
-                + ("a.c. spectrum covers the real line" if params.tau < 0
-                   else "purely discrete spectrum"))
-    elif params.sigma == 1:
-        case = "sigma = 1: a.c. spectrum on a tau-shifted half-axis"
-    else:
-        case = "sigma in (0,1): a.c. spectrum on a half-axis from 0"
     report = {
         "kind": model.kind,
         "sigma": params.sigma,
@@ -180,7 +181,7 @@ def cmd_classify(cfg: dict) -> tuple[str, int]:
         "ac": str(params.ac_set) if params.ac_set else "empty",
         "spectrum": spec.kind,
         "discrete_region": str(spec.discrete) if spec.discrete else "empty",
-        "case": case,
+        "case": _CASES[spec.kind, params.single_power],
         "notes": list(params.notes),
     }
     return json.dumps(report, sort_keys=True, indent=2) + "\n", EXIT_OK

@@ -11,6 +11,14 @@ needs: tau = 2 beta - 2 alpha + sigma, the amplitude power rho, the
 phase scale nu, the remainder decay exponent delta, the eikonal depth L
 with its exact rational coefficients, the phase-growth exponent
 varsigma, and the absolutely continuous set.
+
+This module owns the regime table.  Every regime-dependent formula
+elsewhere reads the leading coefficient c(w) of t_n(w) = -tau/n +
+w n^-sigma (CriticalParams.leading_coefficient): the a.c. set is where
+c(gamma lambda) > 0, its endpoints are the zeros of c, theta_n ~
+sqrt(c) n^-nu, and w(lambda) = sqrt(c(gamma lambda)).  No other module
+compares sigma or the sign of tau with a constant, except the
+closed-form oracle ansatz.asymptotic_phase.
 """
 
 from __future__ import annotations
@@ -110,19 +118,50 @@ class CriticalParams:
     L: int
     p: tuple[Fraction, ...]
     varsigma: float
-    ac_set: RealInterval | None
     notes: tuple[str, ...] = field(default=())
 
     @property
     def log_phase_growth(self) -> bool:
         return self.sigma == 1.5
 
+    @property
+    def single_power(self) -> bool:
+        """sigma = 1: both terms of t_n fall like 1/n, so t_n = c(w)/n
+        exactly, theta_n = sqrt(c(w)) n^-1/2, and t_n never changes sign
+        in n."""
+        return self.sigma == 1
+
+    def leading_coefficient(self, w: complex) -> complex:
+        """c(w) with t_n(w) ~ c(w) n^(-2 nu), so theta_n ~ sqrt(c(w)) n^-nu,
+        at the phase argument w = gamma z.
+
+        The regime table: c = -tau for sigma in (1, 3/2] (the tau/n term
+        leads), w - tau at sigma = 1 (the two terms tie), w for sigma < 1.
+        """
+        if self.sigma > 1:
+            return -self.tau
+        return w - self.tau if self.single_power else w
+
+    @property
+    def ac_set(self) -> RealInterval | None:
+        """{lambda : c(gamma lambda) > 0}.  For sigma > 1, c = -tau does not
+        depend on lambda: the whole line or nothing.  Otherwise c(w) rises
+        with w from its zero w0 = -c(0), and the set is the half line on
+        which gamma lambda > w0."""
+        c0 = self.leading_coefficient(0.0)
+        if self.sigma > 1:
+            return RealInterval(-np.inf, np.inf) if c0 > 0 else None
+        edge = 0.0 - self.gamma * c0      # gamma w0, never -0
+        if self.gamma > 0:
+            return RealInterval(edge, np.inf)
+        return RealInterval(-np.inf, edge)
+
     def thresholds(self) -> tuple[float, ...]:
         """Finite endpoints of the a.c. set (none for sigma in (1, 3/2])."""
-        if self.ac_set is None:
+        ac = self.ac_set
+        if ac is None:
             return ()
-        pts = [v for v in (self.ac_set.lo, self.ac_set.hi) if np.isfinite(v)]
-        return tuple(pts)
+        return tuple(v for v in (ac.lo, ac.hi) if np.isfinite(v))
 
 
 # -- exact derived quantities -------------------------------------------
@@ -170,15 +209,6 @@ def exact_critical_fractions(desc: AsymptoticDescriptor) -> dict[str, Fraction]:
     }
 
 
-def _ac_set(sigma: float, tau: float, gamma: float) -> RealInterval | None:
-    if sigma > 1:
-        return RealInterval(-np.inf, np.inf) if tau < 0 else None
-    if sigma == 1:
-        lo = gamma * tau
-        return RealInterval(lo, np.inf) if gamma > 0 else RealInterval(-np.inf, lo)
-    return RealInterval(0.0, np.inf) if gamma > 0 else RealInterval(-np.inf, 0.0)
-
-
 def classify(model: CoefficientModel) -> CriticalParams:
     """Derive all regime parameters from the declared asymptotics.
 
@@ -219,7 +249,6 @@ def classify(model: CoefficientModel) -> CriticalParams:
         L=L,
         p=eikonal_coefficients(L),
         varsigma=float(ex["varsigma"]),
-        ac_set=_ac_set(desc.sigma, tau, desc.gamma),
         notes=notes,
     )
 
@@ -288,6 +317,8 @@ def table_model(a: "np.ndarray | list", b: "np.ndarray | list",
     b_arr = np.asarray(b, dtype=float)
     if a_arr.ndim != 1 or b_arr.ndim != 1 or len(a_arr) != len(b_arr):
         raise InvalidParameter("table model needs 1-d a[] and b[] of equal length")
+    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
+        raise InvalidParameter("table entries must be finite")
     if np.any(a_arr <= 0):
         raise InvalidParameter("off-diagonal entries must be positive")
     size = len(a_arr)

@@ -60,10 +60,6 @@ class OutsideAC(CritJacError):
     """Operation requires a real point inside the a.c. set."""
 
 
-class OutsideDomain(CritJacError):
-    """Point outside the validity region of the requested closed form."""
-
-
 class ThresholdPoint(CritJacError):
     """Real point inside the guard band around a spectral threshold."""
 

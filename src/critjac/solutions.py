@@ -20,7 +20,6 @@ import numpy as np
 from . import volterra
 from .ansatz import (
     INTERIOR,
-    MINUS,
     PLUS,
     PhaseContext,
     SpectralPoint,
@@ -33,7 +32,6 @@ from .errors import (
     InvalidParameter,
     OnSpectrum,
     OutsideAC,
-    OutsideDomain,
     WindowMismatch,
     ZeroCrossing,
 )
@@ -380,66 +378,26 @@ def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))
 
 
-def varkappa(zp: SpectralPoint, params: CriticalParams) -> complex:
-    """Leading phase coefficient: theta_n(z) ~ varkappa(z) n^(-nu).
-
-    Cases (z in the phase-argument convention):
-      sigma > 1, tau < 0 : +-sqrt(|tau|) for upper/lower side
-      sigma > 1, tau > 0 : i sqrt(tau), all z
-      sigma < 1          : sqrt(z)
-      sigma = 1          : sqrt(z - tau)
-
-    Boundary-side points must lie on the oscillatory cut of their case;
-    otherwise OutsideDomain is raised.
-    """
-    s, tau = params.sigma, params.tau
-    z = complex(zp.z)
-    if s > 1.0 and tau > 0.0:
-        return 1j * math.sqrt(tau)
-    if s > 1.0:
-        if zp.side == MINUS or (zp.side == INTERIOR and z.imag < 0.0):
-            return complex(-math.sqrt(-tau))
-        if zp.side == INTERIOR and z.imag == 0.0:
-            raise OutsideDomain("real z needs a side tag when tau < 0, sigma > 1")
-        return complex(math.sqrt(-tau))
-    arg = z - tau if s == 1.0 else z
-    if zp.side != INTERIOR:
-        if arg.real <= 0.0:
-            raise OutsideDomain(f"boundary value at lambda = {z.real:g} is off the cut")
-        root = math.sqrt(arg.real)
-        return complex(root) if zp.side == PLUS else complex(-root)
-    if arg.imag == 0.0 and arg.real >= 0.0:
-        raise OutsideDomain("point on the cut requires a side tag")
-    return sqrt_cut(arg, INTERIOR)
-
-
 def limit_wronskian(lam: float, params: CriticalParams) -> float:
     """w(lambda) = (2i)^{-1} W[f(lambda+i0), f(lambda-i0)] on the a.c. set.
 
-    Closed form: sqrt(|tau|), sqrt(gamma*lambda), or sqrt(gamma*lambda - tau)
-    according to the regime; strictly positive on the a.c. set.
+    Closed form: sqrt(c(gamma lambda)) with c the leading coefficient of
+    t_n, which is |kappa_phase| at lambda + i0; strictly positive on the
+    a.c. set.
     """
     ac = params.ac_set
     if ac is None or not ac.contains(lam):
         raise OutsideAC(f"lambda = {lam:g} is not inside the a.c. set")
-    s, tau = params.sigma, params.tau
-    if s > 1.0:
-        return math.sqrt(-tau)
-    mu = params.gamma * lam
-    arg = mu - tau if s == 1.0 else mu
-    return math.sqrt(arg)
+    return math.sqrt(params.leading_coefficient(params.gamma * lam))
 
 
 def kappa_phase(ctx_or_zp, params: CriticalParams) -> complex:
-    """varkappa at the phase argument w = gamma*z (canonical branch)."""
+    """varkappa in theta_n ~ varkappa n^-nu: sqrt(c(w)) at the canonical
+    phase argument w, conjugated back with a sign flip as phase_context
+    says."""
     if isinstance(ctx_or_zp, PhaseContext):
         ctx = ctx_or_zp
-    else:
-        ctx = phase_context(ctx_or_zp, params)
-    s, tau = params.sigma, params.tau
-    if s > 1.0:
-        base = 1j * math.sqrt(tau) if tau > 0 else complex(math.sqrt(-tau))
-    else:
-        arg = ctx.w - tau if s == 1.0 else ctx.w
-        base = sqrt_cut(arg, PLUS if arg.imag == 0.0 else INTERIOR)
+    else:       # kappa reads only w and conj: any window start serves
+        ctx = phase_context(ctx_or_zp, params, n_start=1)
+    base = sqrt_cut(params.leading_coefficient(ctx.w))
     return (-base.conjugate()) if ctx.conj else base

@@ -66,18 +66,16 @@ class DensitySample:
 
 
 def classify_spectrum(params: CriticalParams) -> SpectrumClassification:
-    """Regime table: sigma in (1,3/2] splits on the sign of tau; for
-    sigma <= 1 a half line is a.c. and the complement is discrete."""
-    s, tau, gamma = params.sigma, params.tau, params.gamma
-    if s > 1.0:
-        if tau < 0:
-            return SpectrumClassification("whole_line_ac",
-                                          RealInterval(-np.inf, np.inf), None)
-        return SpectrumClassification("all_discrete", None,
-                                      RealInterval(-np.inf, np.inf))
+    """The a.c. set and its complement, the region that may carry
+    eigenvalues: the whole line, nothing, or the other half line."""
     ac = params.ac_set
-    disc = (RealInterval(-np.inf, ac.lo) if gamma > 0
-            else RealInterval(ac.hi, np.inf))
+    line = RealInterval(-np.inf, np.inf)
+    if ac is None:
+        return SpectrumClassification("all_discrete", None, line)
+    if ac == line:
+        return SpectrumClassification("whole_line_ac", ac, None)
+    disc = (RealInterval(ac.hi, np.inf) if ac.lo == -np.inf
+            else RealInterval(-np.inf, ac.lo))
     return SpectrumClassification("half_line_ac", ac, disc)
 
 

@@ -104,6 +104,8 @@ _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # indices per stretch of the forward pass
 _FOLD = 4 * _CHUNK                        # indices a fold pass takes at most
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
+_SUM_BLOCK = 65536                        # most terms per frame of _scaled_prefix_sum
+_SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
 
 
 @dataclass
@@ -461,7 +463,6 @@ def _step_rows(a: np.ndarray, K: int, b: int, nb: int,
 
 
 def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
-                       max_block: int = 65536, span: float = 500.0,
                        carry: tuple = (-np.inf, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase),
     added to `carry`, a sum already taken in the same form.
@@ -472,10 +473,11 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     term (over ten times as much: 9.9 against 0.75 ms for 2e5 terms) and,
     where a phase is a product of unit numbers, an np.angle per factor.
 
-    Terms are summed blockwise in the frame of the block's running
-    maximum; a block is cut as soon as that frame would grow by more
-    than `span` nats, so every partial sum stays inside the normal
-    double range no matter how steeply the magnitudes climb.  A partial
+    Terms are summed blockwise, at most _SUM_BLOCK at a time, in the
+    frame of the block's running maximum; a block is cut as soon as that
+    frame would grow by more than _SUM_SPAN nats, so every partial sum
+    stays inside the normal double range no matter how steeply the
+    magnitudes climb.  A partial
     sum that is exactly zero comes out as (-inf, 1).  The phases come out
     in the dtype of unitv: real terms give real signs.  The last sum is
     the carry for the terms that follow.
@@ -486,10 +488,10 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     carry_log, carry_unit = carry
     lo = 0
     while lo < n:
-        cap = min(lo + max_block, n)
+        cap = min(lo + _SUM_BLOCK, n)
         runmax = np.maximum.accumulate(logv[lo:cap])
         frame0 = max(float(logv[lo]), carry_log)
-        cut = np.nonzero(runmax > frame0 + span)[0]
+        cut = np.nonzero(runmax > frame0 + _SUM_SPAN)[0]
         hi = lo + int(cut[0]) if len(cut) and cut[0] > 0 else (
             lo + 1 if len(cut) else cap)
         ref = max(float(runmax[hi - 1 - lo]), carry_log)

@@ -128,6 +128,15 @@ class TestPhases:
         with pytest.raises(BranchPoint):
             ansatz.phase_context(ansatz.at_plus(0.0), p)
 
+    def test_turning_point_beyond_float_range(self):
+        # sigma = 1/2, tau = -1.5: t_n changes sign at n = (w/tau)^-2, past
+        # 1e308 for w = -1e-200; no window reaches it
+        _, p = power(0.5, 1.0, 0.0)
+        with pytest.raises(InvalidParameter, match="beyond n = 1e308"):
+            ansatz.phase_context(ansatz.interior(-1e-200), p)
+        # with a window start given, nothing looks for the sign change
+        assert ansatz.phase_context(ansatz.interior(-1e-200), p, 8).n_start == 8
+
 
 class TestAnsatzValue:
     def test_at_start_magnitude(self, laguerre0):

@@ -158,6 +158,20 @@ def test_missing_model_is_config_error(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--lambda-min", "-5", "--lambda-max", "-0.5"],
+    ["density", "--lambda-min", "1.0"],
+])
+def test_non_finite_table_is_config_error(argv, capsys):
+    # json reads NaN; the table model rejects it before anything is solved
+    spec = ('{"kind": "table", "a": [1.0, NaN, 3.0], "b": [1.0, 3.0, 5.0], '
+            '"sigma": 1.0, "alpha": 1.0, "beta": 0.5, "gamma": 1.0}')
+    code, out, err = run(argv + ["--model", spec], capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter: table entries must be finite" in err
+
+
 def test_density_single_point(capsys):
     code, out, _ = run(["density", "--p", "0", "--lambda-min", "1.0",
                         "--N", "100000"], capsys)

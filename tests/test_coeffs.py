@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from critjac import coeffs
+from critjac import ansatz, coeffs, solutions
 from critjac.errors import (
+    BranchPoint,
     InvalidParameter,
+    OutsideAC,
     LimitCircleRegime,
     NotCritical,
     UnsupportedRegime,
@@ -135,6 +137,41 @@ def test_exact_identities(sigma, alpha, beta):
     assert ex["delta"] - ex["nu"] > 1
 
 
+
+@given(st.sampled_from([0.5, 0.75, 1.0, 1.25, 1.5]),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-8.0, 8.0), st.one_of(st.none(), st.floats(-1e-2, 1e-2)))
+def test_regime_table_agrees_across_modules(sigma, alpha, beta, gamma, lam, nudge):
+    # ac_set, the side-tag and branch-point rules of phase_context, kappa_phase
+    # and limit_wronskian all read c(w); they must agree at every point, at
+    # and next to the a.c. endpoints too (a nudge puts lam there)
+    try:
+        p = coeffs.classify(coeffs.power_model(sigma, alpha, beta, gamma))
+    except UnsupportedTauZero:
+        return
+    ac = p.ac_set
+    if nudge is not None and p.thresholds():
+        lam = p.thresholds()[0] + nudge
+    if lam in p.thresholds():
+        for zp in (ansatz.interior(lam), ansatz.at_plus(lam), ansatz.at_minus(lam)):
+            with pytest.raises(BranchPoint):
+                ansatz.phase_context(zp, p)
+        return
+    if ac is not None and ac.contains(lam):
+        with pytest.raises(InvalidParameter, match="side tag"):
+            ansatz.phase_context(ansatz.interior(lam), p)
+        kappa = solutions.kappa_phase(ansatz.at_plus(lam), p)
+        assert solutions.limit_wronskian(lam, p) == abs(kappa)
+    else:
+        try:
+            ansatz.phase_context(ansatz.interior(lam), p)
+        except InvalidParameter as exc:
+            # no side tag; only a sign change of t_n that no window reaches
+            assert "beyond n = 1e308" in str(exc)
+        with pytest.raises(OutsideAC):
+            solutions.limit_wronskian(lam, p)
+
+
 def test_descriptor_deviation_stable(laguerre0, laguerre1):
     # p = 0 is exactly linear (a_n = n + 1): the scaled deviation is pure
     # rounding noise and must stay tiny over [1e2, 1e6]
@@ -165,3 +202,12 @@ def test_model_json_roundtrip(tmp_path):
         mt.a(3)
     with pytest.raises(InvalidParameter):
         coeffs.model_from_dict({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("column, bad", [("a", math.nan), ("a", math.inf),
+                                         ("b", math.nan), ("b", -math.inf)])
+def test_table_model_rejects_non_finite_entries(column, bad):
+    entries = {"a": [1.0, 1.5, 2.2], "b": [0.0, 1.0, 2.0]}
+    entries[column][1] = bad
+    with pytest.raises(InvalidParameter, match="finite"):
+        coeffs.table_model(entries["a"], entries["b"], 0.5, 0.0, 0.0, 1.0)

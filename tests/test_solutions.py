@@ -5,7 +5,7 @@ import pytest
 
 from conftest import force_complex, log_sample_indices, loglog_slope, phi_at, power
 from critjac import ansatz, coeffs, solutions, spectral
-from critjac.errors import OnSpectrum, OutsideAC, OutsideDomain, WindowMismatch
+from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch
 
 
 def test_jost_window_residual(laguerre0):
@@ -236,28 +236,33 @@ class TestOmega:
 
 
 class TestVarkappa:
+    """kappa_phase, the varkappa of theta_n ~ varkappa n^-nu, in each regime."""
+
     def test_sigma_one(self, laguerre0):
         _, p = laguerre0
-        assert solutions.varkappa(ansatz.at_plus(1.0), p) == pytest.approx(1.0)
+        assert solutions.kappa_phase(ansatz.at_plus(1.0), p) == pytest.approx(1.0)
         assert solutions.limit_wronskian(1.0, p) == pytest.approx(1.0)
 
     def test_sigma_above_one(self):
         _, p = power(1.25, 0.0, -0.75)   # tau = -0.25
-        assert solutions.varkappa(ansatz.at_plus(3.0), p) == pytest.approx(0.5)
-        assert solutions.varkappa(ansatz.at_minus(3.0), p) == pytest.approx(-0.5)
+        assert solutions.kappa_phase(ansatz.at_plus(3.0), p) == pytest.approx(0.5)
+        assert solutions.kappa_phase(ansatz.at_minus(3.0), p) == pytest.approx(-0.5)
         assert solutions.limit_wronskian(-7.0, p) == pytest.approx(0.5)
 
     def test_positive_tau_constant(self):
         _, p = power(1.25, 0.0, 0.0)     # tau = 1.25
-        val = solutions.varkappa(ansatz.interior(0.3 + 2j), p)
+        val = solutions.kappa_phase(ansatz.interior(0.3 + 2j), p)
         assert val == pytest.approx(1j * math.sqrt(1.25))
 
     def test_outside_domain(self):
+        # off the cut the root is the decaying one, i sqrt(|c|), and there is
+        # no limit Wronskian; the a.c. endpoint 0 is a branch point
         _, p = power(0.5, 0.0, 0.0)
-        with pytest.raises(OutsideDomain):
-            solutions.varkappa(ansatz.at_plus(-1.0), p)
+        assert solutions.kappa_phase(ansatz.at_plus(-1.0), p) == 1j
         with pytest.raises(OutsideAC):
             solutions.limit_wronskian(-1.0, p)
+        with pytest.raises(BranchPoint):
+            solutions.kappa_phase(ansatz.at_plus(0.0), p)
 
     def test_numeric_wronskian_matches_closed_form(self):
         cases = [power(1.25, 0.0, -0.875), power(0.5, 0.0, 0.0),

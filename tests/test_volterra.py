@@ -275,27 +275,28 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
 
 
 @pytest.mark.parametrize("max_block", [65536, 4])
-def test_prefix_sum_exact_zero(max_block):
+def test_prefix_sum_exact_zero(max_block, monkeypatch):
     # terms 1, 1, -1, -1, 1: the two -1 are e^{+i pi} and e^{-i pi}, whose
     # imaginary residues (sin(pi) = 1.2e-16 in doubles) cancel, so the
-    # fourth partial sum is exactly zero; with max_block = 4 that zero
+    # fourth partial sum is exactly zero; with blocks of 4 that zero
     # ends a block and is carried into the next
+    monkeypatch.setattr(volterra, "_SUM_BLOCK", max_block)
     logv = np.zeros(5)
     unitv = np.exp(1j * np.array([0.0, 0.0, np.pi, -np.pi, 0.0]))
-    lg, un = volterra._scaled_prefix_sum(logv, unitv, max_block=max_block)
+    lg, un = volterra._scaled_prefix_sum(logv, unitv)
     assert lg[3] == -np.inf and un[3] == 1.0
     assert lg[4] == 0.0 and un[4] == 1.0
     assert np.all(np.isfinite(lg[:3])) and np.all(np.abs(un) == 1.0)
 
-def test_prefix_sum_real_terms_give_real_signs():
+def test_prefix_sum_real_terms_give_real_signs(monkeypatch):
     # real unit phases (signs) keep the sums real: the log-magnitudes are
     # those of the complex computation, the signs are +-1 exactly
+    monkeypatch.setattr(volterra, "_SUM_BLOCK", 700)
     rng = np.random.default_rng(7)
     logv = np.cumsum(rng.normal(1.0, 3.0, 5000))
     signs = np.sign(rng.normal(size=5000))
-    lg, un = volterra._scaled_prefix_sum(logv, signs, max_block=700)
-    lg_c, un_c = volterra._scaled_prefix_sum(logv, signs.astype(complex),
-                                             max_block=700)
+    lg, un = volterra._scaled_prefix_sum(logv, signs)
+    lg_c, un_c = volterra._scaled_prefix_sum(logv, signs.astype(complex))
     assert un.dtype == np.float64 and np.all(np.abs(un) == 1.0)
     assert np.array_equal(lg, lg_c)
     assert np.max(np.abs(un - un_c)) <= 2 * np.finfo(float).eps
