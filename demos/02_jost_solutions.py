@@ -27,7 +27,7 @@ z = 1.0 + 1.0j
 f = jost(interior(z), p, m, N=20_000)
 
 print(f"Jost window for the p=0 model at z = {z}: n in "
-      f"[{f.n_lo}, {f.n_hi}], volterra residual {f.meta['volterra_residual']:.1e}")
+      f"[-1, {f.n_hi}], volterra residual {f.meta['volterra_residual']:.1e}")
 print("log|f_n| decays off the spectrum:")
 for n in (0, 10, 100, 1000, 10_000, 20_000):
     print(f"  n={n:6d}  log|f_n| = {f.log_abs(n):10.2f}")

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import recurrence, solutions, spectral
+from . import recurrence, solutions, spectral, volterra
 from .ansatz import SpectralPoint, at_plus, interior, phase_context
 from .coeffs import (
     CoefficientModel,
@@ -230,7 +230,7 @@ def cmd_jost(cfg: dict) -> tuple[str, int]:
     n0 = int(cfg["n0"]) if cfg.get("n0") else None
     win = solutions.jost(zp, params, model, N=N, n0=n0)
     rows = ["n,re_f,im_f,log_abs_f"]
-    for n in range(win.n_lo, win.n_hi + 1):
+    for n in range(-1, win.n_hi + 1):
         lm = win.log_abs(n)
         if lm < 700.0:
             v = win.complex_at(n)
@@ -256,6 +256,9 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
     n_hi = int(cfg.get("N") or (n_lo + 50))
     if n_hi < n_lo:
         raise InvalidParameter("need N >= n0 for the index window")
+    if n_hi > volterra.N_CAP:
+        raise InvalidParameter(
+            f"rows up to n = {n_hi} pass the window cap N_CAP = {volterra.N_CAP}")
     N_jost = int(cfg["N_jost"]) if cfg.get("N_jost") else None
     P = recurrence.poly_eval(model, z, n_hi + 1)
     ns = np.arange(n_lo, n_hi + 1)
@@ -347,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--threads", type=int)
         if name == "resolvent":
-            p.add_argument("--n", type=int, default=0)
-            p.add_argument("--m", type=int, default=0)
+            p.add_argument("--n", type=int)
+            p.add_argument("--m", type=int)
     return ap
 
 

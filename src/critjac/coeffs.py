@@ -121,10 +121,6 @@ class CriticalParams:
     notes: tuple[str, ...] = field(default=())
 
     @property
-    def log_phase_growth(self) -> bool:
-        return self.sigma == 1.5
-
-    @property
     def single_power(self) -> bool:
         """sigma = 1: both terms of t_n fall like 1/n, so t_n = c(w)/n
         exactly, theta_n = sqrt(c(w)) n^-1/2, and t_n never changes sign

@@ -149,7 +149,7 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     if not mag.all():
         unit_rows[mag == 0.0] = 1.0             # exact zeros: (-inf, 1)
     zp = SpectralPoint(complex(z), "plus" if real else "interior")
-    return SolutionWindow("polynomial", -1, lm[:N + 2], unit[:N + 2], zp, model,
+    return SolutionWindow("polynomial", lm[:N + 2], unit[:N + 2], zp, model,
                           meta={"N": N})
 
 
@@ -161,25 +161,17 @@ def _by_block(v: np.ndarray, b: int, nb: int) -> np.ndarray:
 
 
 def truncated_matrix_eigs(model: CoefficientModel, N: int,
-                          k: int | None = None,
                           window: tuple[float, float] | None = None) -> np.ndarray:
     """Eigenvalues of the N x N leading principal submatrix, sorted.
 
-    Returns the k smallest, the ones inside `window`, or all N.  The
-    submatrix is real symmetric tridiagonal with positive off-diagonal,
-    so all eigenvalues are real and simple.
+    Returns the ones inside `window`, or all N.  The submatrix is real
+    symmetric tridiagonal with positive off-diagonal, so all eigenvalues
+    are real and simple.
     """
     if N < 1:
         raise InvalidParameter("matrix truncation needs N >= 1")
     d = model.b_range(0, N)
     e = model.a_range(0, N - 1)
-    if k is not None:
-        if not 1 <= k <= N:
-            raise InvalidParameter("need 1 <= k <= N")
-        if N == 1:
-            return d.copy()
-        return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-                                eigvals_only=True)
     if window is not None:
         if N == 1:
             lo, hi = window

@@ -44,13 +44,12 @@ _RENORM = 1e120
 class SolutionWindow:
     """Indexed window of a recurrence solution in log-magnitude form.
 
-    kind is "jost", "growing" or "polynomial"; values cover
-    n in [n_lo, n_lo + len - 1] with n_lo = -1 for fully extended
-    windows.  meta carries truncation/residual diagnostics.
+    kind is "jost", "growing" or "polynomial"; values cover n in
+    [-1, n_hi], entry k holding n = k - 1 (every window is extended down
+    to n = -1).  meta carries truncation/residual diagnostics.
     """
 
     kind: str
-    n_lo: int
     logmag: np.ndarray
     unit: np.ndarray
     zp: SpectralPoint
@@ -59,16 +58,16 @@ class SolutionWindow:
 
     @property
     def n_hi(self) -> int:
-        return self.n_lo + len(self.logmag) - 1
+        return len(self.logmag) - 2
 
     @property
     def z(self) -> complex:
         return complex(self.zp.z)
 
     def _k(self, n: int) -> int:
-        if not self.n_lo <= n <= self.n_hi:
-            raise InvalidParameter(f"window covers [{self.n_lo}, {self.n_hi}]")
-        return n - self.n_lo
+        if not -1 <= n <= self.n_hi:
+            raise InvalidParameter(f"window covers [-1, {self.n_hi}]")
+        return n + 1
 
     def value(self, n: int) -> LogComplex:
         k = self._k(n)
@@ -81,7 +80,7 @@ class SolutionWindow:
         return float(self.logmag[self._k(n)])
 
     def conjugated(self) -> "SolutionWindow":
-        return SolutionWindow(self.kind, self.n_lo, self.logmag.copy(),
+        return SolutionWindow(self.kind, self.logmag.copy(),
                               self.unit.conjugate(), self.zp.conjugate(),
                               self.model, dict(self.meta))
 
@@ -137,50 +136,47 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """
     sol = volterra.solve(zp, params, model, n0=n0, N=N,
                          tail_init=tail_init)
-    full_lm, full_u = _jost_values(sol, zp, params, model, sol.N)
-    head = slice(sol.n0 + 1, sol.n0 + 3)            # n0 and n0 + 1 (n_lo = -1)
-    meta = {
+    win = _jost_window(sol, zp, params, model, sol.N)
+    win.meta = {
         "n0": sol.n0,
         "N": sol.N,
         "volterra_residual": sol.residual,
         "tail_bound": sol.tail_bound,
         "u_error_bound": float(np.expm1(sol.H[0])),
-        "normalisation_estimate": _normalisation_estimate(
-            zp, params, model, sol.n0, full_lm[head], full_u[head]),
+        "normalisation_estimate": _normalisation_estimate(win, params, sol.n0),
         "tail_init": sol.meta["tail_init"],
         "tail_len": sol.meta["tail_len"],
         "tail_fit_residual": sol.meta["tail_fit_residual"],
     }
-    return SolutionWindow("jost", -1, full_lm, full_u, zp, model, meta)
+    return win
 
 
-def _normalisation_estimate(zp: SpectralPoint, params: CriticalParams,
-                            model: CoefficientModel, n0: int, lm: np.ndarray,
-                            unit: np.ndarray) -> float | None:
-    """|W[f, conj f]_{n0} / (+-2i w) - 1| from f_{n0}, f_{n0+1} given as
-    (log-magnitude, unit phase), at a side-tagged point lambda +- i0 of the
-    a.c. set; None elsewhere.
+def _normalisation_estimate(f: SolutionWindow, params: CriticalParams,
+                            n0: int) -> float | None:
+    """|W[f, conj f]_{n0} / (+-2i w) - 1| at a side-tagged point
+    lambda +- i0 of the a.c. set; None elsewhere.
 
     There f(lambda -+ i0) = conj f(lambda +- i0), so the window alone gives
     the Wronskian of the two boundary solutions, which is +-2i w exactly:
     the deviation estimates the error in f's normalisation a posteriori.
-    W[f, conj f]_n = a_n (f_n conj f_{n+1} - f_{n+1} conj f_n)
-    = 2i a_n Im(f_n conj f_{n+1}).
+    W[f, conj f]_n = 2i a_n Im(f_n conj f_{n+1}) is purely imaginary.
     """
-    lam = complex(zp.z).real
+    lam = f.z.real
     ac = params.ac_set
-    if zp.side == INTERIOR or ac is None or not ac.contains(lam):
+    if f.zp.side == INTERIOR or ac is None or not ac.contains(lam):
         return None
-    side = 1.0 if zp.side == PLUS else -1.0
-    im = (complex(unit[0]) * complex(unit[1]).conjugate()).imag
-    half_w = model.a(n0) * math.exp(lm[0] + lm[1]) * im
+    side = 1.0 if f.zp.side == PLUS else -1.0
+    head = slice(n0 + 1, n0 + 3)                    # f_{n0}, f_{n0+1}
+    lm, unit = f.logmag[head], f.unit[head]
+    W = _wronskians(lm, unit, lm, unit.conjugate(), f.model.a_range(n0, n0 + 1))
+    half_w = float(W[0].imag) / 2.0
     return abs(side * half_w / limit_wronskian(lam, params) - 1.0)
 
 
-def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
+def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
                  params: CriticalParams, model: CoefficientModel,
-                 n_top: int) -> tuple[np.ndarray, np.ndarray]:
-    """f_n for n in [-1, n_top] as (log-magnitude, unit phase) at zp.
+                 n_top: int) -> SolutionWindow:
+    """The Jost window f_n, n in [-1, n_top], at zp from the solve sol.
 
     f_n = A_n u_n on [n0, n_top], extended downwards by the recurrence.
     n_top = N gives the whole Jost window; n_top = n0 + 1 gives f_{-1},
@@ -203,7 +199,7 @@ def _jost_values(sol: volterra.VolterraSolution, zp: SpectralPoint,
     full_u = np.concatenate([back_u, unit])
     if ctx.conj:
         full_u = full_u.conjugate()
-    return full_lm, full_u
+    return SolutionWindow("jost", full_lm, full_u, zp, model)
 
 
 def alternating_sign(n, gamma: float):
@@ -225,32 +221,30 @@ def _require_regular(zp: SpectralPoint, params: CriticalParams):
 
 
 def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
-            n0g: int | None = None, N: int | None = None,
+            N: int | None = None,
             f: SolutionWindow | None = None) -> SolutionWindow:
     """Exponentially growing partner of the Jost solution (regular z only).
 
-    Accumulates the reciprocal sum in the log frame with blockwise
-    rescaling; a loss of more than 8 digits between consecutive partial
-    sums is flagged in meta["cancellation"].  The backward extension is
-    validated by re-checking W[f, g] = 1 at n = 0 (meta["w_check_0"]).
+    The reciprocal sum starts at the Jost window's n0, raised past any
+    near-zero of f (meta["n0g"]).  It is accumulated in the log frame with
+    blockwise rescaling; a loss of more than 8 digits between consecutive
+    partial sums is flagged in meta["cancellation"].  The backward
+    extension is validated by re-checking W[f, g] = 1 at n = 0
+    (meta["w_check_0"]).
     """
     _require_regular(zp, params)
     if f is None:
         f = jost(zp, params, model, N=N, n0=None)
     n0 = f.meta["n0"]
     N = f.n_hi
-    if n0g is None:
-        n0g = n0
-    if n0g < f.n_lo + 1 or n0g >= N - 2:
-        raise InvalidParameter("n0g outside the Jost window")
-    n0g = _clear_zeros(f, n0g)
+    n0g = _clear_zeros(f, n0)
 
     ms = np.arange(n0g, N + 1)
     a_prev = model.a_fn(np.maximum(ms - 1, 0).astype(float))
     if n0g == 0:
         a_prev[0] = 1.0
-    kf = slice(n0g - f.n_lo, N + 1 - f.n_lo)
-    kfm1 = slice(n0g - 1 - f.n_lo, N - f.n_lo)
+    kf = slice(n0g + 1, N + 2)                 # f_m, m in [n0g, N]
+    kfm1 = slice(n0g, N + 1)                   # f_{m-1}
     term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
     term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])
     ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u)
@@ -263,19 +257,16 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     back_lm, back_u = _extend_backward(g_lm, g_u, n0g, model, complex(zp.z))
     full_lm = np.concatenate([back_lm, g_lm])  # back covers [-1, n0g-1]
     full_u = np.concatenate([back_u, g_u])
+    w0 = _wronskians(f.logmag[1:3], f.unit[1:3], full_lm[1:3], full_u[1:3],
+                     model.a_range(0, 1))         # W at n = 0 from n = 0, 1
     meta = {"n0": n0, "n0g": n0g, "N": N, "cancellation": cancelled,
-            "from": dict(f.meta)}
-    win = SolutionWindow("growing", -1, full_lm, full_u, zp, model, meta)
-    w0 = _wronskian_at(f, win, 0)
-    meta["w_check_0"] = w0
-    return win
+            "from": dict(f.meta), "w_check_0": complex(w0[0])}
+    return SolutionWindow("growing", full_lm, full_u, zp, model, meta)
 
 
 def _clear_zeros(f: SolutionWindow, n0g: int) -> int:
     """Raise n0g past every near-vanishing f_m (30-nat dip below neighbors)."""
-    lm = f.logmag
-    k = n0g - f.n_lo
-    seg = lm[k - 1:]
+    seg = f.logmag[n0g:]                       # f_m, m >= n0g - 1
     dips = seg[1:-1] + 30.0 < 0.5 * (seg[:-2] + seg[2:])
     if not np.any(dips):
         return n0g
@@ -289,11 +280,20 @@ def _clear_zeros(f: SolutionWindow, n0g: int) -> int:
     return lifted
 
 
-def _wronskian_at(F: SolutionWindow, G: SolutionWindow, n: int) -> complex:
-    a_n = 1.0 if n == -1 else F.model.a(n)
-    t1 = F.value(n) * G.value(n + 1)
-    t2 = F.value(n + 1) * G.value(n)
-    return complex(a_n) * (t1 - t2).to_complex()
+def _wronskians(lmF: np.ndarray, uF: np.ndarray, lmG: np.ndarray,
+                uG: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a_n (F_n G_{n+1} - F_{n+1} G_n) over consecutive n, in the log frame.
+
+    F and G are given as (log-magnitude, unit phase) on the same indices
+    [n1, n2 + 1], and a holds a_n for n in [n1, n2].  Both products are
+    scaled by the larger of their magnitudes before they are subtracted.
+    """
+    lm1 = lmF[:-1] + lmG[1:]
+    lm2 = lmF[1:] + lmG[:-1]
+    ref = np.maximum(lm1, lm2)
+    ref = np.where(np.isfinite(ref), ref, 0.0)
+    return a * np.exp(ref) * (np.exp(lm1 - ref) * uF[:-1] * uG[1:]
+                              - np.exp(lm2 - ref) * uF[1:] * uG[:-1])
 
 
 def wronskian_detail(F, G) -> tuple[complex, float, int]:
@@ -306,24 +306,12 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
         raise WindowMismatch("windows evaluated at different z")
     if F.model.kind != G.model.kind or F.model.params != G.model.params:
         raise WindowMismatch("windows built from different models")
-    lo = max(F.n_lo, G.n_lo)
     hi = min(F.n_hi, G.n_hi)
-    if hi < lo + 1:
+    if hi < 0:
         raise WindowMismatch("windows do not overlap")
-    kF = slice(lo - F.n_lo, hi - F.n_lo + 1)
-    kG = slice(lo - G.n_lo, hi - G.n_lo + 1)
-    lmF, uF = F.logmag[kF], F.unit[kF]
-    lmG, uG = G.logmag[kG], G.unit[kG]
-    ns = np.arange(lo, hi, dtype=float)
-    a = F.model.a_fn(np.maximum(ns, 0.0))
-    if lo == -1:
-        a[0] = 1.0
-    lm1 = lmF[:-1] + lmG[1:]
-    lm2 = lmF[1:] + lmG[:-1]
-    ref = np.maximum(lm1, lm2)
-    ref = np.where(np.isfinite(ref), ref, 0.0)
-    W = a * np.exp(ref) * (np.exp(lm1 - ref) * uF[:-1] * uG[1:]
-                           - np.exp(lm2 - ref) * uF[1:] * uG[:-1])
+    a = np.concatenate([[1.0], F.model.a_range(0, hi)])   # a_{-1} = 1
+    k = slice(0, hi + 2)                                  # n in [-1, hi]
+    W = _wronskians(F.logmag[k], F.unit[k], G.logmag[k], G.unit[k], a)
     med = complex(np.median(W.real), np.median(W.imag))
     dev = float(np.max(np.abs(W - med)))
     return med, dev, len(W)
@@ -338,10 +326,9 @@ def recurrence_residual(win: SolutionWindow) -> float:
     """Worst relative three-term-recurrence defect over interior indices."""
     model, z = win.model, win.z
     lm, u = win.logmag, win.unit
-    ns = np.arange(win.n_lo + 1, win.n_hi, dtype=float)
+    ns = np.arange(0, win.n_hi, dtype=float)
     a_prev = model.a_fn(np.maximum(ns - 1.0, 0.0))
-    if win.n_lo == -1:
-        a_prev[0] = 1.0
+    a_prev[0] = 1.0                                       # a_{-1}
     a_n = model.a_fn(ns)
     b_n = model.b_fn(ns)
     ref = np.maximum.reduce([lm[:-2], lm[1:-1], lm[2:]])
@@ -374,8 +361,7 @@ def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """
     sol = volterra.solve(zp, params, model, n0=n0, N=N,
                          tail_init=tail_init, n_top=0)
-    lm, unit = _jost_values(sol, zp, params, model, sol.n0 + 1)
-    return omega_from_window(SolutionWindow("jost", -1, lm, unit, zp, model))
+    return omega_from_window(_jost_window(sol, zp, params, model, sol.n0 + 1))
 
 
 def limit_wronskian(lam: float, params: CriticalParams) -> float:

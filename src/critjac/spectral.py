@@ -95,24 +95,24 @@ def _require_in_ac(lam: float, params: CriticalParams):
 
 
 def amplitude_phase(lam: float, params: CriticalParams, model: CoefficientModel,
-                    N: int | None = None,
-                    n0: int | None = None) -> tuple[float, float]:
+                    N: int | None = None) -> tuple[float, float]:
     """Limit amplitude kappa = |Omega(lambda+i0)| and principal-branch
-    phase eta = arg Omega(lambda+i0); unwrap along sweeps externally."""
+    phase eta = arg Omega(lambda+i0), from a solve over the default window
+    start; unwrap along sweeps externally."""
     _require_in_ac(lam, params)
-    om = solutions.omega(at_plus(lam), params, model, N=N, n0=n0)
+    om = solutions.omega(at_plus(lam), params, model, N=N)
     return abs(om), math.atan2(om.imag, om.real)
 
 
 def density(lam: float, params: CriticalParams, model: CoefficientModel,
-            N: int | None = None, n0: int | None = None) -> DensitySample:
+            N: int | None = None) -> DensitySample:
     """One density sample xi = w / (pi kappa^2) at lambda in the a.c. set.
 
     N defaults to volterra.solve's fixed window (10^6 for most points),
     a length, not an accuracy target: on Laguerre at lambda = 0.5, xi is
     2.0e-6 relative off e^-lambda at N = 2e5 but 2.5e-5 at N = 10^6.
     """
-    kappa, eta = amplitude_phase(lam, params, model, N=N, n0=n0)
+    kappa, eta = amplitude_phase(lam, params, model, N=N)
     w = solutions.limit_wronskian(lam, params)
     return DensitySample(lam=float(lam), xi=w / (math.pi * kappa ** 2),
                          kappa=kappa, eta=eta, w=w)
@@ -158,8 +158,7 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
     sol = volterra.solve(zp, params, model, N=N, n_top=hi)
     if hi > sol.N:
         raise InvalidParameter(f"index {hi} beyond the Jost window [-1, {sol.N}]")
-    lm, unit = solutions._jost_values(sol, zp, params, model, max(sol.n0 + 1, hi))
-    win = solutions.SolutionWindow("jost", -1, lm, unit, zp, model)
+    win = solutions._jost_window(sol, zp, params, model, max(sol.n0 + 1, hi))
     om = solutions.omega_from_window(win)
     z = complex(zp.z)
     if z.imag == 0.0 and zp.side == "interior":

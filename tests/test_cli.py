@@ -301,6 +301,20 @@ def test_poly_rejects_n0_below_window_before_solving(monkeypatch, capsys):
     assert "InvalidParameter" in err and "n = 8" in err
 
 
+def test_poly_rejects_rows_past_window_cap_before_solving(monkeypatch, capsys):
+    # sigma = 3/4 at lambda = 1e-3: the phase window starts near 4.6e14,
+    # so the default rows lie far beyond N_CAP
+    def no_solve(*args, **kwargs):
+        raise AssertionError("poly evaluated before checking its rows")
+
+    monkeypatch.setattr(recurrence, "poly_eval", no_solve)
+    code, out, err = run(["poly", "--sigma", "0.75", "--beta", "1", "--z", "0.001"],
+                         capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err and "N_CAP" in err
+
+
 def test_poly_regular_point(tmp_path, capsys):
     # off the spectrum P_n follows the growth law; the relative deviation
     # is the law's O(n^-nu) error, about 4e-2 at n = 1000 (Laguerre, z = -1)
@@ -334,6 +348,20 @@ def test_resolvent_json(capsys):
     assert code == 0
     rep = json.loads(out)
     assert set(rep) == {"n", "m", "z_re", "z_im", "re", "im"}
+
+
+def test_resolvent_config_sets_indices(tmp_path, capsys):
+    # n and m from a config file are not overwritten by absent flags
+    flags = ["--z", "1+1j", "--N", "20000"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 0.0, "n": 3, "m": 5}))
+    code, from_file, _ = run(["resolvent", "--config", str(cfg), *flags], capsys)
+    assert code == 0
+    code, from_flags, _ = run(["resolvent", "--p", "0", "--n", "3", "--m", "5",
+                               *flags], capsys)
+    assert code == 0
+    assert from_file == from_flags
+    assert json.loads(from_file)["n"] == 3 and json.loads(from_file)["m"] == 5
 
 
 def test_out_file(tmp_path, capsys):

@@ -94,7 +94,6 @@ def test_sigma_three_halves_note():
     assert p.tau == pytest.approx(-0.5)
     assert p.rho == pytest.approx(0.5)
     assert p.varsigma == 0.0
-    assert p.log_phase_growth
     assert p.notes  # uniqueness caveat recorded
 
 

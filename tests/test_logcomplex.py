@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from critjac.logcomplex import LogComplex
 
@@ -21,9 +21,13 @@ def test_product_matches_complex(a, b):
 
 
 @given(finite, finite)
+@example(771455 + 0j, -771460 + 0j)
 def test_sum_matches_complex(a, b):
+    # each operand already carries about eps |ln|v|| |v| of rounding in
+    # the log-magnitude format, so the error is bounded against the
+    # operands, not against a cancelled sum
     lc = LogComplex.from_complex(a) + LogComplex.from_complex(b)
-    assert close(lc.to_complex(), a + b, tol=1e-10)
+    assert abs(lc.to_complex() - (a + b)) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 @given(finite)

@@ -11,7 +11,7 @@ from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch
 def test_jost_window_residual(laguerre0):
     m, p = laguerre0
     win = solutions.jost(ansatz.at_plus(1.0), p, m, N=20_000)
-    assert win.n_lo == -1
+    assert len(win.logmag) == win.n_hi + 2 == 20_002    # n in [-1, N]
     assert solutions.recurrence_residual(win) < 1e-9
 
 

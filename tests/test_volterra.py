@@ -764,6 +764,30 @@ class TestSolve:
         with pytest.raises(NumericFailure, match="non-finite kernel transfer"):
             solutions.omega(zp, p, m, N=40_000, tail_init="unit")
 
+    @pytest.mark.parametrize("model, zp", [
+        pytest.param(m, zp, id=tag) for tag, m, zp in
+        [("ac", None, ansatz.at_plus(1.0)), ("complex", None, ansatz.interior(1 + 1j)),
+         *NON_FINITE_KERNELS[1:]]])
+    @pytest.mark.parametrize("at", [3000, 15_000])
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    @pytest.mark.parametrize("n_top", [None, 0])
+    def test_non_finite_ratio_raises(self, laguerre0, monkeypatch, model, zp,
+                                     at, tail_init, n_top):
+        # a NaN B_n reaches the remainder r_n through 1 / B_n; on a complex
+        # kernel as on a real one the solve must raise, not warn first
+        m, p = model or laguerre0
+        ratio = volterra.ansatz_ratio_window
+
+        def broken(*args):
+            B = ratio(*args)
+            if len(B) > at:
+                B[at] = np.nan
+            return B
+
+        monkeypatch.setattr(volterra, "ansatz_ratio_window", broken)
+        with pytest.raises(NumericFailure):
+            volterra.solve(zp, p, m, N=20_000, tail_init=tail_init, n_top=n_top)
+
 
 # |W[f(l+i0), f(l-i0)] / (2i w) - 1| of the earlier tail (second-order
 # d_m, 2N window, three-term fit), measured at these N and cut to four
