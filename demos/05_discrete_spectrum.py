@@ -1,9 +1,10 @@
 """Discrete spectrum by two independent routes.
 
 Off the a.c. set, eigenvalues are exactly the real zeros of the Jost
-function Omega.  The library locates them by a sign-change scan plus
-Brent refinement and cross-checks each against eigenvalues of growing
-matrix truncations.
+function Omega.  The nodes of the Jost solution's head count the
+eigenvalues below a point, so the library isolates each eigenvalue by
+bisection on that count, refines it by Brent, and cross-checks each
+against eigenvalues of growing matrix truncations.
 """
 
 from critjac import (
@@ -21,8 +22,9 @@ p = classify(m)
 print("model: a_n = n, b_n = 2n;", classify_spectrum(p))
 
 rep = eigenvalue_report(-5.0, 0.9, p, m, N=60_000)
-print(f"\nsearch interval {rep['interval']}, matrix truncation "
-      f"N = {rep['matrix_N']}")
+print(f"\nsearch interval {rep['interval']}: {rep['count']} eigenvalue(s) "
+      f"by node count; matrix truncation N = {rep['matrix_N']}, "
+      f"settled: {rep['matrix_settled']}")
 print(f"{'Omega zero':>16s} {'matrix eig':>16s} {'deviation':>12s}")
 for z, r, d in zip(rep["omega_zeros"], rep["matrix_eigenvalues"],
                    rep["deviations"]):

@@ -72,9 +72,5 @@ class OverlapsAC(CritJacError):
     """Eigenvalue search interval intersects the a.c. spectrum."""
 
 
-class RefineGrid(CritJacError):
-    """Sign-change scan cannot separate nearby zeros; refine the grid."""
-
-
 class WindowMismatch(CritJacError):
     """Two solution windows are not comparable (different z or model)."""

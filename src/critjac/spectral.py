@@ -8,8 +8,11 @@ with w the half-Wronskian of the two boundary Jost solutions and Omega
 the Jost function.  The constant is pinned by two independent anchors:
 the Stieltjes inversion of the resolvent (Privalov route) and the
 quadrature orthonormality of the classical Laguerre case.  Eigenvalues
-off the a.c. set are real zeros of Omega, cross-checked against a
-truncated-matrix eigensolver.
+off the a.c. set are real zeros of Omega.  The nodes of the Jost head
+count them (Jacobi oscillation theory; G. Teschl, Jacobi Operators and
+Completely Integrable Nonlinear Lattices, AMS 2000, ch. 4), so a
+bisection on that count isolates each in a bracket of its own and Brent
+refines it; a truncated-matrix eigensolver only cross-checks the result.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from .coeffs import CoefficientModel, CriticalParams, RealInterval
 from .errors import (
     EigenvalueHit,
     InvalidParameter,
+    NumericFailure,
     OutsideAC,
     OverlapsAC,
-    RefineGrid,
     ThresholdPoint,
 )
 
 EIG_XTOL = 1e-9
 EIG_CROSS_TOL = 1e-6
-EIG_GRID_POINTS = 64            # uniform points of the sign-change scan
 MATRIX_START_N = 400            # first truncation of matrix_eigs_adaptive
 MATRIX_CAP_N = 200_000          # its largest truncation
 MATRIX_SETTLE = 1e-8            # eigenvalue movement that counts as settled
@@ -184,25 +186,46 @@ def projector_density(n: int, m: int, lam: float, params: CriticalParams,
 
 
 def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
-                N: int | None) -> float:
-    """Re Omega(lam) from one bare Volterra window (tail_init="unit").
+                N: int | None) -> tuple[float, int]:
+    """(Re Omega(lam), node count) from one bare Volterra window
+    (tail_init="unit") and its head [-1, n0 + 1].
 
-    Accurate in sign and zeros, which is all the eigenvalue search uses;
-    the value itself is off by about 1e-3 relative.
+    Re Omega is accurate in sign and zeros, which is all the eigenvalue
+    search uses; the value itself is off by about 1e-3 relative.
+
+    The count is the number of nodes of (-gamma)^n f_n on the head: its
+    exact zeros and its sign changes between neighbours, the one between
+    f_{-1} and f_0 included.  By Jacobi oscillation theory it is the
+    number of eigenvalues below lam for gamma = 1 and above lam for
+    gamma = -1 (at a zero of Omega, the node f_{-1} = 0 counts lam
+    itself).  Beyond n0, (-gamma)^n f_n = |A_n| u_n off the a.c.
+    closure, which has no node while u_n > 0; the count checks u_{n0}
+    and u_{n0+1} and raises NumericFailure rather than miscount.
     """
-    om = solutions.omega(interior(complex(lam)), params, model, N=N,
-                         tail_init="unit")
-    return om.real
+    zp = interior(complex(lam))
+    sol = volterra.solve(zp, params, model, N=N, tail_init="unit", n_top=0)
+    if not np.all(sol.u[:2].real > 0.0):
+        raise NumericFailure(
+            f"u is not positive on the window head [{sol.n0}, {sol.n0 + 1}] "
+            f"at lambda = {lam:g}: the node count does not hold"
+        )
+    win = solutions._jost_window(sol, zp, params, model, sol.n0 + 1)
+    ns = np.arange(-1, sol.n0 + 2)
+    s = np.where(np.isneginf(win.logmag), 0.0,
+                 solutions.alternating_sign(ns, params.gamma) * win.unit.real)
+    nodes = np.count_nonzero(s == 0.0) + np.count_nonzero(s[:-1] * s[1:] < 0.0)
+    return solutions.omega_from_window(win).real, int(nodes)
 
 
-def matrix_eigs_adaptive(model: CoefficientModel,
-                         window: tuple[float, float]) -> tuple[np.ndarray, int]:
+def matrix_eigs_adaptive(model: CoefficientModel, window: tuple[float, float]
+                         ) -> tuple[np.ndarray, int, bool]:
     """Eigenvalues of growing truncations until the in-window set settles.
 
     Doubles N from MATRIX_START_N until every eigenvalue in the window
     moves less than MATRIX_SETTLE and the count is stable, or N reaches
     MATRIX_CAP_N; below the a.c. threshold the truncation converges fast,
-    so this terminates quickly.
+    so this terminates quickly.  Returns (eigenvalues, N, settled):
+    settled is False when the cap stopped the doubling first.
     """
     N = MATRIX_START_N
     prev = None
@@ -210,9 +233,9 @@ def matrix_eigs_adaptive(model: CoefficientModel,
         eigs = recurrence.truncated_matrix_eigs(model, N, window=window)
         if prev is not None and len(prev) == len(eigs):
             if len(eigs) == 0 or np.max(np.abs(prev - eigs)) < MATRIX_SETTLE:
-                return eigs, N
+                return eigs, N, True
         if N >= MATRIX_CAP_N:
-            return eigs, N
+            return eigs, N, False
         prev = eigs
         N = min(2 * N, MATRIX_CAP_N)
 
@@ -222,73 +245,79 @@ def discrete_eigenvalues(lo: float, hi: float, params: CriticalParams,
                          N: int | None = None) -> list[float]:
     """Real zeros of Omega on [lo, hi] (disjoint from the a.c. closure).
 
-    Sign-change scan refined around matrix-oracle predictions, then
-    Brent root-finding to 1e-9.  If two predicted eigenvalues cannot be
-    separated by the refined grid the search raises RefineGrid rather
-    than silently merging them.
+    The node count of the Jost head isolates each eigenvalue in a
+    bracket of its own by bisection; Brent refines it to 1e-9.  Two
+    eigenvalues that no bracket wider than 1e-9 separates raise
+    NumericFailure rather than being merged.
     """
     return eigenvalue_report(lo, hi, params, model, N=N)["omega_zeros"]
 
 
 def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
                       model: CoefficientModel, N: int | None = None) -> dict:
-    """Eigenvalues by both routes plus deviations (dict for JSON export)."""
+    """Eigenvalues by both routes plus deviations (dict for JSON export).
+
+    The Omega route counts eigenvalues by the node count of _omega_real
+    at the two ends, bisects every bracket that holds two or more, and
+    runs Brent on Re Omega in each bracket that holds one.  The matrix
+    only cross-checks: "agree" needs a settled matrix reference, equal
+    counts from the nodes, the zeros and the matrix, and every zero
+    within EIG_CROSS_TOL of a matrix eigenvalue.  A deviation with no
+    matrix eigenvalue to measure it from is None.
+    """
     if hi <= lo:
         raise InvalidParameter("need lo < hi")
     ac = params.ac_set
     if ac is not None and not (hi <= ac.lo or lo >= ac.hi):
         raise OverlapsAC(f"[{lo:g}, {hi:g}] intersects the a.c. closure {ac}")
 
-    ref, N_mat = matrix_eigs_adaptive(model, (lo, hi))
+    evals: dict[float, tuple[float, int]] = {}
 
-    # scan grid: uniform points plus midpoints between predicted eigenvalues
-    pts = set(np.linspace(lo, hi, EIG_GRID_POINTS))
-    for i in range(len(ref) + 1):
-        a = lo if i == 0 else ref[i - 1]
-        b = hi if i == len(ref) else ref[i]
-        pts.add(0.5 * (a + b))
-    grid = np.array(sorted(pts))
-    om = np.array([_omega_real(x, params, model, N) for x in grid])
+    def at(lam: float) -> tuple[float, int]:
+        if lam not in evals:
+            evals[lam] = _omega_real(lam, params, model, N)
+        return evals[lam]
 
-    zeros: list[float] = []
-    for i in range(len(grid) - 1):
-        if om[i] == 0.0:
-            zeros.append(float(grid[i]))
-        elif om[i] * om[i + 1] < 0.0:
-            root = brentq(_omega_real, grid[i], grid[i + 1],
-                          args=(params, model, N), xtol=EIG_XTOL)
-            zeros.append(float(root))
-    if om[-1] == 0.0:
-        zeros.append(float(grid[-1]))
+    def inside(a: float, b: float) -> int:
+        # eigenvalues in the open interval (a, b); an end where Omega = 0
+        # is counted by its own node f_{-1} = 0, among the eigenvalues
+        # below it for gamma = 1 and above it for gamma = -1
+        (fa, ca), (fb, cb) = at(a), at(b)
+        return abs(cb - ca) - int((fb if params.gamma > 0 else fa) == 0.0)
 
-    if len(zeros) < len(ref):
-        # a grid cell may hold an even number of zeros; refine around the
-        # missed predictions before giving up
-        for r in ref:
-            if all(abs(r - z) > 1e-7 for z in zeros):
-                half = min((hi - lo) / (4 * EIG_GRID_POINTS), 1e-3)
-                a, b = max(lo, r - half), min(hi, r + half)
-                fa = _omega_real(a, params, model, N)
-                fb = _omega_real(b, params, model, N)
-                if fa * fb < 0.0:
-                    zeros.append(float(brentq(_omega_real, a, b,
-                                              args=(params, model, N),
-                                              xtol=EIG_XTOL)))
-                else:
-                    raise RefineGrid(
-                        f"cannot separate a sign change near lambda = {r:g}; "
-                        "refine the scan grid"
-                    )
-        zeros.sort()
+    zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
+    count = inside(lo, hi) + len(zeros)
+    brackets = [(lo, hi)]
+    while brackets:
+        a, b = brackets.pop()
+        k = inside(a, b)
+        if k == 0:
+            continue
+        if k == 1 and at(a)[0] * at(b)[0] < 0.0:
+            zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
+            continue
+        if b - a < EIG_XTOL:
+            raise NumericFailure(
+                f"node count {k} in ({a:.17g}, {b:.17g}), a bracket narrower "
+                f"than {EIG_XTOL:g}: cannot isolate the eigenvalues"
+            )
+        m = 0.5 * (a + b)
+        if at(m)[0] == 0.0:
+            zeros.append(m)
+        brackets += [(m, b), (a, m)]
+    zeros.sort()
 
-    deviations = [float(min(abs(z - r) for r in ref)) if len(ref) else np.inf
+    ref, N_mat, settled = matrix_eigs_adaptive(model, (lo, hi))
+    deviations = [float(np.min(np.abs(ref - z))) if len(ref) else None
                   for z in zeros]
     return {
         "interval": [float(lo), float(hi)],
         "omega_zeros": zeros,
+        "count": count,
         "matrix_eigenvalues": [float(x) for x in ref],
         "deviations": deviations,
         "matrix_N": int(N_mat),
-        "agree": bool(len(zeros) == len(ref)
+        "matrix_settled": settled,
+        "agree": bool(settled and count == len(zeros) == len(ref)
                       and all(d <= EIG_CROSS_TOL for d in deviations)),
     }

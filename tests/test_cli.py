@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import critjac
@@ -253,6 +254,23 @@ def test_eigs_empty_interval(capsys):
     rep = json.loads(out)
     assert rep["omega_zeros"] == []
     assert rep["agree"] is True
+
+
+def test_eigs_json_strict_without_matrix_partner(capsys, monkeypatch):
+    # the matrix finds nothing where Omega has a zero: the deviation has
+    # no partner and must print as null, not the non-JSON Infinity
+    monkeypatch.setattr(recurrence, "truncated_matrix_eigs",
+                        lambda model, N, window=None: np.empty(0))
+    code, out, _ = run(["eigs", "--sigma", "1", "--lambda-min", "-5",
+                        "--lambda-max", "0.9", "--N", "20000"], capsys)
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    rep = json.loads(out, parse_constant=reject)
+    assert len(rep["omega_zeros"]) == rep["count"] == 1
+    assert rep["deviations"] == [None]
+    assert rep["agree"] is False
 
 
 def test_poly_oscillatory_window(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.errors import (
     EigenvalueHit,
     InvalidParameter,
+    NumericFailure,
     OutsideAC,
     OverlapsAC,
     ThresholdPoint,
@@ -241,6 +243,41 @@ class TestEigenvalues:
         assert calls["omega_real"] > 0
         assert calls["solve"] == calls["omega_real"]
 
+    # (sigma, beta, gamma) and the points lambda: both gammas at sigma 1
+    # (tau = 1), the all-discrete sigma 5/4 and sigma 3/2 with tau = 2
+    COUNT_POINTS = [((1.0, 0.0, 1.0), lam) for lam in (-3.0, -1.0, -0.3, 0.5)] \
+        + [((1.0, 0.0, -1.0), lam) for lam in (3.0, 1.0, 0.3, -0.5)] \
+        + [((1.25, 0.5, 1.0), lam) for lam in (2.0, 6.0)] \
+        + [((1.5, 0.25, 1.0), lam) for lam in (-1.0, 0.0, 1.0, 2.0, 3.0)]
+
+    @staticmethod
+    def matrix_count(m, lam, gamma):
+        # eigenvalues of the 2e4 truncation below lam (gamma = 1) or above
+        window = (-1e9, lam) if gamma > 0 else (lam, 1e9)
+        return len(recurrence.truncated_matrix_eigs(m, 20_000, window=window))
+
+    @pytest.mark.parametrize("model, lam", COUNT_POINTS)
+    def test_node_count_matches_matrix(self, model, lam):
+        sigma, beta, gamma = model
+        m, p = power(sigma, 0.0, beta, gamma)
+        _, count = spectral._omega_real(lam, p, m, 40_000)
+        assert count == self.matrix_count(m, lam, gamma)
+
+    @pytest.mark.parametrize("lam", [-5.0, -1.0, -0.1])
+    def test_laguerre_node_count_zero(self, laguerre0, lam):
+        m, p = laguerre0
+        assert spectral._omega_real(lam, p, m, 40_000)[1] == 0
+
+    def test_count_search_finds_every_eigenvalue(self):
+        # the all-discrete model has nine eigenvalues in [1, 8], the
+        # closest 0.45 apart: none missed, each within 1e-6 of the matrix
+        m, p = power(1.25, 0.0, 0.5)
+        rep = spectral.eigenvalue_report(1.0, 8.0, p, m, N=20_000)
+        ref = recurrence.truncated_matrix_eigs(m, 20_000, window=(1.0, 8.0))
+        assert rep["count"] == len(rep["omega_zeros"]) == len(ref) == 9
+        assert np.max(np.abs(np.subtract(rep["omega_zeros"], ref))) < 1e-6
+        assert rep["matrix_settled"] and rep["agree"]
+
     @pytest.mark.parametrize("sigma, beta, eig", [
         (1.0, 0.0, -0.4577),     # tau = 1
         (1.5, 0.25, -0.3702),    # tau = 2
@@ -269,14 +306,63 @@ def test_minus_side_conjugate_amplitude(laguerre0):
     assert om_minus == pytest.approx(om_plus.conjugate(), rel=1e-12)
 
 
-def test_refine_grid_contract(monkeypatch, laguerre0):
-    # a predicted eigenvalue with no resolvable sign change must raise
-    # RefineGrid instead of being silently merged away
-    from critjac.errors import RefineGrid
+def _stub_omega(roots, gamma):
+    """_omega_real with simple zeros at roots and the node count of a
+    real Jost head: eigenvalues <= lam for gamma = 1, >= lam for -1."""
+    roots = np.asarray(roots)
+
+    def stub(lam, *args):
+        count = np.sum(roots <= lam) if gamma > 0 else np.sum(roots >= lam)
+        return float(np.prod(lam - roots)), int(count)
+    return stub
+
+
+def test_close_pair_separated_by_count(monkeypatch):
+    # two simple zeros 1e-4 apart: bisection on the node count isolates
+    # each in a bracket of its own, and Brent finds both
     m, p = power(1.0, 0.0, 0.0)
-    monkeypatch.setattr(spectral, "matrix_eigs_adaptive",
-                        lambda *a, **k: (np.array([-2.0, -1.999]), 800))
+    roots = [-2.0, -2.0 + 1e-4]
+    monkeypatch.setattr(spectral, "_omega_real", _stub_omega(roots, 1.0))
+    rep = spectral.eigenvalue_report(-5.0, 0.9, p, m, N=20_000)
+    assert rep["count"] == 2
+    assert rep["omega_zeros"] == pytest.approx(roots, abs=spectral.EIG_XTOL)
+
+
+def test_pair_closer_than_xtol_raises(monkeypatch):
+    # no bracket wider than EIG_XTOL separates the pair: the search names
+    # the count instead of merging the two into one zero
+    m, p = power(1.0, 0.0, 0.0)
     monkeypatch.setattr(spectral, "_omega_real",
-                        lambda lam, *a, **k: (lam + 2.0) ** 2 + 1e-12)
-    with pytest.raises(RefineGrid):
+                        _stub_omega([-2.0, -2.0 + 1e-12], 1.0))
+    with pytest.raises(NumericFailure, match="node count 2"):
         spectral.eigenvalue_report(-5.0, 0.9, p, m, N=20_000)
+
+
+@pytest.mark.parametrize("gamma, lo, hi", [(1.0, -4.0, 0.0), (-1.0, 0.0, 4.0)])
+def test_exact_zeros_at_ends_and_midpoint(monkeypatch, gamma, lo, hi):
+    # Omega == 0 at both ends and at the first midpoint: each is reported
+    # once, and the zero between them is still found
+    m, p = power(1.0, 0.0, 0.0, gamma)
+    roots = [lo, 0.5 * (lo + hi), 0.5 * (lo + hi) + 0.3, hi]
+    monkeypatch.setattr(spectral, "_omega_real", _stub_omega(roots, gamma))
+    rep = spectral.eigenvalue_report(lo, hi, p, m, N=20_000)
+    assert rep["count"] == 4
+    assert rep["omega_zeros"] == pytest.approx(roots, abs=spectral.EIG_XTOL)
+
+
+def test_unsettled_matrix_reference_does_not_agree(monkeypatch):
+    # a truncation that moves by 2e-7 at every doubling never settles:
+    # the report says so, and agree fails although every count matches
+    # and every deviation is below EIG_CROSS_TOL
+    m, p = power(1.0, 0.0, 0.0)
+    eig = spectral.discrete_eigenvalues(-5.0, 0.9, p, m, N=20_000)[0]
+    calls = itertools.count()
+    monkeypatch.setattr(
+        recurrence, "truncated_matrix_eigs",
+        lambda model, N, window=None: np.array([eig + (-1) ** next(calls) * 1e-7]))
+    rep = spectral.eigenvalue_report(-5.0, 0.9, p, m, N=20_000)
+    assert rep["matrix_settled"] is False
+    assert rep["matrix_N"] == spectral.MATRIX_CAP_N
+    assert rep["count"] == len(rep["omega_zeros"]) == len(rep["matrix_eigenvalues"]) == 1
+    assert max(rep["deviations"]) < spectral.EIG_CROSS_TOL
+    assert rep["agree"] is False
