@@ -211,19 +211,35 @@ def t_values(ns: np.ndarray, w: complex, params: CriticalParams) -> np.ndarray:
 
 
 def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
-    """theta_n for n in [n0, n1) at the canonical point (no conjugation)."""
+    """theta_n for n in [n0, n1) at the canonical point (no conjugation).
+
+    At real w, t_n and T_n are real: where T_n keeps one sign on the
+    window theta_n is a real sqrt, put into the real part (T_n > 0, the
+    a.c. set) or the imaginary part (T_n < 0).  That is the value
+    branch_sqrt gives bit for bit, at a third of the cost; a window where
+    T_n changes sign or vanishes goes through branch_sqrt.
+    """
     ns = np.arange(n0, n1, dtype=float)
     p = ctx.params
     if p.single_power:
         # explicit sqrt(c) n^{-1/2}, c = gamma z - tau; avoids cancellation in t_n
         return sqrt_cut(p.leading_coefficient(ctx.w)) / np.sqrt(ns)
-    t = t_values(ns, ctx.w, p)
-    T = t.copy()
+    t = t_values(ns, ctx.w.real if ctx.w.imag == 0.0 else ctx.w, p)
+    T = t
     if p.L > 1:
         acc = np.zeros_like(t)
         for pl in reversed(p.p):
             acc = (acc + float(pl)) * t
         T = t + acc * t  # t + p2 t^2 + ... + pL t^L via Horner
+    if T.dtype.kind != "c" and len(T):
+        th = np.zeros(len(T), dtype=complex)
+        if T.min() > 0.0:
+            np.sqrt(T, out=th.real)
+            return th
+        if T.max() < 0.0:
+            np.negative(T, out=T)
+            np.sqrt(T, out=th.imag)
+            return th
     return branch_sqrt(T)
 
 
@@ -231,7 +247,10 @@ def phi_window(ctx: PhaseContext, n1: int) -> np.ndarray:
     """phi_n for n in [ctx.n_start, n1] at the canonical point (no
     conjugation): phi_{n_start} = 0 and phi_{n+1} - phi_n = theta_n."""
     th = theta_window(ctx, ctx.n_start, n1)
-    return np.concatenate([[0.0 + 0.0j], np.cumsum(th)])
+    phi = np.empty(len(th) + 1, dtype=th.dtype)
+    phi[0] = 0.0
+    np.cumsum(th, out=phi[1:])
+    return phi
 
 
 # -- the Ansatz and its remainder ---------------------------------------
@@ -245,12 +264,21 @@ def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int,
 
     The dtype follows the data: where theta_n is purely imaginary on the
     whole window (real z off the closure of the a.c. set) B_n is real and
-    comes out as float64 from a real exp; otherwise it is complex.
+    comes out as float64 from a real exp; where it is real (the a.c. set)
+    e^{i theta_n} is cos + i sin, the value of the complex exp bit for bit;
+    otherwise it is the complex exp.
     """
     ns = np.arange(n0, n1, dtype=float)
     p = ctx.params
-    return (-p.gamma) * (ns / (ns + 1.0)) ** p.rho * (
-        np.exp(1j * th) if th.real.any() else np.exp(-th.imag))
+    mod = (-p.gamma) * (ns / (ns + 1.0)) ** p.rho
+    if not th.real.any():
+        return mod * np.exp(-th.imag)
+    if th.imag.any():
+        return mod * np.exp(1j * th)
+    B = np.empty(len(th), dtype=complex)
+    np.multiply(mod, np.cos(th.real), out=B.real)
+    np.multiply(mod, np.sin(th.real), out=B.imag)
+    return B
 
 
 def remainder_window(ctx: PhaseContext, model: CoefficientModel,

@@ -63,8 +63,10 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     operations.  Every rescale is by a power of two, so the scales are
     exact integer exponents and log|P_n| takes one rounding from them,
     however often the states were rescaled.  Real z is evaluated in real
-    arithmetic, so values stay exactly real.  Raises NumericFailure if a
-    value is not finite.
+    arithmetic, so values stay exactly real and the window's unit is
+    float64.  The coefficients are laid out in block rows once, and the
+    window's arrays are written in place from the recombined rows.
+    Raises NumericFailure if a value is not finite.
     """
     if N < 0:
         raise InvalidParameter("poly_eval needs N >= 0")
@@ -73,18 +75,19 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     mu = -1.0 if model.declared.gamma > 0 else 1.0
     b = max(1, round(math.sqrt(N / 2.0)))       # steps per block
     nb = -(-N // b)
-    a = model.a_range(0, N)
-    a_prev = np.concatenate([[1.0], a[:-1]])    # a_{n-1}, a_{-1} = 1
+    a_ext = np.concatenate([[1.0], model.a_range(0, N)])
+    a, a_prev = a_ext[1:], a_ext[:-1]           # a_n and a_{n-1}, a_{-1} = 1
     # kappa_n a_n = ((z - b_n) - mu a_n) - mu a_{n-1}: near the Jordan
     # limit both outer differences are of doubles within a factor 2 of
     # each other, hence exact, so z - b_n is the only rounding, as in
     # the three-term form
-    kappa = (((zv - model.b_range(0, N)) - mu * a) - mu * a_prev) / a
-    K = _by_block(kappa, b, nb)
-    del kappa
+    K = _by_block((((zv - model.b_range(0, N)) - mu * a) - mu * a_prev) / a, b, nb)
     R = _by_block(mu * a_prev / a, b, nb)
-    del a, a_prev
-    grow = np.log1p(np.abs(K) + np.abs(R)).max(axis=1, initial=0.0).tolist()
+    del a_ext, a, a_prev
+    # each row's growth bound max log1p(|kappa| + |rho|), 64 rows at a time
+    grow = np.concatenate([
+        np.log1p(np.abs(K[t:t + 64]) + np.abs(R[t:t + 64])).max(axis=1, initial=0.0)
+        for t in range(0, b, 64)]).tolist()
 
     # Pcol[t, j, i] = P after step t of block i, started from unit state j
     Pcol = np.empty((b, 2, nb), dtype=K.dtype)
@@ -94,7 +97,7 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     d[1] = 1.0
     tmp = np.empty((2, nb), dtype=K.dtype)
     scales = [np.zeros(nb, dtype=int)]          # log2 scale of each rescale epoch
-    epoch = np.zeros(b, dtype=int)              # epoch of each row
+    starts = [0]                                # first row of each epoch
     step = np.add if mu > 0 else np.subtract    # P_{n+1} = d_{n+1} + mu P_n
     grown = 0.0
     for t in range(b):
@@ -105,7 +108,7 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
             p = p * down                        # p is the recorded row t - 1
             d *= down
             scales.append(scales[-1] + e)
-            epoch[t:] = len(scales) - 1
+            starts.append(t)
             grown = 0.0
         grown += grow[t]
         np.multiply(K[t], p, out=tmp)
@@ -132,22 +135,26 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     P0 += P1                                    # P_{i*b+t+1} up to its scale
     if not np.all(np.isfinite(P0)):
         raise NumericFailure(f"non-finite polynomial value for n <= {N}")
-    log2scale = np.asarray(e_in)
-    if len(scales) > 1:
-        log2scale = np.stack(scales)[epoch] + log2scale
-    # step s = i*b + t lands on entry s + 2 (the window starts at n = -1)
+    # step s = i*b + t lands on entry s + 2 (the window starts at n = -1);
+    # the rows are written in place: |P| first, then the unit, then the log
     lm = np.empty(nb * b + 2)
-    unit = np.empty(nb * b + 2, dtype=complex)
+    unit = np.empty(nb * b + 2, dtype=P0.dtype)
     lm[:2] = -np.inf, 0.0                       # P_{-1}, P_0
     unit[:2] = 1.0
     lm_rows, unit_rows = lm[2:].reshape(nb, b).T, unit[2:].reshape(nb, b).T
-    mag = np.abs(P0)
+    np.abs(P0, out=lm_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(mag, out=lm_rows)
-        np.divide(P0, mag, out=unit_rows)
-    lm_rows += log2scale * math.log(2.0)
-    if not mag.all():
-        unit_rows[mag == 0.0] = 1.0             # exact zeros: (-inf, 1)
+        np.divide(P0, lm_rows, out=unit_rows)
+    del Pcol, P0, P1
+    if not lm_rows.all():
+        unit_rows[lm_rows == 0.0] = 1.0         # exact zeros: (-inf, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(lm_rows, out=lm_rows)
+    # the rows of one rescale epoch share the log2 scale of each block
+    e_in = np.asarray(e_in)
+    for k, t0 in enumerate(starts):
+        t1 = starts[k + 1] if k + 1 < len(starts) else b
+        lm_rows[t0:t1] += (scales[k] + e_in) * math.log(2.0)
     zp = SpectralPoint(complex(z), "plus" if real else "interior")
     return SolutionWindow("polynomial", lm[:N + 2], unit[:N + 2], zp, model,
                           meta={"N": N})
@@ -155,9 +162,14 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
 
 def _by_block(v: np.ndarray, b: int, nb: int) -> np.ndarray:
     """v_s for step s = i*b + t at row t, column i; zero past the last step."""
-    out = np.zeros((nb, b), dtype=v.dtype)
-    out.reshape(-1)[:len(v)] = v
-    return np.ascontiguousarray(out.T)
+    out = np.empty((b, nb), dtype=v.dtype)
+    full = len(v) // b                          # columns v fills
+    out[:, :full] = v[:full * b].reshape(full, b).T
+    if full < nb:
+        rest = len(v) - full * b
+        out[:rest, full] = v[full * b:]
+        out[rest:, full] = 0.0
+    return out
 
 
 def truncated_matrix_eigs(model: CoefficientModel, N: int,

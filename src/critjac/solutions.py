@@ -7,7 +7,11 @@ convention a_{-1} = 1 makes Omega(z) = -f_{-1}(z) = W[P(z), f(z)].
 
 The growing partner is g_n = f_n * sum_{m=n0g}^{n} (a_{m-1} f_{m-1} f_m)^{-1},
 with W[f, g] = 1 exactly by telescoping.  All window values are stored as
-(log-magnitude, unit phase) pairs.
+(log-magnitude, unit phase) pairs.  The unit phases take the dtype of the
+data: float64 where every value is real (the Jost solution and its
+growing partner at real z off the closure of the a.c. set, where the
+kernel is real; the polynomials at real z), complex128 elsewhere.  Each
+window is written once into its final [-1, N] arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class SolutionWindow:
 
     kind is "jost", "growing" or "polynomial"; values cover n in
     [-1, n_hi], entry k holding n = k - 1 (every window is extended down
-    to n = -1).  meta carries truncation/residual diagnostics.
+    to n = -1).  unit is float64 where the values are real, complex128
+    elsewhere.  meta carries truncation/residual diagnostics.
     """
 
     kind: str
@@ -87,27 +92,34 @@ class SolutionWindow:
 
 def _extend_backward(logmag: np.ndarray, unit: np.ndarray, n_from: int,
                      model: CoefficientModel, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Backwards recurrence from (F_{n_from}, F_{n_from+1}) down to n = -1.
+    """Backwards recurrence from (F_{n_from}, F_{n_from+1}) down to n = -1,
+    in place in a window's arrays.
 
-    Returns log-magnitudes and unit phases for n in [-1, n_from - 1].
-    Values are carried as a scaled complex pair with a shared log offset.
+    logmag and unit hold a window starting at n = -1 (entry k for
+    n = k - 1) whose entries for n_from and n_from + 1 are set; the
+    entries for n in [-1, n_from - 1] are written, and returned as views.
+    Values are carried as a scaled complex pair with a shared log offset,
+    in complex arithmetic also for a real window, which stores the real
+    parts.
     """
-    out_lm = np.empty(n_from + 1)
-    out_u = np.empty(n_from + 1, dtype=complex)
+    out_lm, out_u = logmag[:n_from + 1], unit[:n_from + 1]
+    real = unit.dtype.kind != "c"
     a = model.a_range(0, n_from + 1).tolist()
     b = model.b_range(0, n_from + 1).tolist()
-    scale = max(logmag[0], logmag[1])
-    f_hi = math.exp(logmag[1] - scale) * unit[1]   # F_{n_from+1} / e^scale
-    f_lo = math.exp(logmag[0] - scale) * unit[0]   # F_{n_from}   / e^scale
+    scale = max(logmag[n_from + 1], logmag[n_from + 2])
+    # F_{n_from+1} and F_{n_from} over e^scale, as numpy complex scalars
+    # also in a real window, so both round alike
+    f_hi = math.exp(logmag[n_from + 2] - scale) * np.complex128(unit[n_from + 2])
+    f_lo = math.exp(logmag[n_from + 1] - scale) * np.complex128(unit[n_from + 1])
     for n in range(n_from, -1, -1):
         a_prev = 1.0 if n == 0 else a[n - 1]
         f_new = ((z - b[n]) * f_lo - a[n] * f_hi) / a_prev
         mag = abs(f_new)
         if mag == 0.0:
-            out_lm[n], out_u[n] = -np.inf, 1.0 + 0.0j
+            out_lm[n], out_u[n] = -np.inf, 1.0
         else:
             out_lm[n] = scale + math.log(mag)
-            out_u[n] = f_new / mag
+            out_u[n] = (f_new / mag).real if real else f_new / mag
         f_hi, f_lo = f_lo, f_new
         if mag > _RENORM or (0.0 < mag < 1.0 / _RENORM):
             f_hi /= mag
@@ -189,16 +201,31 @@ def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
     if sol.conjugated:
         u = u.conjugate()
     phi = phi_window(ctx, n_top)
-    ns = np.arange(n0, n_top + 1)
+    full_lm = np.empty(n_top + 2)
+    full_u = np.empty(n_top + 2, dtype=u.dtype)
+    lm, unit = full_lm[n0 + 1:], full_u[n0 + 1:]         # n in [n0, n_top]
     umag = np.abs(u)
-    lm = -params.rho * np.log(ns.astype(float)) - phi.imag + np.log(umag)
-    sign = alternating_sign(ns, params.gamma)
-    unit = sign * np.exp(1j * phi.real) * (u / umag)
-    back_lm, back_u = _extend_backward(lm, unit, n0, model, ctx.z_canonical)
-    full_lm = np.concatenate([back_lm, lm])   # back covers [-1, n0-1]
-    full_u = np.concatenate([back_u, unit])
+    # lm = -rho log n - Im phi_n + log|u_n|
+    np.log(np.arange(n0, n_top + 1, dtype=float), out=lm)
+    lm *= -params.rho
+    lm -= phi.imag
+    lm += np.log(umag)
+    rot = 1j * phi.real if unit.dtype.kind == "c" else None
+    del phi
+    np.divide(u, umag, out=unit)
+    del umag
+    sign = alternating_sign(np.arange(n0, n_top + 1), params.gamma)
+    if rot is None:     # a real kernel: Re phi_n = 0 and u is real
+        unit *= sign
+    else:
+        # unit = sign * e^{i Re phi_n} * (u / |u|), in this operand order
+        # (numpy's complex product is not bitwise commutative)
+        np.exp(rot, out=rot)
+        np.multiply(rot, sign, out=rot)
+        np.multiply(rot, unit, out=unit)
+    _extend_backward(full_lm, full_u, n0, model, ctx.z_canonical)
     if ctx.conj:
-        full_u = full_u.conjugate()
+        np.conjugate(full_u, out=full_u)
     return SolutionWindow("jost", full_lm, full_u, zp, model)
 
 
@@ -239,24 +266,29 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     N = f.n_hi
     n0g = _clear_zeros(f, n0)
 
-    ms = np.arange(n0g, N + 1)
-    a_prev = model.a_fn(np.maximum(ms - 1, 0).astype(float))
+    a_prev = model.a_fn(np.maximum(np.arange(n0g - 1, N), 0).astype(float))
     if n0g == 0:
         a_prev[0] = 1.0
     kf = slice(n0g + 1, N + 2)                 # f_m, m in [n0g, N]
     kfm1 = slice(n0g, N + 1)                   # f_{m-1}
     term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
-    term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])
+    del a_prev
+    # the sum runs in complex arithmetic also for a real f: its phases
+    # (partial / |partial|, a product with the reciprocal) round as they
+    # always have, where real ones would come out +-1 exactly
+    term_u = np.conjugate(f.unit[kfm1] * f.unit[kf]).astype(complex, copy=False)
     ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u)
+    del term_lm, term_u
+    cancelled = bool(np.any(
+        ps_lm < np.maximum.accumulate(ps_lm) - 8.0 * math.log(10.0)))
 
-    runmax = np.maximum.accumulate(ps_lm)
-    cancelled = bool(np.any(ps_lm < runmax - 8.0 * math.log(10.0)))
-
-    g_lm = f.logmag[kf] + ps_lm
-    g_u = f.unit[kf] * ps_u
-    back_lm, back_u = _extend_backward(g_lm, g_u, n0g, model, complex(zp.z))
-    full_lm = np.concatenate([back_lm, g_lm])  # back covers [-1, n0g-1]
-    full_u = np.concatenate([back_u, g_u])
+    # g_m = f_m * (partial sum)_m on [n0g, N], then downwards to n = -1
+    full_lm = np.empty(N + 2)
+    full_u = np.empty(N + 2, dtype=f.unit.dtype)
+    np.add(f.logmag[kf], ps_lm, out=full_lm[kf])
+    np.multiply(f.unit[kf], ps_u if full_u.dtype.kind == "c" else ps_u.real,
+                out=full_u[kf])
+    _extend_backward(full_lm, full_u, n0g, model, complex(zp.z))
     w0 = _wronskians(f.logmag[1:3], f.unit[1:3], full_lm[1:3], full_u[1:3],
                      model.a_range(0, 1))         # W at n = 0 from n = 0, 1
     meta = {"n0": n0, "n0g": n0g, "N": N, "cancellation": cancelled,

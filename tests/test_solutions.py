@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import force_complex, log_sample_indices, loglog_slope, phi_at, power
-from critjac import ansatz, coeffs, solutions, spectral
+from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch
 
 
@@ -139,10 +140,79 @@ def test_extend_backward_reads_coefficients_once(monkeypatch):
 
         monkeypatch.setattr(coeffs.CoefficientModel, name, counting)
     n_from = 2048
-    lm, _ = solutions._extend_backward(np.zeros(2), np.ones(2, dtype=complex),
-                                       n_from, m, -2.0 + 0.0j)
+    lm, unit = np.zeros(n_from + 3), np.ones(n_from + 3, dtype=complex)
+    back_lm, _ = solutions._extend_backward(lm, unit, n_from, m, -2.0 + 0.0j)
     assert calls == []
-    assert len(lm) == n_from + 1 and np.all(np.isfinite(lm))
+    assert len(back_lm) == n_from + 1 and np.shares_memory(back_lm, lm)
+    assert np.all(np.isfinite(lm))
+
+
+def test_extend_backward_keeps_exact_zeros_in_a_real_window(laguerre0):
+    # Laguerre a_1 = 2, b_1 = 3 at z = 5 with F_1 = F_2 = 1: F_0 = 0
+    # exactly, stored as (-inf, 1) in a float64 window; F_{-1} = -a_0 = -1
+    m, _ = laguerre0
+    lm, unit = np.zeros(4), np.ones(4)
+    solutions._extend_backward(lm, unit, 1, m, 5.0 + 0.0j)
+    assert lm[1] == -np.inf and unit[1] == 1.0
+    assert lm[0] == 0.0 and unit[0] == -1.0
+    assert unit.dtype == np.float64
+
+
+_ALL_DISCRETE = power(1.25, 0.0, 0.5)
+# (model, point, real): the windows are float64 exactly at real z off the
+# closure of the a.c. set, complex128 at lambda +- i0 and at non-real z
+DTYPE_CASES = {
+    "laguerre_minus_1": (None, ansatz.interior(-1.0), True),
+    "all_discrete": (_ALL_DISCRETE, ansatz.interior(2.3), True),
+    "laguerre_plus_i0": (None, ansatz.at_plus(1.0), False),
+    "laguerre_minus_i0": (None, ansatz.at_minus(1.0), False),
+    "laguerre_complex": (None, ansatz.interior(1.0 + 1.0j), False),
+    "all_discrete_complex": (_ALL_DISCRETE, ansatz.interior(3.0 - 0.5j), False),
+}
+
+
+@pytest.mark.parametrize("case", list(DTYPE_CASES))
+def test_window_dtype_follows_the_data(laguerre0, case):
+    model, zp, real = DTYPE_CASES[case]
+    m, p = model or laguerre0
+    want = np.float64 if real else np.complex128
+    N = 5000
+    f = solutions.jost(zp, p, m, N=N)
+    sol = volterra.solve(zp, p, m, N=N, n_top=0)
+    head = solutions._jost_window(sol, zp, p, m, sol.n0 + 1)
+    assert f.unit.dtype == head.unit.dtype == want
+    assert head.unit[0] == f.unit[0]
+    if zp.side == ansatz.INTERIOR:
+        assert solutions.growing(zp, p, m, f=f).unit.dtype == want
+    # P_n(z) is real at every real z, the a.c. set included
+    P = recurrence.poly_eval(m, zp.z, N)
+    assert P.unit.dtype == (np.complex128 if zp.z.imag else np.float64)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage, budget", [("jost", 80.0), ("growing", 90.0)])
+def test_window_peak_memory_per_index(laguerre0, stage, budget):
+    # a real window is float64 and built once, into its final arrays: at
+    # z = -1 jost peaks at the solve's 64 B per index and growing, from a
+    # built f, at 72; assembled from complex pieces they took 104 and 120
+    m, p = laguerre0
+    zp = ansatz.interior(-1.0)
+    N = 200_000
+    solutions.growing(zp, p, m, N=2000)
+    if stage == "jost":
+        peak = _traced_peak(lambda: solutions.jost(zp, p, m, N=N))
+    else:
+        f = solutions.jost(zp, p, m, N=N)
+        peak = _traced_peak(lambda: solutions.growing(zp, p, m, f=f))
+    assert peak / N < budget
 
 
 # (model, point, N, tail_init); at_minus and Im z < 0 are solved at the
