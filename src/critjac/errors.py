@@ -43,10 +43,6 @@ class BranchPoint(NumericFailure):
     """A square-root argument hit the branch point (z at/near a threshold)."""
 
 
-class TruncationTooShort(NumericFailure):
-    """The window end N gives a tail bound >= 1; raise N or n0."""
-
-
 class ZeroCrossing(NumericFailure):
     """The Jost solution vanishes inside the accumulation window and the
     start index cannot be raised past the zero."""

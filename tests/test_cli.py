@@ -191,6 +191,18 @@ def test_density_error_row(capsys):
     assert "ERROR:OutsideAC" in out
 
 
+def test_density_short_whole_line_windows(capsys):
+    # README's whole-line command: windows two to ten times longer than
+    # their start (n0 = 2048 to 10368) are solved, none refused
+    code, out, _ = run(["density", "--sigma", "1.25", "--beta", "-0.875",
+                        "--lambda-min", "-3", "--lambda-max", "-2",
+                        "--lambda-step", "0.5", "--N", "20000"], capsys)
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["-3", "-2.5", "-2"]
+    assert all(0.0 < float(r[1]) < math.inf for r in rows)
+
+
 def test_density_default_window_past_cap(capsys):
     # no --N: the phase window at lambda = -50 starts beyond N_CAP, which
     # the row reports instead of allocating a window

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -48,6 +49,15 @@ class TestClassification:
         assert (c.discrete.lo, c.discrete.hi) == (-np.inf, 0.0)
 
 
+WHOLE_LINE = power(1.25, 0.0, -0.875)
+
+
+@functools.cache
+def whole_line_xi(lam: float, N: int) -> float:
+    m, p = WHOLE_LINE
+    return spectral.density(lam, p, m, N=N).xi
+
+
 class TestDensity:
     def test_orthonormality_oracle_fixes_weight(self, laguerre0):
         # quadrature orthonormality of poly_eval output against the
@@ -91,6 +101,18 @@ class TestDensity:
         etas = np.array([s.eta for s in samples])
         # nearest-branch continuation keeps steps under pi
         assert np.max(np.abs(np.diff(etas))) < math.pi
+
+    @pytest.mark.parametrize("lam, N", [(-3.0, 20_000), (-3.0, 100_000), (-2.0, 2100)])
+    def test_short_whole_line_window_estimates_its_error(self, lam, N):
+        # whole-line windows only a few times longer than their start
+        # (n0 = 10368 at lambda = -3, 2048 at -2) are solved, and jost's
+        # a-posteriori normalisation estimate tracks the error in xi against
+        # the N = 1e6 window: 1.06 to 1.27 times it here
+        m, p = WHOLE_LINE
+        xi = spectral.density(lam, p, m, N=N).xi
+        err = abs(xi / whole_line_xi(lam, 1_000_000) - 1.0)
+        est = solutions.jost(ansatz.at_plus(lam), p, m, N=N).meta["normalisation_estimate"]
+        assert 0.5 * err <= est <= 2.0 * err
 
 
 def continued_fraction_r00(model, z: complex, K: int) -> complex:
@@ -242,6 +264,24 @@ class TestEigenvalues:
         assert calls["top_boundary"] == 0
         assert calls["omega_real"] > 0
         assert calls["solve"] == calls["omega_real"]
+
+    def test_omega_evaluation_takes_no_prefix_sum(self, monkeypatch):
+        # the window needs Lambda_n and Rcal_n alone: an evaluation of the
+        # search (a bare window) takes no log-framed prefix sum, and the
+        # asymptotic tail takes one per stretch of its window
+        m, p = power(1.0, 0.0, 0.0)
+        calls = []
+        prefix_sum = volterra._scaled_prefix_sum
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return prefix_sum(*args, **kwargs)
+
+        monkeypatch.setattr(volterra, "_scaled_prefix_sum", counted)
+        spectral._omega_real(-3.0, p, m, 40_000)
+        assert calls == []
+        solutions.omega(ansatz.interior(-3.0), p, m, N=40_000)
+        assert len(calls) == -(-40_000 // volterra._CHUNK)
 
     # (sigma, beta, gamma) and the points lambda: both gammas at sigma 1
     # (tau = 1), the all-discrete sigma 5/4 and sigma 3/2 with tau = 2
