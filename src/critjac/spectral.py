@@ -152,14 +152,13 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
     Defined for Im z != 0, for boundary values lambda +- i0 on the a.c.
     set, and for real z in the resolvent set (EigenvalueHit at real
     zeros of Omega).  The Jost solution is solved for and assembled only
-    up to max(n, m), as omega does up to the window head.
+    up to max(n, m), as omega does up to the window head; an index above
+    the window top N raises InvalidParameter before anything is built.
     """
     if n < 0 or m < 0:
         raise InvalidParameter("resolvent indices must be nonnegative")
     lo, hi = min(n, m), max(n, m)
     sol = volterra.solve(zp, params, model, N=N, n_top=hi)
-    if hi > sol.N:
-        raise InvalidParameter(f"index {hi} beyond the Jost window [-1, {sol.N}]")
     win = solutions._jost_window(sol, zp, params, model, max(sol.n0 + 1, hi))
     om = solutions.omega_from_window(win)
     z = complex(zp.z)

@@ -18,9 +18,9 @@ backward identity
 
 as a single O(N) sweep:  D_n = Rcal_{n+1} u_{n+1} + Lambda_{n+1} D_{n+1},
 u_n = u_{n+1} + D_n, with u_N = 1, D_N = 0.  Each step is a 2x2 linear
-map of (u_n, D_n), so the sweep is evaluated blockwise: numpy runs all
-blocks of about sqrt((N - n0)/2) steps at once from unit states, and a
-short scalar pass chains the block transfer matrices (backward_sweep).  The
+map of (u_n, D_n), so a stretch of K steps is swept blockwise: numpy runs
+all blocks of about sqrt(K/2) steps at once from unit states, and a short
+scalar pass chains the block transfer matrices (backward_sweep).  The
 result solves the truncated summation equation exactly.  The classical
 majorant |u_n - 1| <= exp(H_n) - 1 is not computed: its part beyond N
 can only be fitted, and fitted it read 0.098 to 2.05 where Omega's
@@ -28,17 +28,14 @@ truncation error was 2.4e-6 to 2.9e-4 (eight points, N = 5e4 against
 4e5).  Errors are estimated a posteriori instead (solutions.jost's
 normalisation_estimate) or by comparing windows.
 
-The window is built in one forward pass over stretches of 2^14 indices
-(_local_chunk).  Lambda_n and Rcal_n are local in n, so a stretch takes
-nothing from the one below but its dtype.  A solve keeps the kernel only
-on the sweep's blocks that meet [n0, n_top], n_top being the highest
-index whose u its caller reads.  Every block above is run from the unit
-states as soon as its indices are built (VolterraKernel._fold), and only
-its 2x2 transfer is kept: O(sqrt N) numbers.  The sweep chains those
-transfers from the window-top state as the whole-window sweep does, so
-u on the kept range is the whole-window u bit for bit.  Omega reads u
-only at n0 and n0 + 1, so its solve holds O(2^14) memory however long
-the window; jost keeps every block.
+The window is never held whole.  Lambda_n and Rcal_n are local in n, so
+the sweep builds the window's stretches of 2^14 indices (_local_chunk)
+from the top down and hands the state (u, D) from each stretch to the
+one below (VolterraKernel.sweep).  A stretch below n_top, the highest
+index whose u the caller reads, is swept for u; a stretch above it only
+moves the state down.  u on [n0, n_top] is therefore the whole-window u
+bit for bit, and a solve holds O(2^14) memory besides u: Omega, which
+reads u only at n0 and n0 + 1, holds O(2^14) however long the window.
 
 The window top is seeded from first-order tail sums of the kernel over
 the next N indices (at most 10^6), their limits fitted against a remainder
@@ -48,16 +45,18 @@ tail window is streamed the same way; its sums need X_n and the prefix
 sums of X_n^{-1}, carried from stretch to stretch (_kernel_chunk).
 
 A kernel stretch is float64 exactly when theta_n is purely imaginary on
-it and on every stretch below it: real z off the closure of the a.c. set
-(the discrete region, the resolvent set).  There B_n, Lambda_n, Rcal_n,
-X_n, the prefix sums and u_n are real, so every array takes the dtype of
-B_n (ansatz_ratio_window) and no layer forces complex: Re Phi_n = 0, the
-unit phases are 1 and the sweep runs in float64.  A complex stretch makes
-every stretch above it complex, and the real stretches below it, kept or
-folded, are promoted (VolterraKernel).  Points on the a.c. set and
-non-real z run the same functions in complex arithmetic.  At real points
-Omega moves against the complex pipeline only by the last bits of B_n (a
-real exp against a complex one), which the remainder's cancellation
+it: real z off the closure of the a.c. set (the discrete region, the
+resolvent set).  There B_n, Lambda_n, Rcal_n, X_n, the prefix sums and
+u_n are real, so every array takes the dtype of B_n (ansatz_ratio_window)
+and no layer forces complex: Re Phi_n = 0, the unit phases are 1 and the
+sweep runs in float64.  The sweep of a stretch runs in complex arithmetic
+when the stretch or the state handed down to it is complex, so u is real
+exactly when every stretch from the window top down is.  The tail window
+carries prefix sums up, so there a complex stretch makes every stretch
+above it complex (_kernel_chunk).  Points on the a.c. set and non-real z
+run the same functions in complex arithmetic.  At real points Omega
+moves against the complex pipeline only by the last bits of B_n (a real
+exp against a complex one), which the remainder's cancellation
 amplifies: 6.6e-13 to 1.1e-12 relative with the unit tail, 9.4e-12 to
 2.0e-10 with the asymptotic tail; eigenvalue zeros move by at most 6e-17.
 """
@@ -83,8 +82,7 @@ from .errors import InvalidParameter, NumericFailure
 
 N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
-_CHUNK = 2 ** 14                          # indices per stretch of the forward pass
-_FOLD = 4 * _CHUNK                        # indices a fold pass takes at most
+_CHUNK = 2 ** 14                          # indices per stretch of a window
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
 _SUM_BLOCK = 65536                        # most terms per frame of _scaled_prefix_sum
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
@@ -92,11 +90,11 @@ _SUM_SPAN = 500.0                         # nats a frame may grow before it is c
 
 @dataclass
 class VolterraSolution:
-    """Correction factors u_n on [n0, n0 + len(u) - 1], the kept range of
-    the window [n0, N]: the sweep's blocks that meet [n0, n_top] (all of
-    [n0, N] when n_top = N).  residual is the worst relative defect of the
-    difference equation there.  u is float64 where the kernel is real,
-    complex128 elsewhere.
+    """Correction factors u_n on [n0, n_top] of the window [n0, N], n_top
+    the highest index the caller reads (N by default).  residual is the
+    worst relative defect of the difference equation on every stretch
+    whose u the sweep computed (VolterraKernel.sweep).  u is float64 where
+    the kernel is real, complex128 elsewhere.
     """
 
     u: np.ndarray
@@ -114,128 +112,90 @@ class VolterraSolution:
 
 
 class VolterraKernel:
-    """Kernel of the window [n0, N], built in one forward pass over
-    stretches of _CHUNK indices (_local_chunk).
+    """The window [n0, N] and its backward sweep for u on [n0, n_top]
+    (n_top clamped to [n0 + 1, N], default N).
 
-    backward_sweep runs its K = N - n0 steps in blocks of b ~ sqrt(K/2)
-    laid from N down.  The blocks that meet [n0, n_top] (n_top clamped to
-    [n0 + 1, N], default N) are kept: Lambda_n (lam) and Rcal_n (rr) on
-    offsets k = n - n0 in [0, top].  Every block above is reduced to its
-    transfer as it is built (_fold); `above` holds them, top block first
-    (None when everything is kept).  Everything is evaluated at the
-    canonical (upper half-plane) point; conjugation happens when the
+    Nothing is built here: sweep builds the window's stretches, the edges
+    range(n0, N, _CHUNK), top stretch first.  Everything is evaluated at
+    the canonical (upper half-plane) point; conjugation happens when the
     solution is assembled.
     """
 
     def __init__(self, ctx: PhaseContext, model: CoefficientModel,
                  n0: int, N: int, n_top: int | None = None):
+        self.ctx, self.model = ctx, model
         self.n0, self.N = int(n0), int(N)
         if ctx.params.delta - ctx.params.nu <= 1.0:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
         if self.N <= self.n0:
             raise InvalidParameter("window needs N > n0")
-        K = self.N - self.n0
-        k_top = K if n_top is None else min(max(int(n_top) - self.n0, 1), K)
-        self.b = _block_size(K)
-        self.top = K - max(0, (K - 1 - k_top) // self.b) * self.b   # lowest block edge >= k_top
-        self.lam = self.rr = self.above = None
-        self._buf, self._fill, self._batches = None, 0, []
-        dtype = np.dtype(float)          # a complex stretch makes those above complex
-        for lo in range(self.n0, self.N, _CHUNK):
-            hi = min(lo + _CHUNK, self.N)
-            lam, rr = _local_chunk(ctx, model, lo, hi, dtype)[:2]
-            dtype = lam.dtype
-            k = lo - self.n0
-            kept = min(max(self.top - k, 0), hi - lo)    # entries of lam[1:], rr[1:] kept
-            if kept:
-                self._keep(k, lam[:kept + 1], rr[:kept + 1])
-            if kept < hi - lo:
-                self._fold(lam[kept + 1:], rr[kept + 1:], hi)
-            del lam, rr                  # a stretch's arrays set the solve's peak
-        if self._batches:
-            if self._buf.dtype.kind == "c" and self.lam.dtype.kind != "c":
-                self.lam, self.rr = self.lam.astype(complex), self.rr.astype(complex)
-            self.above = tuple([x for ends in reversed(self._batches) for x in ends[j]]
-                               for j in range(4))
-        self._buf = self._batches = None
-
-    def _keep(self, k: int, lam: np.ndarray, rr: np.ndarray) -> None:
-        """Store a stretch's kept Lambda and Rcal at offsets (k, k + len(lam) - 1]."""
-        if self.lam is None:
-            self.lam = np.empty(self.top + 1, dtype=lam.dtype)
-            self.lam[0] = np.nan
-            self.rr = self.lam.copy()
-        elif lam.dtype != self.lam.dtype:            # a complex stretch above a real one
-            self.lam, self.rr = self.lam.astype(lam.dtype), self.rr.astype(lam.dtype)
-        self.lam[k + 1:k + len(lam)] = lam[1:]
-        self.rr[k + 1:k + len(rr)] = rr[1:]
-
-    def _fold(self, lam: np.ndarray, rr: np.ndarray, hi: int) -> None:
-        """Reduce the sweep's blocks above the kept range to their transfers.
-
-        lam and rr continue the Lambda_n and Rcal_n handed up so far.  They
-        wait in a buffer of _FOLD indices (entry 0 unused, as in
-        backward_sweep's arrays); once it is full, and at the window top,
-        _block_pass runs its whole blocks from the unit states, exactly as
-        the whole-window sweep runs them.  A pass costs b vectorised steps
-        whatever its width, so the buffer holds several stretches.
-        """
-        n = len(lam)
-        if self._buf is None:
-            cap = min(_FOLD, self.N - self.n0 - self.top)
-            self._buf = np.empty((2, 1 + cap), dtype=lam.dtype)
-        elif self._buf.dtype != np.result_type(self._buf, lam):   # complex above real
-            self._buf = self._buf.astype(lam.dtype)
-        if self._fill + n >= self._buf.shape[1]:
-            self._flush()
-        buf, fill = self._buf, self._fill
-        buf[0, 1 + fill:1 + fill + n] = lam
-        buf[1, 1 + fill:1 + fill + n] = rr
-        self._fill += n
-        if hi == self.N:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Run the buffer's whole blocks (_fold) and keep the rest."""
-        b, buf, fill = self.b, self._buf, self._fill
-        nb = fill // b
-        K = nb * b
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            ends = _block_pass(buf[0, :K + 1], buf[1, :K + 1], b, nb, buf.dtype)
-        if not np.all(np.isfinite(ends)):
-            first = self.n0 + self.top + 1 + b * sum(len(e[0]) for e in self._batches)
-            raise NumericFailure(f"non-finite kernel transfer on [{first}, {first + K - 1}]")
-        self._batches.append(ends)                   # top block first
-        buf[:, 1:1 + fill - K] = buf[:, 1 + K:1 + fill]
-        self._fill = fill - K
-
-    # -- solving ------------------------------------------------------------
+        self.n_top = self.N if n_top is None else min(max(int(n_top), self.n0 + 1), self.N)
+        self.residual = None
 
     def sweep(self, u_top: complex = 1.0 + 0.0j,
               d_top: complex = 0.0 + 0.0j) -> np.ndarray:
-        """Backward sweep for u on the kept range from (u_N, D_N) = (u_top,
-        d_top), chained down through the folded blocks (backward_sweep).
+        """u on [n0, n_top] from (u_N, D_N) = (u_top, d_top), the
+        stretches swept from the top down.
+
+        A stretch [lo, hi] with lo < n_top runs backward_sweep and leaves
+        its u in place (an entry at a stretch edge is the state handed
+        down); one above only moves the state down (_block_pass, _chain),
+        in backward_sweep's dtype.  Sets self.residual, the worst relative
+        defect of the difference equation over the swept stretches, each
+        with the u above its top where that was swept.  A non-finite
+        state below a stretch raises NumericFailure.
 
         With the default boundary data the tail beyond N is treated as
         u = 1; tail-corrected boundary values come from _top_boundary().
         """
-        return backward_sweep(self.lam, self.rr, u_top, d_top, self.b, self.above)
+        n0, n_top = self.n0, self.n_top
+        u, u_above, self.residual = None, None, 0.0
+        state = (u_top, d_top)
+        for lo in reversed(range(n0, self.N, _CHUNK)):
+            hi = min(lo + _CHUNK, self.N)
+            lam, rr = _local_chunk(self.ctx, self.model, lo, hi, float)[:2]
+            # a non-finite kernel term makes the block products overflow
+            # or form inf - inf; the state is checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                if lo >= n_top:
+                    _, b, nb, dtype, *start = _sweep_setup(lam, rr, *state)
+                    state = _chain(_block_pass(lam, rr, b, nb, dtype), *start)[2]
+                else:
+                    part, state = backward_sweep(lam, rr, *state)
+                    if u is None:
+                        u = np.empty(n_top - n0 + 1, dtype=part.dtype)
+                    elif part.dtype.kind == "c" and u.dtype.kind != "c":
+                        u = u.astype(complex)        # a complex stretch under real ones
+                    top = min(hi, n_top) - lo
+                    u[lo - n0:lo - n0 + top + 1] = part[:top + 1]
+                    if u_above is not None:
+                        part = np.append(part, u_above)
+                    self.residual = max(self.residual, _defect(lam, rr, part))
+                    u_above = part[1]
+            if not np.all(np.isfinite(state)):
+                raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
+        return u
 
-    def residual(self, u: np.ndarray) -> float:
-        du = u[1:] - u[:-1]
-        res = self.lam[1:-1] * du[1:] - du[:-1] - self.rr[1:-1] * u[1:-1]
-        scale = np.maximum(1.0, np.abs(u[1:-1]))
-        return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
+
+def _defect(lam: np.ndarray, rr: np.ndarray, u: np.ndarray) -> float:
+    """Worst relative defect of Lambda_k (u_{k+1} - u_k) - (u_k - u_{k-1})
+    = Rcal_k u_k over a stretch's u, at the offsets 0 < k < len(u) - 1."""
+    k = len(u) - 1
+    du = u[1:] - u[:-1]
+    res = lam[1:k] * du[1:] - du[:-1] - rr[1:k] * u[1:k]
+    scale = np.maximum(1.0, np.abs(u[1:k]))
+    return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
 
 
 def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
                  dtype: np.dtype, th: np.ndarray | None = None) -> tuple:
     """(lam, rr, a): Lambda_n, Rcal_n and a_n on the stretch [lo, hi],
     indexed by n - lo (entry 0 of lam and rr is nan: it belongs to the
-    stretch below), in the dtype of B_n promoted to `dtype`, the stretch
-    below's.  th is theta_n on [lo, hi] where the caller keeps it
-    (_kernel_chunk); otherwise it is built here and dropped as soon as B_n
-    is built, 16 B per index off a window stretch's peak.
+    stretch below), in the dtype of B_n promoted to `dtype`: float in the
+    solve's window, the stretch below's in the tail window.  th is theta_n
+    on [lo, hi] where the caller keeps it (_kernel_chunk); otherwise it is
+    built here and dropped as soon as B_n is built, 16 B per index off a
+    window stretch's peak.
     """
     if th is None:
         th = theta_window(ctx, lo, hi + 1)                # theta_n, n in [lo, hi]
@@ -313,10 +273,10 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,
                    u_top: complex = 1.0 + 0.0j,
-                   d_top: complex = 0.0 + 0.0j,
-                   b: int | None = None, above: tuple | None = None) -> np.ndarray:
+                   d_top: complex = 0.0 + 0.0j) -> tuple[np.ndarray, tuple]:
     """u on offsets [0, K] from D_k = Rcal_{k+1} u_{k+1} + Lambda_{k+1} D_{k+1},
-    u_k = u_{k+1} + D_k, started from (u_K, D_K) = (u_top, d_top).
+    u_k = u_{k+1} + D_k, started from (u_K, D_K) = (u_top, d_top), and the
+    state (u_0, D_0) at the bottom, for a stretch below.
 
     lam[0] and rr[0] are unused; K = len(lam) - 1.
 
@@ -327,31 +287,16 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     chains the nb block transfer matrices from (u_top, d_top), and
     u = U0 u_in + U1 D_in is recombined in one array operation.  The
     summation order differs from a step-by-step loop, so u differs from it
-    at rounding level only.
+    at rounding level only.  u_0 is recombined like the rest; the bottom
+    state is the chain's own.
 
     The sweep runs in the dtype of lam and rr, and in complex arithmetic
     only if they are complex or the boundary data has an imaginary part.
-
-    A kernel that keeps only the lower part of its window (VolterraKernel)
-    passes the whole window's block size b and the transfers of the
-    blocks above lam, top first (`above`, _block_pass's lists); (u_top,
-    d_top) is then the state at the window top, chained down through
-    `above` as over the whole window.  u is then the whole-window sweep's
-    bit for bit, except its top entry (the chained state, which the whole
-    sweep recombines in numpy), equal to rounding.
     """
-    K = len(lam) - 1
-    b = _block_size(K) if b is None else b
-    nb = -(-K // b)
-    u_top, d_top = complex(u_top), complex(d_top)
-    dtype = np.result_type(lam, rr, 1j if u_top.imag or d_top.imag else 1.0)
-    if dtype.kind != "c":
-        u_top, d_top = u_top.real, d_top.real
-    if above is not None:
-        u_top, d_top = _chain(above, u_top, d_top)[2]
+    K, b, nb, dtype, u_top, d_top = _sweep_setup(lam, rr, u_top, d_top)
     # U[t, j] = u after step t of every block, started from unit state j
     U = np.empty((b, 2, nb), dtype=dtype)
-    u_in, d_in, _ = _chain(_block_pass(lam, rr, b, nb, dtype, U), u_top, d_top)
+    u_in, d_in, bottom = _chain(_block_pass(lam, rr, b, nb, dtype, U), u_top, d_top)
     U0, U1 = U[:, 0, :], U[:, 1, :]
     U0 *= np.asarray(u_in)
     U1 *= np.asarray(d_in)
@@ -364,7 +309,20 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     rev[:full * b].reshape(full, b)[...] = U0.T[:full]
     if rest:
         rev[full * b:] = U0[:rest, full]
-    return out
+    return out, bottom
+
+
+def _sweep_setup(lam: np.ndarray, rr: np.ndarray, u_top, d_top) -> tuple:
+    """(K, b, nb, dtype, u_top, d_top) of the sweep over lam, rr: its
+    steps, block size and block count, and its dtype with the boundary
+    data in it (backward_sweep)."""
+    K = len(lam) - 1
+    b = _block_size(K)
+    u_top, d_top = complex(u_top), complex(d_top)
+    dtype = np.result_type(lam, rr, 1j if u_top.imag or d_top.imag else 1.0)
+    if dtype.kind != "c":
+        u_top, d_top = u_top.real, d_top.real
+    return K, b, -(-K // b), dtype, u_top, d_top
 
 
 def _block_pass(lam: np.ndarray, rr: np.ndarray, b: int, nb: int,
@@ -686,14 +644,15 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     window's length tail_len (0 for "unit") and the tail fit's relative
     residual tail_fit_residual (None for "unit").
 
-    n_top is the highest index whose u the caller reads, clamped to
-    [n0 + 1, N] (default N), so any n_top <= n0 + 1 asks for the head
-    [n0, n0 + 1] alone, as Omega does.  u and the residual cover the
-    sweep's blocks that meet [n0, n_top], [n0, n0 + k] with k - (N - n0) a
-    multiple of the block size; the blocks above are reduced to their
-    transfers (VolterraKernel), so below its top entry u is the
-    whole-window u bit for bit.  Omega's solve holds O(2^14) memory for
-    any N.
+    n_top is the highest index whose u the caller reads, clamped below to
+    n0 + 1 (default N), so any n_top <= n0 + 1 asks for the head
+    [n0, n0 + 1] alone, as Omega does; an n_top above N raises
+    InvalidParameter before anything is built.  u covers [n0, n_top] and
+    is there the whole-window u bit for bit; the residual covers every
+    stretch of 2^14 indices the sweep computed u on, the one holding n0
+    always among them (VolterraKernel.sweep).  The window is swept from
+    the top down, one stretch at a time, so a solve holds O(2^14) memory
+    besides u for any N.
     """
     ctx = phase_context(zp, params, n0)
     n0 = ctx.n_start
@@ -703,23 +662,21 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
         raise InvalidParameter(f"window too short: n0 = {n0}, N = {N}")
     if tail_init not in ("unit", "asymptotic"):
         raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
+    if n_top is not None and n_top > N:
+        raise InvalidParameter(f"index {n_top} beyond the window top N = {N}")
 
-    kern = VolterraKernel(ctx, model, n0, N, n_top=n_top)
     u_top, d_top, tail_len, fit_residual = 1.0 + 0.0j, 0.0 + 0.0j, 0, None
     if tail_init == "asymptotic":
         tail_len = min(N, _TAIL_CAP)
         u_top, d_top, fit_residual = _top_boundary(ctx, model, N, tail_len)
-    # a non-finite kernel term makes the block products overflow or form
-    # inf - inf; the solve checks u itself and raises NumericFailure
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = kern.sweep(u_top, d_top)
+    kern = VolterraKernel(ctx, model, n0, N, n_top=n_top)
+    u = kern.sweep(u_top, d_top)
     meta = {"n0": n0, "N": N, "tail_init": tail_init,
             "tail_len": tail_len, "tail_fit_residual": fit_residual}
-    res = kern.residual(u)
+    res = kern.residual
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):
         raise NumericFailure(f"non-finite Volterra solution on [{n0}, {N}]")
     if ctx.conj:
         u = u.conjugate()
     return VolterraSolution(u=u, n0=n0, N=N, residual=res,
                             conjugated=ctx.conj, meta=meta)
-

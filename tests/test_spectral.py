@@ -171,11 +171,21 @@ class TestResolvent:
         n0 = win.meta["n0"]
         assert asked == [(n0, max(hi, n0 + 1))]
 
-    def test_index_beyond_window(self, laguerre0):
+    def test_index_beyond_window(self, laguerre0, monkeypatch):
+        # refused before any kernel stretch is built, not after a solve
         m, p = laguerre0
-        with pytest.raises(InvalidParameter):
-            spectral.resolvent_element(0, 5001, ansatz.interior(1 + 1j), p, m,
+        built = []
+        chunk = volterra._local_chunk
+
+        def counting(*args):
+            built.append(args[2])
+            return chunk(*args)
+
+        monkeypatch.setattr(volterra, "_local_chunk", counting)
+        with pytest.raises(InvalidParameter, match="beyond the window top"):
+            spectral.resolvent_element(0, 5005, ansatz.interior(1 + 1j), p, m,
                                        N=5000)
+        assert built == []
 
     def test_symmetry_and_herglotz(self, laguerre0):
         m, p = laguerre0

@@ -64,10 +64,13 @@ def sweep_error(u: np.ndarray, u_ref: np.ndarray) -> float:
     return float(np.max(np.abs(u - u_ref) / np.maximum(1.0, np.abs(u_ref))))
 
 
-def kernel_at(zp, p, m, N):
-    """The solve's kernel on [n_start, N] and its phase context."""
+def window_at(zp, p, m, N):
+    """Lambda_n and Rcal_n of the solve's window [n_start, N], built as
+    one stretch (bit for bit the window's stretches), and the phase
+    context."""
     ctx = ansatz.phase_context(zp, p)
-    return volterra.VolterraKernel(ctx, m, ctx.n_start, N), ctx
+    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N, float)[:2]
+    return lam, rr, ctx
 
 
 class KernelLogs:
@@ -114,8 +117,8 @@ def test_zero_kernel_gives_unit_solution():
     K = 500
     lam = np.full(K + 1, 0.97 + 0.01j)
     rr = np.zeros(K + 1, dtype=complex)
-    u = volterra.backward_sweep(lam, rr)
-    assert np.all(u == 1.0)
+    u, bottom = volterra.backward_sweep(lam, rr)
+    assert np.all(u == 1.0) and bottom == (1.0, 0.0)
 
 
 def test_sweep_matches_iteration_series():
@@ -126,7 +129,7 @@ def test_sweep_matches_iteration_series():
     lam = 1.0 + 0.02 * (rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1))
     rr = 0.01 * (rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)) / \
         (2.0 + np.arange(K + 1.0)) ** 1.5
-    u_sweep = volterra.backward_sweep(lam, rr)
+    u_sweep, _ = volterra.backward_sweep(lam, rr)
     u_series = iterate_series(lam, rr)
     assert np.max(np.abs(u_sweep - u_series)) < 1e-12
 
@@ -141,9 +144,13 @@ def test_blocked_sweep_matches_scalar_loop(K):
         (2.0 + np.arange(K + 1.0)) ** 1.5
     lam[0] = rr[0] = np.nan            # never read
     u_top, d_top = 1.1 - 0.2j, 0.03 + 0.01j
-    u = volterra.backward_sweep(lam, rr, u_top, d_top)
+    u, (u_bot, d_bot) = volterra.backward_sweep(lam, rr, u_top, d_top)
+    ref = scalar_sweep(lam, rr, u_top, d_top)
     assert u[K] == u_top
-    assert sweep_error(u, scalar_sweep(lam, rr, u_top, d_top)) <= 1e-12
+    assert sweep_error(u, ref) <= 1e-12
+    # the bottom state, handed to a stretch below: u_0 and D_0 = u_0 - u_1
+    assert abs(u_bot - ref[0]) <= 1e-12 * abs(ref[0])
+    assert abs(d_bot - (ref[0] - ref[1])) <= 1e-12 * abs(ref[0])
 
 
 def test_block_size_covers_block_edges():
@@ -160,14 +167,16 @@ def test_block_size_covers_block_edges():
 def test_blocked_sweep_matches_scalar_loop_on_kernels(laguerre0, model, zp, N,
                                                       tail_init):
     # the kernels of the eigenvalue scan, the Laguerre density and the
-    # whole-line sweep (n0 = 2048), each with the solve's boundary data
+    # whole-line sweep (n0 = 2048), each with the solve's boundary data,
+    # swept stretch by stretch from the top against one scalar loop over
+    # the whole window
     m, p = model or laguerre0
-    kern, ctx = kernel_at(zp, p, m, N)
+    lam, rr, ctx = window_at(zp, p, m, N)
     top = (1.0 + 0.0j, 0.0 + 0.0j)
     if tail_init == "asymptotic":
         top = volterra._top_boundary(ctx, m, N, N)[:2]
-    u = kern.sweep(*top)
-    assert sweep_error(u, scalar_sweep(kern.lam, kern.rr, *top)) <= 1e-12
+    u = volterra.VolterraKernel(ctx, m, ctx.n_start, N).sweep(*top)
+    assert sweep_error(u, scalar_sweep(lam, rr, *top)) <= 1e-12
 
 
 def test_sweep_peak_memory_per_index():
@@ -468,11 +477,12 @@ def test_streamed_fit_matches_lstsq_on_a_tail(zp, monkeypatch):
 
 def test_kernel_factor_examples(laguerre0):
     m, p = laguerre0
-    kern, ctx = kernel_at(ansatz.at_plus(2.0), p, m, 4001)
-    lam3, rr3 = kern.lam[1000 - kern.n0], kern.rr[1000 - kern.n0]
+    lam, rr, ctx = window_at(ansatz.at_plus(2.0), p, m, 4001)
+    n0 = ctx.n_start
+    lam3, rr3 = lam[1000 - n0], rr[1000 - n0]
     # Lambda_n -> 1 at the phase rate ~ 2 theta_n ~ n^-nu
     assert abs(lam3 - 1.0) < 4.0 * 1000.0 ** (-p.nu)
-    lam4 = kern.lam[4000 - kern.n0]
+    lam4 = lam[4000 - n0]
     assert abs(lam4 - 1.0) < abs(lam3 - 1.0)
     # |Rcal_n| within a factor 2 of |r_n|
     r = remainder_at(ctx, m, [1000])[0]
@@ -610,9 +620,10 @@ class TestSolve:
         assert peak / N < 300.0
 
     def test_tail_window_runs_without_majorant_arrays(self, monkeypatch):
-        # while _top_boundary builds the tail window the solve holds the
-        # window kernel's lam and rr only (32 B per index); a kernel that
-        # keeps X, its prefix sums and h holds 88 B per index
+        # _top_boundary builds the tail window before the window itself is
+        # built, so the solve then holds nothing per index; a kernel built
+        # first held its lam and rr (32 B per index), one that kept X, its
+        # prefix sums and h 88 B per index
         m, p = power(1.25, 0.0, -0.875)
         N = 20_000
         held = []
@@ -629,36 +640,32 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert len(held) == 1
-        assert held[0] / N < 60.0
+        assert held[0] / N < 1.0
 
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["short", "edge", "over"])
     def test_kept_blocks_match_whole_window(self, laguerre0, extra):
         # a window of five stretches less one index, exactly five, or five
-        # plus one, so that the folded blocks straddle stretch edges and fill
-        # the fold buffer more than once; for n_top at the window head,
-        # around the first stretch edge and at N, the kept range ends at
-        # the first edge of the sweep's blocks at or above n_top, and u there
-        # is the whole-window solve's bit for bit (its top entry, the
-        # chained state, to rounding)
+        # plus one (a one-step top stretch); for n_top at the window head,
+        # around the first stretch edge, around the top stretch's lowest
+        # index and at N, u covers exactly [n0, n_top] and is there the
+        # whole-window solve's bit for bit, its top entry included
         m, p = laguerre0
         zp = ansatz.at_plus(1.0)
         C = volterra._CHUNK
         n0 = ansatz.phase_context(zp, p).n_start
         N = n0 + 5 * C + extra
-        K, b = N - n0, volterra._block_size(N - n0)
+        top_lo = n0 + (N - n0 - 1) // C * C
         full = volterra.solve(zp, p, m, N=N, tail_init="unit")
-        for n_top in (n0 + 1, n0 + C - 1, n0 + C, n0 + C + 1, N):
+        assert len(full.u) == N - n0 + 1
+        for n_top in (n0 + 1, n0 + C - 1, n0 + C, n0 + C + 1, top_lo, top_lo + 1, N):
             sol = volterra.solve(zp, p, m, N=N, tail_init="unit", n_top=n_top)
-            k = len(sol.u)
-            assert (K - (k - 1)) % b == 0 and n_top - n0 < k <= n_top - n0 + b + 1
-            assert sol.u_at(n_top) == sol.u[n_top - n0]
-            assert np.array_equal(sol.u[:-1], full.u[:k - 1])
-            assert abs(sol.u[-1] - full.u[k - 1]) <= 1e-15 * abs(full.u[k - 1])
+            assert len(sol.u) == n_top - n0 + 1
+            assert np.array_equal(sol.u, full.u[:n_top - n0 + 1])
 
     def test_omega_peak_memory_does_not_grow_with_n(self, laguerre0):
-        # an omega solve keeps only its window's lowest blocks and streams
-        # the rest of the window and the tail window: about 5 MB at any N
-        # (9 MB at N = 5e4 and 64 MB at 4e5 when it built both in full)
+        # an omega solve keeps u on the head only and streams the window
+        # and the tail window: about 4 MB at any N (9 MB at N = 5e4 and
+        # 64 MB at 4e5 when it built both in full)
         m, p = laguerre0
         peaks = []
         for N in (50_000, 400_000):
@@ -683,6 +690,17 @@ class TestSolve:
         m, p = power(1.25, 0.0, -0.875)
         with pytest.raises(InvalidParameter, match=r"n0 = \d+, N = 10000000"):
             volterra.solve(ansatz.at_plus(-50.0), p, m)
+
+    @pytest.mark.parametrize("N", [5000, 40_000])
+    def test_head_solve_reports_its_stretch_residual(self, laguerre0, N):
+        # an n_top = 0 solve keeps u on [n0, n0 + 1] only, but its
+        # residual covers the whole stretch that holds n0, where the sweep
+        # computed u: a rounding-level defect, not the empty check of two
+        # entries
+        m, p = laguerre0
+        sol = volterra.solve(ansatz.at_plus(1.0), p, m, N=N, tail_init="unit", n_top=0)
+        assert len(sol.u) == 2
+        assert 0.0 < sol.residual < 1e-14
 
     def test_truncation_too_short(self):
         # a window barely longer than its start (n0 = 2048) is solved, not
@@ -846,9 +864,10 @@ COMPLEX_POINTS = {
 
 
 class TestDtype:
-    """The kernel, the sweep and u are float64 exactly where theta_n is
-    purely imaginary on the whole window, and complex128 elsewhere: a
-    window whose stretches mix the two is complex throughout."""
+    """A kernel stretch is float64 exactly where theta_n is purely
+    imaginary on it, and complex128 elsewhere; the sweep of a stretch runs
+    complex when the stretch or the state handed down to it is, so u is
+    float64 exactly when the whole window is real."""
 
     @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
     @pytest.mark.parametrize("case", list(REAL_POINTS) + list(COMPLEX_POINTS))
@@ -856,31 +875,39 @@ class TestDtype:
         model, zp = {**REAL_POINTS, **COMPLEX_POINTS}[case]
         m, p = model or laguerre0
         dtype = np.float64 if case in REAL_POINTS else np.complex128
-        kern, _ = kernel_at(zp, p, m, 5000)
+        lam, rr, _ = window_at(zp, p, m, 5000)
         sol = volterra.solve(zp, p, m, N=5000, tail_init=tail_init)
-        assert kern.lam.dtype == kern.rr.dtype == sol.u.dtype == dtype
+        assert lam.dtype == rr.dtype == sol.u.dtype == dtype
 
     @pytest.mark.parametrize("n_top", [None, 0])
     def test_mixed_window_matches_complex_build(self, monkeypatch, n_top):
         # the whole line at -5.9 + i0 from n0 = 100: theta_n is purely
-        # imaginary on the first stretch only, so its real arrays are
-        # promoted when the complex stretch above is kept (n_top None) or
-        # folded, and after the pass (n_top = 0); every array equals a
-        # build forced complex from the same B_n bit for bit
+        # imaginary on the first stretch only, so that stretch is built
+        # real and the ones above complex; the complex state handed down
+        # makes its sweep complex, whether u is read on the whole window
+        # (n_top None) or on the head (n_top = 0).  Every stretch's
+        # Lambda, Rcal and u equal a build forced complex from the same B_n
+        # bit for bit
         m, p = power(1.25, 0.0, -0.875)
-        n0, N = 100, 60_000
+        n0, N, C = 100, 60_000, volterra._CHUNK
         ctx = ansatz.phase_context(ansatz.at_plus(-5.9), p, n0)
         th = ansatz.theta_window(ctx, n0, N + 1)
-        assert not th[:volterra._CHUNK + 1].real.any() and th.real.any()
+        assert not th[:C + 1].real.any() and th.real.any()
+        edges = [(lo, min(lo + C, N)) for lo in range(n0, N, C)]
+        parts = [volterra._local_chunk(ctx, m, lo, hi, float)[:2] for lo, hi in edges]
         kern = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
         u = kern.sweep()
         force_complex(monkeypatch)
+        refs = [volterra._local_chunk(ctx, m, lo, hi, float)[:2] for lo, hi in edges]
         ref = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
-        assert kern.lam.dtype == kern.rr.dtype == u.dtype == np.complex128
-        assert np.array_equal(kern.lam, ref.lam, equal_nan=True)
-        assert np.array_equal(kern.rr, ref.rr, equal_nan=True)
-        assert kern.above == ref.above
+        assert [lam.dtype.kind for lam, _ in parts] == ["f"] + ["c"] * (len(edges) - 1)
+        for part, want in zip(parts, refs):
+            assert part[0].dtype == part[1].dtype
+            assert np.array_equal(part[0], want[0], equal_nan=True)
+            assert np.array_equal(part[1], want[1], equal_nan=True)
+        assert u.dtype == np.complex128
         assert np.array_equal(u, ref.sweep())
+        assert kern.residual == ref.residual
 
     @pytest.mark.parametrize("tail_init, rel", [("unit", 0.0), ("asymptotic", 1e-12)])
     @pytest.mark.parametrize("z", [-0.5, -0.2])
@@ -904,17 +931,30 @@ class TestDtype:
         assert abs(om - ref) <= rel * abs(ref)
 
     def test_real_solve_peak_memory_per_index(self):
-        # a real unit-tail solve holds float64 kernel arrays: 64 B per index
-        # at N = 2e4 (80 while the window also built the majorant)
+        # a whole-window solve holds u and one stretch's workspace, so its
+        # peak grows by u's 8 B per index on a real kernel (8.0 measured
+        # between N = 2e5 and 1e6; 56 when the window was built whole)
         m, p = power(1.0, 0.0, 0.0)
-        N = 20_000
+        assert solve_peak_slope(ansatz.interior(-3.0), p, m) <= 8.5
+
+    def test_complex_solve_peak_memory_per_index(self, laguerre0):
+        # complex u: 16 B per index (16.0 measured; 96 built whole)
+        m, p = laguerre0
+        assert solve_peak_slope(ansatz.at_plus(1.0), p, m) <= 16.5
+
+
+def solve_peak_slope(zp, p, m, Ns=(200_000, 1_000_000)):
+    """Growth of a whole-window unit-tail solve's traced peak, in bytes
+    per window index, between the window lengths Ns."""
+    peaks = []
+    for N in Ns:
         tracemalloc.start()
         try:
-            volterra.solve(ansatz.interior(-3.0), p, m, N=N, tail_init="unit")
-            _, peak = tracemalloc.get_traced_memory()
+            volterra.solve(zp, p, m, N=N, tail_init="unit")
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak / N < 70.0
+    return (peaks[1] - peaks[0]) / (Ns[1] - Ns[0])
 
 
 def test_u_decay_rate_on_spectrum(laguerre0):
@@ -938,7 +978,8 @@ def test_x_prod_monotone_off_axis(laguerre0):
 def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
     # Rcal = 0 makes the tail sums, hence the boundary data, exactly
     # (u_N, D_N) = (1, 0) and u = 1 exactly, in a one-stretch window and
-    # in a longer one, above n_top folded
+    # in a longer one, read whole or on the head only (the stretches
+    # above it then only hand the state down)
     m, p = laguerre0
     chunk = volterra._local_chunk
 
@@ -952,8 +993,8 @@ def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
     ctx = ansatz.phase_context(zp, p)
     for N in (3000, 40_000):
         assert volterra._top_boundary(ctx, m, N, N)[:2] == (1.0, 0.0)
-        kern = volterra.VolterraKernel(ctx, m, ctx.n_start, N, n_top=ctx.n_start + 1)
-        assert kern.above is not None and len(kern.lam) <= kern.b + 2
-        sol = volterra.solve(zp, p, m, N=N, n_top=ctx.n_start + 1)
-        assert np.all(sol.u == 1.0)
+        for n_top in (None, ctx.n_start + 1):
+            sol = volterra.solve(zp, p, m, N=N, n_top=n_top)
+            assert len(sol.u) == (n_top or N) - ctx.n_start + 1
+            assert np.all(sol.u == 1.0)
 
