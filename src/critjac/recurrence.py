@@ -8,8 +8,9 @@ eigenvalue -gamma, so products of it map the two unit states onto almost
 parallel columns; poly_eval therefore steps the difference coordinates
 (P_n, d_n = P_n - mu P_{n-1}), mu = -sign(gamma), in which the same
 limit is well conditioned.  Each step is linear in the state, so the N
-steps run blockwise in numpy from unit states and a short scalar pass
-chains the block transfers.
+steps run in stretches of _STRETCH steps, each blockwise in numpy from
+unit states with a short scalar pass that chains the block transfers
+and hands the state to the next stretch.
 truncated_matrix_eigs diagonalizes the N x N leading principal
 submatrix.  Both are pure oracles: they never touch the Ansatz/Volterra
 machinery they are used to check.
@@ -35,6 +36,9 @@ from .solutions import (
 # Growth (nats) a block's states may gain before they are rescaled: far
 # inside the double range, and rescales stay rare.
 _SPAN = 300.0
+# Steps per stretch: the window is run one stretch at a time, each
+# blockwise, so the workspace is O(_STRETCH) for any N.
+_STRETCH = 2 ** 17
 
 
 def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
@@ -53,35 +57,74 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     (P_{n-1}, P_n) maps the two unit states onto almost parallel columns
     and loses digits; in (P, d) the columns stay independent.
 
-    The N steps are cut into blocks of b ~ sqrt(N/2) steps.  All blocks
-    run at once from the unit states (1, 0) and (0, 1), b vectorised
-    steps over arrays of length N/b; their states are rescaled by their
-    maximum whenever the growth bound sum log1p(|kappa| + |rho|) since
-    the last rescale passes _SPAN nats, with a log scale kept for each
-    row and block.  A scalar pass then chains the block transfers from
-    (P_0, d_0) with its own log scale, and P is recombined in array
-    operations.  Every rescale is by a power of two, so the scales are
-    exact integer exponents and log|P_n| takes one rounding from them,
-    however often the states were rescaled.  Real z is evaluated in real
-    arithmetic, so values stay exactly real and the window's unit is
-    float64.  The coefficients are laid out in block rows once, and the
-    window's arrays are written in place from the recombined rows.
-    Raises NumericFailure if a value is not finite.
+    The N steps run in stretches of _STRETCH steps (_run_stretch), each
+    from the state (P, d) and its log2 scale that the stretch below
+    handed up, and each stretch writes its rows straight into the
+    window's arrays, so the workspace is O(_STRETCH) for any N.  Real z
+    is evaluated in real arithmetic, so values stay exactly real and the
+    window's unit is float64.  Raises NumericFailure if a value is not
+    finite.
     """
     if N < 0:
         raise InvalidParameter("poly_eval needs N >= 0")
     real = complex(z).imag == 0.0
     zv = complex(z).real if real else complex(z)
     mu = -1.0 if model.declared.gamma > 0 else 1.0
-    b = max(1, round(math.sqrt(N / 2.0)))       # steps per block
-    nb = -(-N // b)
-    a_ext = np.concatenate([[1.0], model.a_range(0, N)])
-    a, a_prev = a_ext[1:], a_ext[:-1]           # a_n and a_{n-1}, a_{-1} = 1
-    # kappa_n a_n = ((z - b_n) - mu a_n) - mu a_{n-1}: near the Jordan
+    # step s lands on entry s + 2 (the window starts at n = -1); the last
+    # stretch's last block may run past step N, into the spare entries
+    spare = _block_size(min(N, _STRETCH))
+    lm = np.empty(N + 2 + spare)
+    unit = np.empty(N + 2 + spare, dtype=float if real else complex)
+    lm[:2] = -np.inf, 0.0                       # P_{-1}, P_0
+    unit[:2] = 1.0
+    state = (1.0, 1.0, 0)                       # P_0, d_0 and their log2 scale
+    for s0 in range(0, N, _STRETCH):
+        state = _run_stretch(model, zv, mu, s0, min(s0 + _STRETCH, N), state,
+                             lm[s0 + 2:], unit[s0 + 2:])
+    zp = SpectralPoint(complex(z), "plus" if real else "interior")
+    return SolutionWindow("polynomial", lm[:N + 2], unit[:N + 2], zp, model,
+                          meta={"N": N})
+
+
+def _block_size(K: int) -> int:
+    """Steps per block of a stretch of K steps: b ~ sqrt(K/2) balances
+    the b vectorised steps against the K/b scalar chain steps."""
+    return max(1, round(math.sqrt(K / 2.0)))
+
+
+def _run_stretch(model: CoefficientModel, zv, mu: float, s0: int, s1: int,
+                 state: tuple, lm: np.ndarray, unit: np.ndarray) -> tuple:
+    """Steps s in [s0, s1) from state = (P_{s0}, d_{s0}, e), the values
+    being those over 2^e; P_{s+1} goes to lm[s - s0] and unit[s - s0]
+    (log-magnitude and unit phase), entries past step s1 - 1 up to the
+    end of the stretch's last block are scratch.  Returns the state after
+    step s1 - 1 in the same form, for the stretch above.
+
+    The steps are cut into blocks of b ~ sqrt(steps/2) steps.  All blocks
+    run at once from the unit states (1, 0) and (0, 1), b vectorised
+    steps over arrays of length steps/b; their states are rescaled by their
+    maximum whenever the growth bound sum log1p(|kappa| + |rho|) since
+    the last rescale passes _SPAN nats, with a log scale kept for each
+    row and block.  A scalar pass then chains the block transfers from
+    the state with its own log scale, and P is recombined in array
+    operations.  Every rescale is by a power of two, so the scales are
+    exact integer exponents and log|P_n| takes one rounding from them,
+    however often the states were rescaled.  The last block is padded
+    with zero steps; its transfer is read where its real steps end.
+    """
+    steps = s1 - s0
+    b = _block_size(steps)
+    nb = -(-steps // b)
+    rest = steps - (nb - 1) * b                 # steps of the last block
+    a_ext = model.a_range(max(s0 - 1, 0), s1)
+    if s0 == 0:
+        a_ext = np.concatenate([[1.0], a_ext])
+    a, a_prev = a_ext[1:], a_ext[:-1]           # a_s and a_{s-1}, a_{-1} = 1
+    # kappa_s a_s = ((z - b_s) - mu a_s) - mu a_{s-1}: near the Jordan
     # limit both outer differences are of doubles within a factor 2 of
-    # each other, hence exact, so z - b_n is the only rounding, as in
+    # each other, hence exact, so z - b_s is the only rounding, as in
     # the three-term form
-    K = _by_block((((zv - model.b_range(0, N)) - mu * a) - mu * a_prev) / a, b, nb)
+    K = _by_block((((zv - model.b_range(s0, s1)) - mu * a) - mu * a_prev) / a, b, nb)
     R = _by_block(mu * a_prev / a, b, nb)
     del a_ext, a, a_prev
     # each row's growth bound max log1p(|kappa| + |rho|), 64 rows at a time
@@ -115,13 +158,16 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
         np.multiply(R[t], d, out=d)
         d += tmp
         p = step(d, p, out=Pcol[t])
+        if t + 1 == rest:                       # the last block's real steps end
+            last = p[:, -1].tolist(), d[:, -1].tolist(), int(scales[-1][-1])
     del K, R, tmp
 
-    # chain the block transfers [[p0, p1], [d0, d1]] from (P_0, d_0)
+    # chain the block transfers [[p0, p1], [d0, d1]] from the state
     pe0, pe1, de0, de1 = p[0].tolist(), p[1].tolist(), d[0].tolist(), d[1].tolist()
     s_end = scales[-1].tolist()
+    (pe0[-1], pe1[-1]), (de0[-1], de1[-1]), s_end[-1] = last
     p_in, d_in, e_in = [0.0] * nb, [0.0] * nb, [0] * nb
-    pc, dc, ec = 1.0, 1.0, 0
+    pc, dc, ec = state
     for i in range(nb):
         p_in[i], d_in[i], e_in[i] = pc, dc, ec
         pc, dc = pe0[i] * pc + pe1[i] * dc, de0[i] * pc + de1[i] * dc
@@ -132,16 +178,13 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     P0, P1 = Pcol[:, 0, :], Pcol[:, 1, :]
     P0 *= np.asarray(p_in)
     P1 *= np.asarray(d_in)
-    P0 += P1                                    # P_{i*b+t+1} up to its scale
+    P0 += P1                                    # P_{s0+i*b+t+1} up to its scale
     if not np.all(np.isfinite(P0)):
-        raise NumericFailure(f"non-finite polynomial value for n <= {N}")
-    # step s = i*b + t lands on entry s + 2 (the window starts at n = -1);
-    # the rows are written in place: |P| first, then the unit, then the log
-    lm = np.empty(nb * b + 2)
-    unit = np.empty(nb * b + 2, dtype=P0.dtype)
-    lm[:2] = -np.inf, 0.0                       # P_{-1}, P_0
-    unit[:2] = 1.0
-    lm_rows, unit_rows = lm[2:].reshape(nb, b).T, unit[2:].reshape(nb, b).T
+        raise NumericFailure(f"non-finite polynomial value for n <= {s1}")
+    # step s0 + i*b + t lands on entry i*b + t; the rows are written in
+    # place: |P| first, then the unit, then the log
+    lm_rows = lm[:nb * b].reshape(nb, b).T
+    unit_rows = unit[:nb * b].reshape(nb, b).T
     np.abs(P0, out=lm_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(P0, lm_rows, out=unit_rows)
@@ -155,9 +198,7 @@ def poly_eval(model: CoefficientModel, z: complex, N: int) -> SolutionWindow:
     for k, t0 in enumerate(starts):
         t1 = starts[k + 1] if k + 1 < len(starts) else b
         lm_rows[t0:t1] += (scales[k] + e_in) * math.log(2.0)
-    zp = SpectralPoint(complex(z), "plus" if real else "interior")
-    return SolutionWindow("polynomial", lm[:N + 2], unit[:N + 2], zp, model,
-                          meta={"N": N})
+    return pc, dc, ec
 
 
 def _by_block(v: np.ndarray, b: int, nb: int) -> np.ndarray:

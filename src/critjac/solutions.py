@@ -11,7 +11,12 @@ with W[f, g] = 1 exactly by telescoping.  All window values are stored as
 data: float64 where every value is real (the Jost solution and its
 growing partner at real z off the closure of the a.c. set, where the
 kernel is real; the polynomials at real z), complex128 elsewhere.  Each
-window is written once into its final [-1, N] arrays.
+window is written once into its final [-1, N] arrays, one stretch at a
+time with a small state carried across stretch edges (the phase sum, the
+reciprocal sum), so building f from u, or g from f, takes a workspace of
+O(stretch) besides the arrays it reads and writes, for any N.  The
+diagnostics wronskian_detail and recurrence_residual run in stretches
+too.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .ansatz import (
     PhaseContext,
     SpectralPoint,
     phase_context,
-    phi_window,
     sqrt_cut,
+    theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import (
@@ -146,6 +151,10 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     (_normalisation_estimate); it is None elsewhere.  No a-priori bound
     on the error is reported: the Volterra majorant, with its tail beyond
     N fitted, read 3 to 5 orders of magnitude above the observed error.
+
+    The solve holds u and one stretch; f is then assembled from u in
+    stretches (_jost_window), so the workspace besides u and the window
+    is O(stretch) for any N.
     """
     sol = volterra.solve(zp, params, model, n0=n0, N=N,
                          tail_init=tail_init)
@@ -193,35 +202,54 @@ def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
     n_top = N gives the whole Jost window; n_top = n0 + 1 gives f_{-1},
     hence Omega, from the window head alone: u_{n0}, u_{n0+1} and
     theta_{n0}.
+
+    f is assembled from the solve's u one stretch of volterra._CHUNK
+    indices at a time, written straight into the window's arrays, so the
+    workspace besides u and the window is O(_CHUNK) for any n_top.  Each
+    stretch builds its own theta_n, log n, |u|, signs and phase rotation;
+    the phase sum phi_n is carried across stretch edges as the first
+    term of each stretch's cumulative sum, which keeps phi_window's
+    summation order: the window equals a whole-window assembly bit for
+    bit.
     """
     n0 = sol.n0
     ctx = phase_context(zp, params, n0)
-    u = sol.u[:n_top - n0 + 1]
-    if sol.conjugated:
-        u = u.conjugate()
-    phi = phi_window(ctx, n_top)
     full_lm = np.empty(n_top + 2)
-    full_u = np.empty(n_top + 2, dtype=u.dtype)
-    lm, unit = full_lm[n0 + 1:], full_u[n0 + 1:]         # n in [n0, n_top]
-    umag = np.abs(u)
-    # lm = -rho log n - Im phi_n + log|u_n|
-    np.log(np.arange(n0, n_top + 1, dtype=float), out=lm)
-    lm *= -params.rho
-    lm -= phi.imag
-    lm += np.log(umag)
-    rot = 1j * phi.real if unit.dtype.kind == "c" else None
-    del phi
-    np.divide(u, umag, out=unit)
-    del umag
-    sign = alternating_sign(np.arange(n0, n_top + 1), params.gamma)
-    if rot is None:     # a real kernel: Re phi_n = 0 and u is real
-        unit *= sign
-    else:
-        # unit = sign * e^{i Re phi_n} * (u / |u|), in this operand order
-        # (numpy's complex product is not bitwise commutative)
-        np.exp(rot, out=rot)
-        np.multiply(rot, sign, out=rot)
-        np.multiply(rot, unit, out=unit)
+    full_u = np.empty(n_top + 2, dtype=sol.u.dtype)
+    phi_lo = 0j                                         # phi_{n0} = 0
+    for lo in range(n0, n_top + 1, volterra._CHUNK):
+        hi = min(lo + volterra._CHUNK, n_top + 1)       # n in [lo, hi)
+        u = sol.u[lo - n0:hi - n0]
+        if sol.conjugated:
+            u = u.conjugate()
+        # phi_n, n in [lo, hi], from phi_lo: the carry is the cumsum's first
+        # term, so the sums add in the order of phi_window's one pass
+        th = theta_window(ctx, lo, min(hi, n_top))
+        phi = np.empty(len(th) + 1, dtype=th.dtype)
+        phi[0] = phi_lo
+        phi[1:] = th
+        del th
+        np.cumsum(phi, out=phi)
+        phi_lo = phi[-1]
+        phi = phi[:hi - lo]
+        lm, unit = full_lm[lo + 1:hi + 1], full_u[lo + 1:hi + 1]
+        umag = np.abs(u)
+        # lm = -rho log n - Im phi_n + log|u_n|
+        np.log(np.arange(lo, hi, dtype=float), out=lm)
+        lm *= -params.rho
+        lm -= phi.imag
+        lm += np.log(umag)
+        np.divide(u, umag, out=unit)
+        sign = alternating_sign(np.arange(lo, hi), params.gamma)
+        if unit.dtype.kind != "c":  # a real kernel: Re phi_n = 0 and u is real
+            unit *= sign
+        else:
+            # unit = sign * e^{i Re phi_n} * (u / |u|), in this operand order
+            # (numpy's complex product is not bitwise commutative)
+            rot = 1j * phi.real
+            np.exp(rot, out=rot)
+            np.multiply(rot, sign, out=rot)
+            np.multiply(rot, unit, out=unit)
     _extend_backward(full_lm, full_u, n0, model, ctx.z_canonical)
     if ctx.conj:
         np.conjugate(full_u, out=full_u)
@@ -257,6 +285,14 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     partial sums is flagged in meta["cancellation"].  The backward
     extension is validated by re-checking W[f, g] = 1 at n = 0
     (meta["w_check_0"]).
+
+    The sum's terms, the sum itself (carried across stretch edges), the
+    cancellation flag's running maximum and g = f * sum are formed one
+    stretch at a time, g written straight into its window, so the
+    workspace besides f and g is O(stretch) for any N.  A stretch is one
+    frame of volterra._scaled_prefix_sum (_SUM_BLOCK terms), so the sum's
+    frames start where a whole-window sum's do up to its first cut, and g
+    moves against that sum only by the frame edges after a cut.
     """
     _require_regular(zp, params)
     if f is None:
@@ -265,24 +301,28 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     N = f.n_hi
     n0g = _clear_zeros(f, n0)
 
-    a_prev = model.a_fn(np.maximum(np.arange(n0g - 1, N), 0).astype(float))
-    if n0g == 0:
-        a_prev[0] = 1.0
-    kf = slice(n0g + 1, N + 2)                 # f_m, m in [n0g, N]
-    kfm1 = slice(n0g, N + 1)                   # f_{m-1}
-    term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
-    del a_prev
-    term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])   # real signs for a real f
-    ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u)
-    del term_lm, term_u
-    cancelled = bool(np.any(
-        ps_lm < np.maximum.accumulate(ps_lm) - 8.0 * math.log(10.0)))
-
     # g_m = f_m * (partial sum)_m on [n0g, N], then downwards to n = -1
     full_lm = np.empty(N + 2)
     full_u = np.empty(N + 2, dtype=f.unit.dtype)
-    np.add(f.logmag[kf], ps_lm, out=full_lm[kf])
-    np.multiply(f.unit[kf], ps_u, out=full_u[kf])
+    carry, top, cancelled = (-np.inf, 1.0), -np.inf, False
+    for lo in range(n0g, N + 1, volterra._SUM_BLOCK):
+        hi = min(lo + volterra._SUM_BLOCK, N + 1)       # m in [lo, hi)
+        kf, kfm1 = slice(lo + 1, hi + 1), slice(lo, hi)  # f_m and f_{m-1}
+        a_prev = model.a_fn(np.maximum(np.arange(lo - 1, hi - 1), 0).astype(float))
+        if lo == 0:
+            a_prev[0] = 1.0
+        term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
+        del a_prev
+        term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])   # real signs for a real f
+        ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u, carry=carry)
+        del term_lm, term_u
+        carry = float(ps_lm[-1]), ps_u[-1].item()
+        runmax = np.maximum.accumulate(ps_lm)
+        np.maximum(runmax, top, out=runmax)
+        top = float(runmax[-1])
+        cancelled = cancelled or bool(np.any(ps_lm < runmax - 8.0 * math.log(10.0)))
+        np.add(f.logmag[kf], ps_lm, out=full_lm[kf])
+        np.multiply(f.unit[kf], ps_u, out=full_u[kf])
     _extend_backward(full_lm, full_u, n0g, model, complex(zp.z))
     w0 = _wronskians(f.logmag[1:3], f.unit[1:3], full_lm[1:3], full_u[1:3],
                      model.a_range(0, 1))         # W at n = 0 from n = 0, 1
@@ -292,19 +332,25 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
 
 
 def _clear_zeros(f: SolutionWindow, n0g: int) -> int:
-    """Raise n0g past every near-vanishing f_m (30-nat dip below neighbors)."""
-    seg = f.logmag[n0g:]                       # f_m, m >= n0g - 1
-    dips = seg[1:-1] + 30.0 < 0.5 * (seg[:-2] + seg[2:])
-    if not np.any(dips):
-        return n0g
-    last = int(np.nonzero(dips)[0][-1])  # offset of the dip from n0g
-    lifted = n0g + last + 1
-    if lifted >= f.n_hi - 8:
-        raise ZeroCrossing(
-            "Jost solution nearly vanishes up to the end of the window; "
-            "cannot start the reciprocal sum"
-        )
-    return lifted
+    """Raise n0g past every near-vanishing f_m (30-nat dip below neighbors).
+
+    The dips are looked for one stretch of m at a time from the window
+    top down (each stretch reads one entry past either edge), so the
+    first stretch with a dip holds the last one.
+    """
+    lm = f.logmag                              # entry k holds f_{k-1}
+    for lo in reversed(range(n0g, f.n_hi, volterra._CHUNK)):
+        seg = lm[lo:min(lo + volterra._CHUNK, f.n_hi) + 2]   # f_{m-1}, m >= lo
+        dips = np.nonzero(seg[1:-1] + 30.0 < 0.5 * (seg[:-2] + seg[2:]))[0]
+        if len(dips):
+            lifted = lo + int(dips[-1]) + 1    # past the dip at m = lo + dips[-1]
+            if lifted >= f.n_hi - 8:
+                raise ZeroCrossing(
+                    "Jost solution nearly vanishes up to the end of the window; "
+                    "cannot start the reciprocal sum"
+                )
+            return lifted
+    return n0g
 
 
 def _wronskians(lmF: np.ndarray, uF: np.ndarray, lmG: np.ndarray,
@@ -327,7 +373,9 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
     """(median Wronskian, max deviation across n, number of points).
 
     Evaluated at every overlapping n; the Wronskian of two true solutions
-    is n-independent, so the deviation is a numerical diagnostic.
+    is n-independent, so the deviation is a numerical diagnostic.  The
+    Wronskians fill one array a stretch of volterra._CHUNK indices at a
+    time, and the deviation is a running maximum over the same stretches.
     """
     if abs(complex(F.z) - complex(G.z)) != 0.0:
         raise WindowMismatch("windows evaluated at different z")
@@ -336,12 +384,19 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
     hi = min(F.n_hi, G.n_hi)
     if hi < 0:
         raise WindowMismatch("windows do not overlap")
-    a = np.concatenate([[1.0], F.model.a_range(0, hi)])   # a_{-1} = 1
-    k = slice(0, hi + 2)                                  # n in [-1, hi]
-    W = _wronskians(F.logmag[k], F.unit[k], G.logmag[k], G.unit[k], a)
+    W = np.empty(hi + 1, dtype=np.result_type(F.unit, G.unit, 1.0))  # n in [-1, hi - 1]
+    edges = [(lo, min(lo + volterra._CHUNK, hi))
+             for lo in range(-1, hi, volterra._CHUNK)]
+    for lo, top in edges:                                 # n in [lo, top)
+        a = F.model.a_range(max(lo, 0), top)
+        if lo < 0:
+            a = np.concatenate([[1.0], a])                # a_{-1} = 1
+        k = slice(lo + 1, top + 2)                        # F_n, n in [lo, top]
+        W[lo + 1:top + 1] = _wronskians(F.logmag[k], F.unit[k],
+                                        G.logmag[k], G.unit[k], a)
     med = complex(np.median(W.real), np.median(W.imag))
-    dev = float(np.max(np.abs(W - med)))
-    return med, dev, len(W)
+    dev = np.max([np.max(np.abs(W[lo + 1:top + 1] - med)) for lo, top in edges])
+    return med, float(dev), len(W)
 
 
 def wronskian(F: SolutionWindow, G: SolutionWindow) -> complex:
@@ -350,21 +405,29 @@ def wronskian(F: SolutionWindow, G: SolutionWindow) -> complex:
 
 
 def recurrence_residual(win: SolutionWindow) -> float:
-    """Worst relative three-term-recurrence defect over interior indices."""
+    """Worst relative three-term-recurrence defect over interior indices,
+    taken one stretch of volterra._CHUNK indices at a time."""
     model, z = win.model, win.z
     lm, u = win.logmag, win.unit
-    ns = np.arange(0, win.n_hi, dtype=float)
-    a_prev = model.a_fn(np.maximum(ns - 1.0, 0.0))
-    a_prev[0] = 1.0                                       # a_{-1}
-    a_n = model.a_fn(ns)
-    b_n = model.b_fn(ns)
-    ref = np.maximum.reduce([lm[:-2], lm[1:-1], lm[2:]])
-    ref = np.where(np.isfinite(ref), ref, 0.0)
-    t1 = a_prev * np.exp(lm[:-2] - ref) * u[:-2]
-    t2 = (b_n - z) * np.exp(lm[1:-1] - ref) * u[1:-1]
-    t3 = a_n * np.exp(lm[2:] - ref) * u[2:]
-    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(a_n, 1e-300)])
-    return float(np.max(np.abs(t1 + t2 + t3) / scale))
+    worst = []
+    for lo in range(0, win.n_hi, volterra._CHUNK):
+        hi = min(lo + volterra._CHUNK, win.n_hi)          # n in [lo, hi)
+        ns = np.arange(lo, hi, dtype=float)
+        a_prev = model.a_fn(np.maximum(ns - 1.0, 0.0))
+        if lo == 0:
+            a_prev[0] = 1.0                               # a_{-1}
+        a_n = model.a_fn(ns)
+        b_n = model.b_fn(ns)
+        k0, k1, k2 = slice(lo, hi), slice(lo + 1, hi + 1), slice(lo + 2, hi + 2)
+        ref = np.maximum.reduce([lm[k0], lm[k1], lm[k2]])
+        ref = np.where(np.isfinite(ref), ref, 0.0)
+        t1 = a_prev * np.exp(lm[k0] - ref) * u[k0]
+        t2 = (b_n - z) * np.exp(lm[k1] - ref) * u[k1]
+        t3 = a_n * np.exp(lm[k2] - ref) * u[k2]
+        scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3),
+                                   np.full_like(a_n, 1e-300)])
+        worst.append(np.max(np.abs(t1 + t2 + t3) / scale))
+    return float(np.max(worst))
 
 
 # -- Jost function and closed-form Wronskian ---------------------------------

@@ -153,7 +153,7 @@ class VolterraKernel:
         state = (u_top, d_top)
         for lo in reversed(range(n0, self.N, _CHUNK)):
             hi = min(lo + _CHUNK, self.N)
-            lam, rr = _local_chunk(self.ctx, self.model, lo, hi, float)[:2]
+            lam, rr = _local_chunk(self.ctx, self.model, lo, hi, float)
             # a non-finite kernel term makes the block products overflow
             # or form inf - inf; the state is checked below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -188,14 +188,29 @@ def _defect(lam: np.ndarray, rr: np.ndarray, u: np.ndarray) -> float:
 
 
 def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
-                 dtype: np.dtype, th: np.ndarray | None = None) -> tuple:
-    """(lam, rr, a): Lambda_n, Rcal_n and a_n on the stretch [lo, hi],
-    indexed by n - lo (entry 0 of lam and rr is nan: it belongs to the
-    stretch below), in the dtype of B_n promoted to `dtype`: float in the
-    solve's window, the stretch below's in the tail window.  th is theta_n
-    on [lo, hi] where the caller keeps it (_kernel_chunk); otherwise it is
-    built here and dropped as soon as B_n is built, 16 B per index off a
-    window stretch's peak.
+                 dtype: np.dtype) -> tuple:
+    """(lam, rr): Lambda_n and Rcal_n on the stretch [lo, hi] of the
+    solve's window, indexed by n - lo (entry 0 is nan: it belongs to the
+    stretch below), in the dtype of B_n promoted to `dtype` (_rcal_chunk).
+    """
+    rr, B, ratio, _ = _rcal_chunk(ctx, model, lo, hi, dtype)
+    lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
+    lam[0] = np.nan
+    lam[1:] = ratio * B[1:] * B[:-1]
+    return lam, rr
+
+
+def _rcal_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
+                dtype: np.dtype, th: np.ndarray | None = None) -> tuple:
+    """(rr, B, ratio, a): Rcal_n on the stretch [lo, hi] (entry 0 nan),
+    B_n and a_n on [lo, hi] and a_n/a_{n-1} on [lo + 1, hi], in the dtype
+    of B_n promoted to `dtype`: float in the solve's window, the stretch
+    below's in the tail window.  Each caller forms the other products it
+    needs from B_n and the ratio: the window Lambda_n (_local_chunk), the
+    tail nothing more (_kernel_chunk).  th is theta_n on [lo, hi] where
+    the caller keeps it (_kernel_chunk); otherwise it is built here and
+    dropped as soon as B_n is built, 16 B per index off a window
+    stretch's peak.
     """
     if th is None:
         th = theta_window(ctx, lo, hi + 1)                # theta_n, n in [lo, hi]
@@ -205,24 +220,21 @@ def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
     a = model.a_fn(np.arange(lo, hi + 1, dtype=float))
     r = remainder_window(ctx, model, lo + 1, hi + 1, B, a)
     ratio = a[1:] / a[:-1]                                # a_n/a_{n-1}, n >= lo+1
-    lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
-    lam[0] = np.nan
-    lam[1:] = ratio * B[1:] * B[:-1]
     rr = np.empty(hi + 1 - lo, dtype=B.dtype)             # Rcal_n, n >= lo+1
     rr[0] = np.nan
     rr[1:] = -np.sqrt(ratio) * B[:-1] * r
-    return lam, rr, a
+    return rr, B, ratio, a
 
 
 def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
                   head: tuple = _WINDOW_START) -> tuple:
     """The tail window's arrays on the stretch [lo, hi] of a window that
-    starts at n0: (lam, rr, logX, uniXinv, logPS, uniPS, head), indexed by
+    starts at n0: (rr, logX, uniXinv, logPS, uniPS, head), indexed by
     n - lo.
 
-    lam and rr hold Lambda_n and Rcal_n (_local_chunk); logX and uniXinv
-    give X_n = Lambda_{n0+1} ... Lambda_n as log|X_n| and the unit phase
-    of X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix sums
+    rr holds Rcal_n (_rcal_chunk); logX and uniXinv give
+    X_n = Lambda_{n0+1} ... Lambda_n as log|X_n| and the unit phase of
+    X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix sums
     PS_n = sum_{p=n0}^{n} X_p^{-1}, scaled blockwise: exp(+-Im Phi_n)
     spans hundreds of orders of magnitude off the spectrum.
 
@@ -239,12 +251,12 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
     where lo = n0 (c0 is then taken at lo); the returned head is the same
     at hi, for the stretch above.  The running sums go on from the head,
     so the stretches of a window add in the order of one pass over it.
-    The PS phase hands the dtype up (_local_chunk).  Phi is always
+    The PS phase hands the dtype up (_rcal_chunk).  Phi is always
     complex; on a real kernel Re Phi_n = 0 and every unit phase is 1.
     """
     c0, phi0, logps0, unips0 = head
     th = theta_window(ctx, lo, hi + 1)                    # theta_n, n in [lo, hi]
-    lam, rr, a = _local_chunk(ctx, model, lo, hi, np.result_type(unips0), th)
+    rr, _, _, a = _rcal_chunk(ctx, model, lo, hi, np.result_type(unips0), th)
     phi = np.empty(hi + 1 - lo, dtype=complex)            # Phi_n
     phi[0] = phi0
     np.add(th[1:], th[:-1], out=phi[1:])
@@ -257,7 +269,7 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
         c0 = float(logX[0])
     logX -= phi.imag
     logX -= c0
-    uniXinv = np.ones(hi + 1 - lo, dtype=lam.dtype)       # e^{-i arg X_n}: 1 on a real kernel
+    uniXinv = np.ones(hi + 1 - lo, dtype=rr.dtype)        # e^{-i arg X_n}: 1 on a real kernel
     if uniXinv.dtype.kind == "c":
         np.cos(phi.real, out=uniXinv.real)
         np.sin(-phi.real, out=uniXinv.imag)
@@ -267,7 +279,7 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
     logv = np.negative(logX)
     logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
     logPS, uniPS = _scaled_prefix_sum(logv, uniXinv, carry=(logps0, unips0))
-    return (lam, rr, logX, uniXinv, logPS, uniPS,
+    return (rr, logX, uniXinv, logPS, uniPS,
             (c0, phi_hi, float(logPS[-1]), uniPS[-1].item()))
 
 
@@ -578,7 +590,7 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
         hi = min(lo + _CHUNK, M)
         arrays = _kernel_chunk(ctx, model, lo, hi, head)
         head = arrays[-1]
-        sums = np.stack(_tail_terms(*arrays[1:6]), axis=1)  # t_m, y_m, m in (lo, hi]
+        sums = np.stack(_tail_terms(*arrays[:5]), axis=1)  # t_m, y_m, m in (lo, hi]
         del arrays
         y = sums[:, 1].copy()
         sums[0] += carry
@@ -677,6 +689,6 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):
         raise NumericFailure(f"non-finite Volterra solution on [{n0}, {N}]")
     if ctx.conj:
-        u = u.conjugate()
+        np.conjugate(u, out=u)                   # in place: u is this solve's own
     return VolterraSolution(u=u, n0=n0, N=N, residual=res,
                             conjugated=ctx.conj, meta=meta)

@@ -293,7 +293,7 @@ def mpmath_error(lm, unit, ref, ns):
                    for n in ns)
 
 
-@pytest.mark.parametrize("model, z", [
+POLY_POINTS = pytest.mark.parametrize("model, z", [
     (coeffs.laguerre_model(0.0), -1.0),
     (coeffs.laguerre_model(1.3), 1.0),
     (coeffs.power_model(1.0, 0.0, 0.0, 1.0), -3.0),        # discrete, tau = 1
@@ -304,6 +304,9 @@ def mpmath_error(lm, unit, ref, ns):
     (coeffs.laguerre_model(0.0), -1.3 + 0.4j),
 ], ids=["laguerre0", "laguerre1.3", "discrete", "whole_line", "sigma1.5",
         "sigma0.5_complex", "gamma_minus", "laguerre0_complex"])
+
+
+@POLY_POINTS
 def test_blocked_poly_accuracy_against_mpmath(model, z):
     # the difference basis keeps the blocked product as accurate as one
     # step per index.  Measured: 1e-14 to 8e-14, 0.01 to 0.9 times the
@@ -316,6 +319,55 @@ def test_blocked_poly_accuracy_against_mpmath(model, z):
     err = mpmath_error(P.logmag, P.unit, ref, ns)
     err_scalar = mpmath_error(*scalar_poly(model, z, N), ref, ns)
     assert err <= 10.0 * err_scalar
+
+
+@POLY_POINTS
+def test_poly_eval_stretch_edges_match_scalar_loop(monkeypatch, model, z):
+    # stretches of 2^12 steps: N = 2e4 crosses four stretch edges and ends
+    # in a partial stretch.  Handing the state (P, d, log2 scale) across an
+    # edge costs no more than the blocks do: P stays within 10 times the
+    # one-stretch run's distance from the one-step loop (measured: 0.995
+    # to 1.03 times)
+    N = 20_000
+    lm, unit = scalar_poly(model, z, N)
+    whole = recurrence.poly_eval(model, z, N)          # one stretch
+    monkeypatch.setattr(recurrence, "_STRETCH", 2 ** 12)
+    P = recurrence.poly_eval(model, z, N)
+    assert P.n_hi == N and len(P.unit) == N + 2 and P.unit.dtype == whole.unit.dtype
+    assert (poly_error(P.logmag, P.unit, lm, unit)
+            <= 10.0 * poly_error(whole.logmag, whole.unit, lm, unit))
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.3 + 0.4j])
+def test_poly_eval_stretch_edges_against_mpmath(laguerre0, monkeypatch, z):
+    # as test_blocked_poly_accuracy_against_mpmath, across the edges of
+    # stretches of 2^12 steps, read on both sides of every edge.  Measured:
+    # 2.4e-14 (0.03 times the loop's error) at -1, 3.5e-11 (1.02 times,
+    # both round z - b_n alike) at -1.3 + 0.4i
+    m, _ = laguerre0
+    N, S = 20_000, 2 ** 12
+    edges = [n + k for n in range(S, N, S) for k in (-1, 0, 1, 2)]
+    ns = sorted(set(edges) | {int(round(x)) for x in np.geomspace(1, N - 1, 25)})
+    ref = mpmath_poly(m, z, N, ns)
+    monkeypatch.setattr(recurrence, "_STRETCH", S)
+    P = recurrence.poly_eval(m, z, N)
+    err = mpmath_error(P.logmag, P.unit, ref, ns)
+    err_scalar = mpmath_error(*scalar_poly(m, z, N), ref, ns)
+    assert err <= 10.0 * err_scalar
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.3 + 0.4j])
+def test_poly_eval_stretches_of_the_default_length(laguerre0, monkeypatch, z):
+    # three whole stretches and a partial one at the default _STRETCH:
+    # as far from the one-step loop as one stretch (1.0 times, measured)
+    m, _ = laguerre0
+    N = 3 * recurrence._STRETCH + 4321
+    lm, unit = scalar_poly(m, z, N)
+    P = recurrence.poly_eval(m, z, N)
+    monkeypatch.setattr(recurrence, "_STRETCH", N)     # one stretch
+    whole = recurrence.poly_eval(m, z, N)
+    assert (poly_error(P.logmag, P.unit, lm, unit)
+            <= 10.0 * poly_error(whole.logmag, whole.unit, lm, unit))
 
 
 def test_poly_eval_runs_no_python_loop_over_indices(laguerre0):

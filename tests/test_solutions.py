@@ -216,6 +216,59 @@ def test_window_peak_memory_per_index(laguerre0, stage, budget):
     assert peak / N < budget
 
 
+def _stage_peaks(zp, p, m, N, names) -> dict:
+    """Traced peaks of long_window's stages `names` at one N: each stage's
+    own (its allocations above what was held when it started) and the
+    sequence's (the windows held together, plus any stage's workspace)."""
+    stages = {"jost": lambda: solutions.jost(zp, p, m, N=N),
+              "growing": lambda: solutions.growing(zp, p, m, f=held[0]),
+              "poly_eval": lambda: recurrence.poly_eval(m, zp.z, N)}
+    held, peaks = [], {"sequence": 0}
+    tracemalloc.start()
+    try:
+        for name in names:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            held.append(stages[name]())
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[name] = peak - base
+            peaks["sequence"] = max(peaks["sequence"], peak)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def long_window_slopes(laguerre0):
+    """Growth of each traced peak in bytes per window index between
+    N = 2e5 and 1e6, at Laguerre z = -1 (long_window's point) and, for
+    jost alone, at the a.c. point 1 + i0, where u and f are complex."""
+    m, p = laguerre0
+    out = {}
+    for zp, names in ((ansatz.interior(-1.0), ("jost", "growing", "poly_eval")),
+                      (ansatz.at_plus(1.0), ("jost",))):
+        _stage_peaks(zp, p, m, 5000, names)           # first calls' one-off allocations
+        lo, hi = (_stage_peaks(zp, p, m, N, names) for N in (200_000, 1_000_000))
+        out[zp.side] = {k: (hi[k] - lo[k]) / 800_000 for k in lo}
+    return out
+
+
+@pytest.mark.parametrize("side, stage, budget", [
+    (ansatz.INTERIOR, "jost", 25.0),        # u 8 and f 16 B per index
+    (ansatz.PLUS, "jost", 41.0),            # u 16 and f 24
+    (ansatz.INTERIOR, "growing", 17.0),     # g 16, f prebuilt
+    (ansatz.INTERIOR, "poly_eval", 17.0),   # P 16
+    (ansatz.INTERIOR, "sequence", 50.0),    # f, g and P held together: 48
+])
+def test_long_window_peak_slope(long_window_slopes, side, stage, budget):
+    # every stage writes its window in stretches straight into its final
+    # arrays, so its peak grows only by the arrays it returns (and jost's
+    # by the solve's u); the workspace does not grow with N.  Measured:
+    # 24.0, 40.0, 16.0, 16.0 and 48.0 B per index; with whole-window
+    # temporaries they were 56.0, 80.0, 32.0, 32.3 and 64.3
+    assert long_window_slopes[side][stage] <= budget
+
+
 # (model, point, N, tail_init); at_minus and Im z < 0 are solved at the
 # conjugate point and conjugated back.  Every window spans two or more
 # stretches of the forward pass, and omega folds all but its first blocks

@@ -69,7 +69,7 @@ def window_at(zp, p, m, N):
     one stretch (bit for bit the window's stretches), and the phase
     context."""
     ctx = ansatz.phase_context(zp, p)
-    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N, float)[:2]
+    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N, float)
     return lam, rr, ctx
 
 
@@ -81,7 +81,7 @@ class KernelLogs:
     def __init__(self, zp, p, m, N):
         self.ctx = ansatz.phase_context(zp, p)
         self.n0 = self.ctx.n_start
-        _, _, self.logX, self.uniXinv, self.logPS, self.uniPS, _ = \
+        _, self.logX, self.uniXinv, self.logPS, self.uniPS, _ = \
             volterra._kernel_chunk(self.ctx, m, self.n0, N)
 
 
@@ -247,7 +247,7 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
     # the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    _, _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
+    _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
     ks, logref, argref = log_x_reference(ctx, m, N)
     tol = 1e-14 + np.finfo(float).eps * np.sqrt(ks)
     assert np.all(np.abs(logX[ks] - logref) <= tol * np.maximum(1.0, np.abs(logref)))
@@ -269,17 +269,19 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
     ctx = ansatz.phase_context(zp, p)
     n0, C = ctx.n_start, volterra._CHUNK
     whole = volterra._kernel_chunk(ctx, m, n0, N)
+    whole_lam = volterra._local_chunk(ctx, m, n0, N, float)[0]
     head = volterra._WINDOW_START
     for lo in range(n0, N, C):
         hi = min(lo + C, N)
         *part, head = volterra._kernel_chunk(ctx, m, lo, hi, head)
         sl = slice(lo - n0, hi - n0 + 1)
-        for j in (0, 1):                                     # lam, rr: entry 0 is nan
-            assert np.array_equal(part[j][1:], whole[j][sl][1:])
-        for j in (2, 3):                                     # logX, uniXinv
+        lam = volterra._local_chunk(ctx, m, lo, hi, part[0].dtype)[0]
+        assert np.array_equal(lam[1:], whole_lam[sl][1:])   # entry 0 is nan
+        assert np.array_equal(part[0][1:], whole[0][sl][1:])  # rr
+        for j in (1, 2):                                     # logX, uniXinv
             assert np.array_equal(part[j], whole[j][sl])
-        assert np.max(np.abs(part[4] - whole[4][sl])) <= 1e-12   # log|PS|
-        assert np.max(np.abs(part[5] - whole[5][sl])) <= 1e-12   # its phase
+        assert np.max(np.abs(part[3] - whole[3][sl])) <= 1e-12   # log|PS|
+        assert np.max(np.abs(part[4] - whole[4][sl])) <= 1e-12   # its phase
 
 
 
@@ -740,7 +742,7 @@ class TestSolve:
         def broken(ctx, model, lo, hi, head):
             out = chunk(ctx, model, lo, hi, head)
             if lo > N:                           # above the tail's first stretch
-                out[1][len(out[1]) // 2] = bad
+                out[0][len(out[0]) // 2] = bad
             return out
 
         monkeypatch.setattr(volterra, "_kernel_chunk", broken)
@@ -894,11 +896,11 @@ class TestDtype:
         th = ansatz.theta_window(ctx, n0, N + 1)
         assert not th[:C + 1].real.any() and th.real.any()
         edges = [(lo, min(lo + C, N)) for lo in range(n0, N, C)]
-        parts = [volterra._local_chunk(ctx, m, lo, hi, float)[:2] for lo, hi in edges]
+        parts = [volterra._local_chunk(ctx, m, lo, hi, float) for lo, hi in edges]
         kern = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
         u = kern.sweep()
         force_complex(monkeypatch)
-        refs = [volterra._local_chunk(ctx, m, lo, hi, float)[:2] for lo, hi in edges]
+        refs = [volterra._local_chunk(ctx, m, lo, hi, float) for lo, hi in edges]
         ref = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
         assert [lam.dtype.kind for lam, _ in parts] == ["f"] + ["c"] * (len(edges) - 1)
         for part, want in zip(parts, refs):
@@ -981,14 +983,14 @@ def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
     # in a longer one, read whole or on the head only (the stretches
     # above it then only hand the state down)
     m, p = laguerre0
-    chunk = volterra._local_chunk
+    chunk = volterra._rcal_chunk
 
     def zero_rr(*args):
         out = chunk(*args)
-        out[1][1:] = 0.0
+        out[0][1:] = 0.0
         return out
 
-    monkeypatch.setattr(volterra, "_local_chunk", zero_rr)
+    monkeypatch.setattr(volterra, "_rcal_chunk", zero_rr)
     zp = ansatz.at_plus(1.0)
     ctx = ansatz.phase_context(zp, p)
     for N in (3000, 40_000):
