@@ -23,7 +23,8 @@ decides, once per call.
 Every function here is pure given (n, point, params, model) and the
 module keeps no state, so calls at different points share nothing: the
 CLI's thread pool (density --threads) relies on that.  The phase sum
-phi_n has one path, phi_window, a cumulative sum of one theta_window.
+phi_n has one path, phi_stretch, a cumulative sum of a carried value and
+one theta_window; phi_window is its stretch from the window start.
 """
 
 from __future__ import annotations
@@ -246,11 +247,24 @@ def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
 def phi_window(ctx: PhaseContext, n1: int) -> np.ndarray:
     """phi_n for n in [ctx.n_start, n1] at the canonical point (no
     conjugation): phi_{n_start} = 0 and phi_{n+1} - phi_n = theta_n."""
-    th = theta_window(ctx, ctx.n_start, n1)
+    return phi_stretch(ctx, ctx.n_start, n1, 0j)
+
+
+def phi_stretch(ctx: PhaseContext, lo: int, hi: int,
+                phi_lo: complex) -> np.ndarray:
+    """phi_n for n in [lo, hi] at the canonical point, from phi_lo.
+
+    One cumulative sum of phi_lo followed by theta_window(ctx, lo, hi):
+    the carry is the sum's first term, so consecutive stretches, each
+    started from the last one's final value, give phi_window's sums bit
+    for bit.
+    """
+    th = theta_window(ctx, lo, hi)
     phi = np.empty(len(th) + 1, dtype=th.dtype)
-    phi[0] = 0.0
-    np.cumsum(th, out=phi[1:])
-    return phi
+    phi[0] = phi_lo
+    phi[1:] = th
+    del th
+    return np.cumsum(phi, out=phi)
 
 
 # -- the Ansatz and its remainder ---------------------------------------

@@ -14,9 +14,7 @@ kernel is real; the polynomials at real z), complex128 elsewhere.  Each
 window is written once into its final [-1, N] arrays, one stretch at a
 time with a small state carried across stretch edges (the phase sum, the
 reciprocal sum), so building f from u, or g from f, takes a workspace of
-O(stretch) besides the arrays it reads and writes, for any N.  The
-diagnostics wronskian_detail and recurrence_residual run in stretches
-too.
+O(stretch) besides the arrays it reads and writes, for any N.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from .ansatz import (
     PhaseContext,
     SpectralPoint,
     phase_context,
+    phi_stretch,
     sqrt_cut,
-    theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import (
@@ -206,11 +204,9 @@ def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
     f is assembled from the solve's u one stretch of volterra._CHUNK
     indices at a time, written straight into the window's arrays, so the
     workspace besides u and the window is O(_CHUNK) for any n_top.  Each
-    stretch builds its own theta_n, log n, |u|, signs and phase rotation;
-    the phase sum phi_n is carried across stretch edges as the first
-    term of each stretch's cumulative sum, which keeps phi_window's
-    summation order: the window equals a whole-window assembly bit for
-    bit.
+    stretch builds its own phi_n (phi_stretch, from the last stretch's
+    final value), log n, |u|, signs and phase rotation, so the window
+    equals a whole-window assembly bit for bit.
     """
     n0 = sol.n0
     ctx = phase_context(zp, params, n0)
@@ -222,16 +218,9 @@ def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
         u = sol.u[lo - n0:hi - n0]
         if sol.conjugated:
             u = u.conjugate()
-        # phi_n, n in [lo, hi], from phi_lo: the carry is the cumsum's first
-        # term, so the sums add in the order of phi_window's one pass
-        th = theta_window(ctx, lo, min(hi, n_top))
-        phi = np.empty(len(th) + 1, dtype=th.dtype)
-        phi[0] = phi_lo
-        phi[1:] = th
-        del th
-        np.cumsum(phi, out=phi)
+        phi = phi_stretch(ctx, lo, min(hi, n_top), phi_lo)
         phi_lo = phi[-1]
-        phi = phi[:hi - lo]
+        phi = phi[:hi - lo]                             # phi_n, n in [lo, hi)
         lm, unit = full_lm[lo + 1:hi + 1], full_u[lo + 1:hi + 1]
         umag = np.abs(u)
         # lm = -rho log n - Im phi_n + log|u_n|
@@ -290,9 +279,8 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     cancellation flag's running maximum and g = f * sum are formed one
     stretch at a time, g written straight into its window, so the
     workspace besides f and g is O(stretch) for any N.  A stretch is one
-    frame of volterra._scaled_prefix_sum (_SUM_BLOCK terms), so the sum's
-    frames start where a whole-window sum's do up to its first cut, and g
-    moves against that sum only by the frame edges after a cut.
+    frame of volterra.prefix_sum_frames, so g moves against a whole-window
+    sum only by rounding, and only past the sum's first frame cut.
     """
     _require_regular(zp, params)
     if f is None:
@@ -301,26 +289,24 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     N = f.n_hi
     n0g = _clear_zeros(f, n0)
 
-    # g_m = f_m * (partial sum)_m on [n0g, N], then downwards to n = -1
-    full_lm = np.empty(N + 2)
-    full_u = np.empty(N + 2, dtype=f.unit.dtype)
-    carry, top, cancelled = (-np.inf, 1.0), -np.inf, False
-    for lo in range(n0g, N + 1, volterra._SUM_BLOCK):
-        hi = min(lo + volterra._SUM_BLOCK, N + 1)       # m in [lo, hi)
-        kf, kfm1 = slice(lo + 1, hi + 1), slice(lo, hi)  # f_m and f_{m-1}
+    def terms(lo, hi):          # 1/(a_{m-1} f_{m-1} f_m), m in [lo, hi)
+        kf, kfm1 = slice(lo + 1, hi + 1), slice(lo, hi)
         a_prev = model.a_fn(np.maximum(np.arange(lo - 1, hi - 1), 0).astype(float))
         if lo == 0:
             a_prev[0] = 1.0
         term_lm = -np.log(a_prev) - f.logmag[kfm1] - f.logmag[kf]
-        del a_prev
-        term_u = np.conjugate(f.unit[kfm1] * f.unit[kf])   # real signs for a real f
-        ps_lm, ps_u = volterra._scaled_prefix_sum(term_lm, term_u, carry=carry)
-        del term_lm, term_u
-        carry = float(ps_lm[-1]), ps_u[-1].item()
+        return term_lm, np.conjugate(f.unit[kfm1] * f.unit[kf])  # real signs for a real f
+
+    # g_m = f_m * (partial sum)_m on [n0g, N], then downwards to n = -1
+    full_lm = np.empty(N + 2)
+    full_u = np.empty(N + 2, dtype=f.unit.dtype)
+    top, cancelled = -np.inf, False
+    for lo, hi, ps_lm, ps_u in volterra.prefix_sum_frames(n0g, N + 1, terms):
         runmax = np.maximum.accumulate(ps_lm)
         np.maximum(runmax, top, out=runmax)
         top = float(runmax[-1])
         cancelled = cancelled or bool(np.any(ps_lm < runmax - 8.0 * math.log(10.0)))
+        kf = slice(lo + 1, hi + 1)                      # f_m and g_m
         np.add(f.logmag[kf], ps_lm, out=full_lm[kf])
         np.multiply(f.unit[kf], ps_u, out=full_u[kf])
     _extend_backward(full_lm, full_u, n0g, model, complex(zp.z))
@@ -373,9 +359,7 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
     """(median Wronskian, max deviation across n, number of points).
 
     Evaluated at every overlapping n; the Wronskian of two true solutions
-    is n-independent, so the deviation is a numerical diagnostic.  The
-    Wronskians fill one array a stretch of volterra._CHUNK indices at a
-    time, and the deviation is a running maximum over the same stretches.
+    is n-independent, so the deviation is a numerical diagnostic.
     """
     if abs(complex(F.z) - complex(G.z)) != 0.0:
         raise WindowMismatch("windows evaluated at different z")
@@ -384,19 +368,12 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
     hi = min(F.n_hi, G.n_hi)
     if hi < 0:
         raise WindowMismatch("windows do not overlap")
-    W = np.empty(hi + 1, dtype=np.result_type(F.unit, G.unit, 1.0))  # n in [-1, hi - 1]
-    edges = [(lo, min(lo + volterra._CHUNK, hi))
-             for lo in range(-1, hi, volterra._CHUNK)]
-    for lo, top in edges:                                 # n in [lo, top)
-        a = F.model.a_range(max(lo, 0), top)
-        if lo < 0:
-            a = np.concatenate([[1.0], a])                # a_{-1} = 1
-        k = slice(lo + 1, top + 2)                        # F_n, n in [lo, top]
-        W[lo + 1:top + 1] = _wronskians(F.logmag[k], F.unit[k],
-                                        G.logmag[k], G.unit[k], a)
+    a = np.concatenate([[1.0], F.model.a_range(0, hi)])   # a_{-1} = 1
+    k = slice(0, hi + 2)                                  # n in [-1, hi]
+    W = _wronskians(F.logmag[k], F.unit[k], G.logmag[k], G.unit[k], a)
     med = complex(np.median(W.real), np.median(W.imag))
-    dev = np.max([np.max(np.abs(W[lo + 1:top + 1] - med)) for lo, top in edges])
-    return med, float(dev), len(W)
+    dev = float(np.max(np.abs(W - med)))
+    return med, dev, len(W)
 
 
 def wronskian(F: SolutionWindow, G: SolutionWindow) -> complex:
@@ -405,29 +382,21 @@ def wronskian(F: SolutionWindow, G: SolutionWindow) -> complex:
 
 
 def recurrence_residual(win: SolutionWindow) -> float:
-    """Worst relative three-term-recurrence defect over interior indices,
-    taken one stretch of volterra._CHUNK indices at a time."""
+    """Worst relative three-term-recurrence defect over interior indices."""
     model, z = win.model, win.z
     lm, u = win.logmag, win.unit
-    worst = []
-    for lo in range(0, win.n_hi, volterra._CHUNK):
-        hi = min(lo + volterra._CHUNK, win.n_hi)          # n in [lo, hi)
-        ns = np.arange(lo, hi, dtype=float)
-        a_prev = model.a_fn(np.maximum(ns - 1.0, 0.0))
-        if lo == 0:
-            a_prev[0] = 1.0                               # a_{-1}
-        a_n = model.a_fn(ns)
-        b_n = model.b_fn(ns)
-        k0, k1, k2 = slice(lo, hi), slice(lo + 1, hi + 1), slice(lo + 2, hi + 2)
-        ref = np.maximum.reduce([lm[k0], lm[k1], lm[k2]])
-        ref = np.where(np.isfinite(ref), ref, 0.0)
-        t1 = a_prev * np.exp(lm[k0] - ref) * u[k0]
-        t2 = (b_n - z) * np.exp(lm[k1] - ref) * u[k1]
-        t3 = a_n * np.exp(lm[k2] - ref) * u[k2]
-        scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3),
-                                   np.full_like(a_n, 1e-300)])
-        worst.append(np.max(np.abs(t1 + t2 + t3) / scale))
-    return float(np.max(worst))
+    ns = np.arange(0, win.n_hi, dtype=float)
+    a_prev = model.a_fn(np.maximum(ns - 1.0, 0.0))
+    a_prev[0] = 1.0                                       # a_{-1}
+    a_n = model.a_fn(ns)
+    b_n = model.b_fn(ns)
+    ref = np.maximum.reduce([lm[:-2], lm[1:-1], lm[2:]])
+    ref = np.where(np.isfinite(ref), ref, 0.0)
+    t1 = a_prev * np.exp(lm[:-2] - ref) * u[:-2]
+    t2 = (b_n - z) * np.exp(lm[1:-1] - ref) * u[1:-1]
+    t3 = a_n * np.exp(lm[2:] - ref) * u[2:]
+    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(a_n, 1e-300)])
+    return float(np.max(np.abs(t1 + t2 + t3) / scale))
 
 
 # -- Jost function and closed-form Wronskian ---------------------------------

@@ -443,6 +443,23 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     return out_log, out_unit
 
 
+def prefix_sum_frames(lo: int, hi: int, terms, carry: tuple = (-np.inf, 1.0)):
+    """_scaled_prefix_sum over the terms m in [lo, hi), one frame of
+    _SUM_BLOCK terms at a time, each frame carrying the last one's sum.
+
+    terms(a, b) returns (logv, unitv) for m in [a, b); each frame yields
+    (a, b, log-magnitudes, unit phases) of the sums at m in [a, b).  The
+    frames start where a single call's blocks would, so the sums equal
+    that call's bit for bit up to its first _SUM_SPAN cut, and after it
+    by rounding alone.  The workspace is O(_SUM_BLOCK) for any hi - lo.
+    """
+    for a in range(lo, hi, _SUM_BLOCK):
+        b = min(a + _SUM_BLOCK, hi)
+        out_log, out_unit = _scaled_prefix_sum(*terms(a, b), carry=carry)
+        carry = float(out_log[-1]), out_unit[-1].item()
+        yield a, b, out_log, out_unit
+
+
 class _TailFit:
     """The tail fit's state and solve: the rows fed to it by
     _fit_partial_limit, kept as the R factor of [A | P - origin] (A the

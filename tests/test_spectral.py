@@ -149,7 +149,7 @@ class TestResolvent:
     def test_matches_whole_jost_window(self, n, m):
         # the Jost solution is assembled only up to max(n, m); the value is
         # P_min f_max / Omega from the whole window, and phi_n is asked
-        # for no further than max(n, m): theta_n on [n0, max(n, m)) (n0 = 8
+        # for no further than max(n, m): one stretch [n0, max(n, m)] (n0 = 8
         # here)
         mdl, p = power(1.25, 0.0, -0.875)
         zp = ansatz.interior(-2.0 + 1.0j)
@@ -159,14 +159,14 @@ class TestResolvent:
         P = recurrence.poly_eval(mdl, zp.z, lo)
         ref = (P.value(lo) * win.value(hi)).to_complex() / solutions.omega_from_window(win)
         asked = []
-        theta = solutions.theta_window
+        phi = solutions.phi_stretch
 
-        def counting(ctx, n0, n1):
-            asked.append((n0, n1))
-            return theta(ctx, n0, n1)
+        def counting(ctx, lo, hi, phi_lo):
+            asked.append((lo, hi))
+            return phi(ctx, lo, hi, phi_lo)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solutions, "theta_window", counting)
+            mp.setattr(solutions, "phi_stretch", counting)
             r = spectral.resolvent_element(n, m, zp, p, mdl, N=N)
         assert r == pytest.approx(ref, rel=1e-13)
         n0 = win.meta["n0"]
