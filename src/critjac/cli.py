@@ -62,25 +62,54 @@ def _spectral_point(z: complex) -> SpectralPoint:
     return at_plus(z.real) if z.imag == 0.0 else interior(z)
 
 
+# the config keys that take a value of one type, by the type of the flag
+# that sets them; N_jost has no flag, and model is text or a JSON object
+_KEY_TYPES = {"p": float, "sigma": float, "alpha": float, "beta": float,
+              "gamma": float, "z": str, "lambda_min": float, "lambda_max": float,
+              "lambda_step": float, "n0": int, "N": int, "N_jost": int,
+              "out": str, "format": str, "threads": int, "n": int, "m": int}
+_POSITIVE = ("n0", "N", "N_jost", "threads")
+
+
+def _typed(key: str, val, kind: type):
+    """A config value as its flag would read it: a number or text that
+    parses as `kind`, a float only with an integral value for an int."""
+    wrong = InvalidParameter(f"config key {key}: {val!r} is not {kind.__name__}")
+    if not isinstance(val, (str, int, float)) or isinstance(val, bool) or (
+            kind is int and isinstance(val, float) and not val.is_integer()):
+        raise wrong
+    try:
+        return kind(val)
+    except ValueError as exc:
+        raise wrong from exc
+
+
 def _load_config(args) -> dict:
+    """The config file's values with the flags' over them, each parsed
+    once by its flag's type; a null in the file leaves its key unset.
+    Windows, window starts and thread counts below 1 are rejected."""
     cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise InvalidParameter("config file must hold a JSON object")
-    # flags override file values
-    for key in ("model", "p", "sigma", "alpha", "beta", "gamma", "z",
-                "lambda_min", "lambda_max", "lambda_step", "n0", "N",
-                "out", "format", "threads", "n", "m"):
+    cfg = {key: val for key, val in cfg.items() if val is not None}
+    for key in ("model", *_KEY_TYPES):                  # flags override the file
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, kind in _KEY_TYPES.items():
+        if key in cfg:
+            cfg[key] = _typed(key, cfg[key], kind)
+    for key in _POSITIVE:
+        if cfg.get(key, 1) < 1:
+            raise InvalidParameter(f"{key} must be at least 1, got {cfg[key]}")
     return cfg
 
 
 def _build_model(cfg: dict) -> CoefficientModel:
-    if "model" in cfg and cfg["model"] is not None:
+    if "model" in cfg:
         spec = cfg["model"]
         if isinstance(spec, dict):
             return model_from_dict(spec)
@@ -88,11 +117,11 @@ def _build_model(cfg: dict) -> CoefficientModel:
         if text.startswith("{"):
             return model_from_dict(json.loads(text))
         return load_model(text)
-    if cfg.get("p") is not None:
-        return laguerre_model(float(cfg["p"]))
-    if cfg.get("sigma") is not None:
-        return power_model(float(cfg["sigma"]), float(cfg.get("alpha", 0.0)),
-                           float(cfg.get("beta", 0.0)), float(cfg.get("gamma", 1.0)))
+    if "p" in cfg:
+        return laguerre_model(cfg["p"])
+    if "sigma" in cfg:
+        return power_model(cfg["sigma"], cfg.get("alpha", 0.0),
+                           cfg.get("beta", 0.0), cfg.get("gamma", 1.0))
     raise InvalidParameter("no model given: use --model, --p, or --sigma/...")
 
 
@@ -102,12 +131,10 @@ def _grid(cfg: dict) -> np.ndarray:
     step = cfg.get("lambda_step", 0.0)
     if lo is None:
         raise InvalidParameter("a lambda grid needs --lambda-min")
-    lo, hi = float(lo), float(hi)
     if hi < lo:
         raise InvalidParameter("lambda grid must be monotone (max >= min)")
-    if step is None or float(step) <= 0.0:
+    if step <= 0.0:
         return np.array([lo]) if hi == lo else np.array([lo, hi])
-    step = float(step)
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
@@ -191,10 +218,8 @@ def cmd_density(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
     lams = _grid(cfg)
-    N = int(cfg["N"]) if cfg.get("N") else None
-    threads = int(cfg.get("threads", 1))
-    if threads < 1:
-        raise InvalidParameter(f"--threads must be at least 1, got {threads}")
+    N = cfg.get("N")
+    threads = cfg.get("threads", 1)
 
     def one(lam: float):
         try:
@@ -223,12 +248,10 @@ def cmd_density(cfg: dict) -> tuple[str, int]:
 def cmd_jost(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
-    if cfg.get("z") is None:
+    if "z" not in cfg:
         raise InvalidParameter("jost needs --z")
-    zp = _spectral_point(_parse_complex(str(cfg["z"])))
-    N = int(cfg.get("N") or 10000)
-    n0 = int(cfg["n0"]) if cfg.get("n0") else None
-    win = solutions.jost(zp, params, model, N=N, n0=n0)
+    zp = _spectral_point(_parse_complex(cfg["z"]))
+    win = solutions.jost(zp, params, model, N=cfg.get("N", 10000), n0=cfg.get("n0"))
     rows = ["n,re_f,im_f,log_abs_f"]
     for n in range(-1, win.n_hi + 1):
         lm = win.log_abs(n)
@@ -243,23 +266,23 @@ def cmd_jost(cfg: dict) -> tuple[str, int]:
 def cmd_poly(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
-    if cfg.get("z") is None:
+    if "z" not in cfg:
         raise InvalidParameter("poly needs --z")
-    z = _parse_complex(str(cfg["z"]))
+    z = _parse_complex(cfg["z"])
     zp = _spectral_point(z)
     # the asymptotic phases start at n_start, so the rows do too
     n_start = phase_context(zp, params).n_start
-    n_lo = n_start if cfg.get("n0") is None else int(cfg["n0"])
+    n_lo = cfg.get("n0", n_start)
     if n_lo < n_start:
         raise InvalidParameter(
             f"--n0 {n_lo} is below the phase window start n = {n_start}")
-    n_hi = int(cfg.get("N") or (n_lo + 50))
+    n_hi = cfg.get("N", n_lo + 50)
     if n_hi < n_lo:
         raise InvalidParameter("need N >= n0 for the index window")
     if n_hi > volterra.N_CAP:
         raise InvalidParameter(
             f"rows up to n = {n_hi} pass the window cap N_CAP = {volterra.N_CAP}")
-    N_jost = int(cfg["N_jost"]) if cfg.get("N_jost") else None
+    N_jost = cfg.get("N_jost")
     P = recurrence.poly_eval(model, z, n_hi + 1)
     ns = np.arange(n_lo, n_hi + 1)
     ac = params.ac_set
@@ -289,26 +312,22 @@ def cmd_poly(cfg: dict) -> tuple[str, int]:
 def cmd_eigs(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
-    if cfg.get("lambda_min") is None or cfg.get("lambda_max") is None:
+    if "lambda_min" not in cfg or "lambda_max" not in cfg:
         raise InvalidParameter("eigs needs --lambda-min and --lambda-max")
-    N = int(cfg["N"]) if cfg.get("N") else None
-    report = spectral.eigenvalue_report(float(cfg["lambda_min"]),
-                                        float(cfg["lambda_max"]),
-                                        params, model, N=N)
+    report = spectral.eigenvalue_report(cfg["lambda_min"], cfg["lambda_max"],
+                                        params, model, N=cfg.get("N"))
     return json.dumps(report, sort_keys=True, indent=2) + "\n", EXIT_OK
 
 
 def cmd_resolvent(cfg: dict) -> tuple[str, int]:
     model = _build_model(cfg)
     params = classify(model)
-    if cfg.get("z") is None:
+    if "z" not in cfg:
         raise InvalidParameter("resolvent needs --z")
-    z = _parse_complex(str(cfg["z"]))
-    n = int(cfg.get("n", 0))
-    m = int(cfg.get("m", 0))
-    N = int(cfg["N"]) if cfg.get("N") else None
+    z = _parse_complex(cfg["z"])
+    n, m = cfg.get("n", 0), cfg.get("m", 0)
     val = spectral.resolvent_element(n, m, _spectral_point(z), params, model,
-                                     N=N)
+                                     N=cfg.get("N"))
     report = {"n": n, "m": m, "z_re": z.real, "z_im": z.imag,
               "re": val.real, "im": val.imag}
     return json.dumps(report, sort_keys=True, indent=2) + "\n", EXIT_OK

@@ -284,7 +284,7 @@ def poly_asymptotic_regular(ns, zp: SpectralPoint, omega_value: complex,
     returned as (log-magnitude, unit phase) arrays; Omega = 0 gives
     log-magnitude -inf and unit 1.  phi_n is summed from the default
     window start n_start (phase_context), and Omega must come from a
-    solve over that same window, as solutions.omega's default does;
+    solve over that same window, as solutions.omega does;
     n < n_start raises InvalidParameter.  The prefactor i/(2 varkappa)
     is pinned by W[f, g] = 1 and verified against the recurrence oracle.
     """

@@ -132,16 +132,13 @@ def _extend_backward(logmag: np.ndarray, unit: np.ndarray, n_from: int,
 
 
 def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
-         N: int | None = None, n0: int | None = None,
-         tail_init: str = "asymptotic") -> SolutionWindow:
+         N: int | None = None, n0: int | None = None) -> SolutionWindow:
     """Jost solution window on [-1, N]: f_n = A_n u_n beyond n0, extended
     downwards by the recurrence with a_{-1} = 1.
 
     N defaults to volterra.solve's fixed window, 10^6 for most points.
-    tail_init is passed to volterra.solve.  "unit" (bare sweep, no tail
-    fit) keeps the zeros of f_{-1} at real regular points but is off by
-    about 1e-3 relative in value there (1e-4 to 7e-3 seen); "asymptotic"
-    is the accurate default.
+    The window top is seeded from the kernel's own tail (volterra.solve's
+    default), which f's normalisation needs.
 
     At side-tagged points lambda +- i0 of the a.c. set,
     meta["normalisation_estimate"] is the a-posteriori estimate
@@ -154,9 +151,8 @@ def jost(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     stretches (_jost_window), so the workspace besides u and the window
     is O(stretch) for any N.
     """
-    sol = volterra.solve(zp, params, model, n0=n0, N=N,
-                         tail_init=tail_init)
-    win = _jost_window(sol, zp, params, model, sol.N)
+    sol = volterra.solve(zp, params, model, n0=n0, N=N)
+    win = _jost_window(sol, zp, params, model)
     win.meta = {
         "n0": sol.n0,
         "N": sol.N,
@@ -192,14 +188,14 @@ def _normalisation_estimate(f: SolutionWindow, params: CriticalParams,
 
 
 def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
-                 params: CriticalParams, model: CoefficientModel,
-                 n_top: int) -> SolutionWindow:
-    """The Jost window f_n, n in [-1, n_top], at zp from the solve sol.
+                 params: CriticalParams, model: CoefficientModel) -> SolutionWindow:
+    """The Jost window f_n, n in [-1, n_top], at zp from the solve sol,
+    n_top the top of the solve's u (volterra.solve's n_top).
 
     f_n = A_n u_n on [n0, n_top], extended downwards by the recurrence.
-    n_top = N gives the whole Jost window; n_top = n0 + 1 gives f_{-1},
-    hence Omega, from the window head alone: u_{n0}, u_{n0+1} and
-    theta_{n0}.
+    A whole-window solve gives the whole Jost window; a head solve
+    (n_top = n0 + 1) gives f_{-1}, hence Omega, from the window head
+    alone: u_{n0}, u_{n0+1} and theta_{n0}.
 
     f is assembled from the solve's u one stretch of volterra._CHUNK
     indices at a time, written straight into the window's arrays, so the
@@ -209,6 +205,7 @@ def _jost_window(sol: volterra.VolterraSolution, zp: SpectralPoint,
     equals a whole-window assembly bit for bit.
     """
     n0 = sol.n0
+    n_top = n0 + len(sol.u) - 1
     ctx = phase_context(zp, params, n0)
     full_lm = np.empty(n_top + 2)
     full_u = np.empty(n_top + 2, dtype=sol.u.dtype)
@@ -408,19 +405,17 @@ def omega_from_window(win: SolutionWindow) -> complex:
 
 
 def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
-          N: int | None = None, n0: int | None = None,
-          tail_init: str = "asymptotic") -> complex:
-    """Wronskian of the polynomial and Jost solutions, via f_{-1}.
+          N: int | None = None) -> complex:
+    """Wronskian of the polynomial and Jost solutions, via f_{-1}, from a
+    window at the default phase window start.
 
-    N and tail_init as for jost: "unit" is cheaper and keeps the real zeros,
-    but is about 1e-3 off in value at real regular points.  Only the
-    window head [n0, n0 + 1] is assembled: f_{-1} depends on nothing above
-    it, so the value is jost's f_{-1} without its window, and the solve
-    keeps u only on the head (volterra.solve's n_top = 0).
+    N as for jost.  Only the window head [n0, n0 + 1] is assembled:
+    f_{-1} depends on nothing above it, so the value is jost's f_{-1}
+    without its window, and the solve keeps u only on the head
+    (volterra.solve's n_top = 0).
     """
-    sol = volterra.solve(zp, params, model, n0=n0, N=N,
-                         tail_init=tail_init, n_top=0)
-    return omega_from_window(_jost_window(sol, zp, params, model, sol.n0 + 1))
+    sol = volterra.solve(zp, params, model, N=N, n_top=0)
+    return omega_from_window(_jost_window(sol, zp, params, model))
 
 
 def limit_wronskian(lam: float, params: CriticalParams) -> float:

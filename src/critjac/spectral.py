@@ -159,7 +159,7 @@ def resolvent_element(n: int, m: int, zp: SpectralPoint,
         raise InvalidParameter("resolvent indices must be nonnegative")
     lo, hi = min(n, m), max(n, m)
     sol = volterra.solve(zp, params, model, N=N, n_top=hi)
-    win = solutions._jost_window(sol, zp, params, model, max(sol.n0 + 1, hi))
+    win = solutions._jost_window(sol, zp, params, model)
     om = solutions.omega_from_window(win)
     z = complex(zp.z)
     if z.imag == 0.0 and zp.side == "interior":
@@ -186,8 +186,8 @@ def projector_density(n: int, m: int, lam: float, params: CriticalParams,
 
 def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
                 N: int | None) -> tuple[float, int]:
-    """(Re Omega(lam), node count) from one bare Volterra window
-    (tail_init="unit") and its head [-1, n0 + 1].
+    """(Re Omega(lam), node count) from one bare Volterra window (the
+    unit tail: u = 1 beyond N) and its head [-1, n0 + 1].
 
     Re Omega is accurate in sign and zeros, which is all the eigenvalue
     search uses; the value itself is off by about 1e-3 relative.
@@ -208,7 +208,7 @@ def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
             f"u is not positive on the window head [{sol.n0}, {sol.n0 + 1}] "
             f"at lambda = {lam:g}: the node count does not hold"
         )
-    win = solutions._jost_window(sol, zp, params, model, sol.n0 + 1)
+    win = solutions._jost_window(sol, zp, params, model)
     ns = np.arange(-1, sol.n0 + 2)
     s = np.where(np.isneginf(win.logmag), 0.0,
                  solutions.alternating_sign(ns, params.gamma) * win.unit.real)

@@ -153,7 +153,7 @@ class VolterraKernel:
         state = (u_top, d_top)
         for lo in reversed(range(n0, self.N, _CHUNK)):
             hi = min(lo + _CHUNK, self.N)
-            lam, rr = _local_chunk(self.ctx, self.model, lo, hi, float)
+            lam, rr = _local_chunk(self.ctx, self.model, lo, hi)
             # a non-finite kernel term makes the block products overflow
             # or form inf - inf; the state is checked below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -187,13 +187,13 @@ def _defect(lam: np.ndarray, rr: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
 
 
-def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
-                 dtype: np.dtype) -> tuple:
+def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int,
+                 hi: int) -> tuple:
     """(lam, rr): Lambda_n and Rcal_n on the stretch [lo, hi] of the
     solve's window, indexed by n - lo (entry 0 is nan: it belongs to the
-    stretch below), in the dtype of B_n promoted to `dtype` (_rcal_chunk).
+    stretch below), in the dtype of B_n (_rcal_chunk).
     """
-    rr, B, ratio, _ = _rcal_chunk(ctx, model, lo, hi, dtype)
+    rr, B, ratio, _ = _rcal_chunk(ctx, model, lo, hi, float)
     lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
     lam[0] = np.nan
     lam[1:] = ratio * B[1:] * B[:-1]
@@ -443,7 +443,7 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     return out_log, out_unit
 
 
-def prefix_sum_frames(lo: int, hi: int, terms, carry: tuple = (-np.inf, 1.0)):
+def prefix_sum_frames(lo: int, hi: int, terms):
     """_scaled_prefix_sum over the terms m in [lo, hi), one frame of
     _SUM_BLOCK terms at a time, each frame carrying the last one's sum.
 
@@ -453,6 +453,7 @@ def prefix_sum_frames(lo: int, hi: int, terms, carry: tuple = (-np.inf, 1.0)):
     that call's bit for bit up to its first _SUM_SPAN cut, and after it
     by rounding alone.  The workspace is O(_SUM_BLOCK) for any hi - lo.
     """
+    carry = (-np.inf, 1.0)
     for a in range(lo, hi, _SUM_BLOCK):
         b = min(a + _SUM_BLOCK, hi)
         out_log, out_unit = _scaled_prefix_sum(*terms(a, b), carry=carry)
@@ -669,9 +670,14 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     indices (_top_boundary), removing the slow N^(1-sigma) boundary error
     that Wronskian-type outputs inherit.  Either way u solves the same
     linear equation, so the difference-equation residual stays at
-    rounding level.  meta records the window, tail_init, the tail
-    window's length tail_len (0 for "unit") and the tail fit's relative
-    residual tail_fit_residual (None for "unit").
+    rounding level.  The callers need different values: the eigenvalue
+    search (spectral._omega_real) reads only the zeros of Omega and the
+    head's node count, which the bare sweep keeps at about a third of
+    the cost (its values are about 1e-3 off at real regular points);
+    every other output (jost, omega, the resolvent) needs f's
+    normalisation and takes the default.  meta records the window,
+    tail_init, the tail window's length tail_len (0 for "unit") and the
+    tail fit's relative residual tail_fit_residual (None for "unit").
 
     n_top is the highest index whose u the caller reads, clamped below to
     n0 + 1 (default N), so any n_top <= n0 + 1 asks for the head

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import critjac
-from critjac import cli, recurrence, spectral
+from critjac import cli, recurrence, spectral, volterra
 from critjac.errors import NumericFailure
 
 
@@ -257,6 +257,58 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                        capsys)
     assert code == 0
     assert out.count("\n") == 2
+
+
+# per config key, a value that the type of its flag cannot read
+BAD_CONFIG_VALUES = {
+    "p": "zero", "sigma": "1/2", "alpha": [0.0], "beta": {"x": 1}, "gamma": True,
+    "z": [1.0, 1.0], "lambda_min": "x", "lambda_max": "4,5", "lambda_step": "",
+    "n0": 10.5, "N": "1e5", "N_jost": "20k", "out": {"path": "x"}, "format": ["csv"],
+    "threads": "two", "n": "one", "m": 1.5,
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_CONFIG_VALUES))
+def test_config_value_of_wrong_type_is_config_error(key, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 0.0, "lambda_min": 1.0, "N": 20000,
+                               key: BAD_CONFIG_VALUES[key]}))
+    code, out, err = run(["density", "--config", str(cfg)], capsys)
+    assert code == 4
+    assert out == ""
+    assert f"InvalidParameter: config key {key}: " in err
+
+
+def test_config_integral_floats_and_nulls(tmp_path, capsys):
+    # JSON numbers with integral values read as ints; a null leaves its
+    # key unset
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 0, "lambda_min": 1, "lambda_step": None,
+                               "N": 20000.0, "threads": 2.0}))
+    code, from_file, _ = run(["density", "--config", str(cfg)], capsys)
+    assert code == 0
+    code, from_flags, _ = run(["density", "--p", "0", "--lambda-min", "1",
+                               "--N", "20000", "--threads", "2"], capsys)
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--p", "0", "--lambda-min", "1.0", "--N", "0"],
+    ["density", "--p", "0", "--lambda-min", "1.0", "--N", "-5"],
+    ["eigs", "--sigma", "1", "--lambda-min", "-5", "--lambda-max", "0.9", "--N", "0"],
+    ["jost", "--p", "0", "--z", "-1.0", "--n0", "0"],
+], ids=["density_N_0", "density_N_minus_5", "eigs_N_0", "jost_n0_0"])
+def test_non_positive_window_is_config_error(argv, monkeypatch, capsys):
+    # refused before anything is solved, not taken for the default window
+    # nor reported as a numeric failure row
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the window")
+
+    monkeypatch.setattr(volterra, "solve", no_solve)
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err and "must be at least 1" in err
 
 
 def test_eigs_empty_interval(capsys):

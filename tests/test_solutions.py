@@ -6,7 +6,7 @@ import pytest
 
 from conftest import force_complex, log_sample_indices, loglog_slope, phi_at, power
 from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
-from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch
+from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch, ZeroCrossing
 
 
 def test_jost_window_residual(laguerre0):
@@ -57,6 +57,83 @@ def test_growing_requires_regular_point(laguerre0):
     m, p = laguerre0
     with pytest.raises(OnSpectrum):
         solutions.growing(ansatz.at_plus(1.0), p, m, N=2000)
+
+
+# dips of f for _clear_zeros, {m: nats below the neighbours' mean}, on a
+# synthetic window [-1, _ZN] from n0 = 8: three full stretches of
+# volterra._CHUNK and a short top one, the stretch edges at 8 + k C
+_C = volterra._CHUNK
+_ZN0, _ZN = 8, 8 + 3 * _C + 1000
+ZERO_CASES = {
+    "none": {},
+    "shallow": {8 + _C + 100: 25.0},
+    "inside": {8 + _C + 100: 40.0},
+    "below_edge": {8 + _C - 1: 40.0},
+    "above_edge": {8 + _C: 40.0},
+    "two_stretches": {8 + 200: 40.0, 8 + 2 * _C + 5000: 40.0},
+    "clear_of_top": {_ZN - 10: 40.0},
+    "near_top": {_ZN - 9: 40.0},
+}
+
+
+def _whole_window_dips(lm: np.ndarray, n0: int, n_hi: int) -> np.ndarray:
+    """Every m in [n0, n_hi) where f_m lies 30 nats below the mean of its
+    neighbours, from one scan of the whole window (entry k holds f_{k-1})."""
+    ms = np.arange(n0, n_hi)
+    return ms[lm[ms + 1] + 30.0 < 0.5 * (lm[ms] + lm[ms + 2])]
+
+
+@pytest.mark.parametrize("case", list(ZERO_CASES))
+def test_clear_zeros_matches_whole_window_scan(laguerre0, case):
+    # the top-down scan in stretches that overlap by one entry at each
+    # edge lifts the sum's start past the highest dip, as one scan of the
+    # whole window does, and refuses a dip within 8 of the window top
+    dips = ZERO_CASES[case]
+    lm = -0.5 * np.log(np.arange(_ZN + 2) + 1.0)
+    for n, depth in dips.items():
+        lm[n + 1] -= depth
+    f = solutions.SolutionWindow("jost", lm, np.ones(_ZN + 2), ansatz.interior(-1.0),
+                                 laguerre0[0])
+    found = _whole_window_dips(lm, _ZN0, f.n_hi)
+    assert list(found) == sorted(n for n, depth in dips.items() if depth > 30.0)
+    want = int(found[-1]) + 1 if len(found) else _ZN0
+    assert (want >= f.n_hi - 8) == (case == "near_top")
+    if case == "near_top":
+        with pytest.raises(ZeroCrossing):
+            solutions._clear_zeros(f, _ZN0)
+    else:
+        assert solutions._clear_zeros(f, _ZN0) == want
+
+
+def test_growing_sum_has_no_cancellation_off_the_ac_set(laguerre0):
+    # at real z off the a.c. closure (-gamma)^n f_n = |A_n| u_n > 0 beyond
+    # n0, so every term 1/(a_{m-1} f_{m-1} f_m) has one sign: the sum
+    # cannot cancel, and no dip lifts its start
+    m, p = laguerre0
+    g = solutions.growing(ansatz.interior(-1.0), p, m, N=20_000)
+    assert g.meta["cancellation"] is False
+    assert g.meta["n0g"] == g.meta["n0"] == 8
+
+
+def test_growing_flags_a_cancelling_sum(laguerre0):
+    # a synthetic f with |a_{m-1} f_{m-1} f_m| = 1 (to rounding) and
+    # signs + + - - ... from n0 - 1: the terms alternate +-1, so every
+    # other partial sum is zero to rounding, far more than 8 digits below
+    # the running maximum
+    m, p = laguerre0
+    n0, N = 8, 1000
+    log_a = np.log(m.a_fn(np.arange(N + 1, dtype=float)))
+    lm = np.zeros(N + 2)                              # entry k holds f_{k-1}
+    for n in range(n0, N + 1):
+        lm[n + 1] = -lm[n] - log_a[n - 1]
+    unit = np.ones(N + 2)
+    ns = np.arange(n0 - 1, N + 1)
+    unit[ns + 1] = np.where((ns - n0 + 1) // 2 % 2, -1.0, 1.0)
+    zp = ansatz.interior(-1.0)
+    f = solutions.SolutionWindow("jost", lm, unit, zp, m, {"n0": n0})
+    g = solutions.growing(zp, p, m, f=f)
+    assert g.meta["n0g"] == n0
+    assert g.meta["cancellation"] is True
 
 
 def test_growing_envelope_matches_phase():
@@ -179,7 +256,7 @@ def test_window_dtype_follows_the_data(laguerre0, case):
     N = 5000
     f = solutions.jost(zp, p, m, N=N)
     sol = volterra.solve(zp, p, m, N=N, n_top=0)
-    head = solutions._jost_window(sol, zp, p, m, sol.n0 + 1)
+    head = solutions._jost_window(sol, zp, p, m)
     assert f.unit.dtype == head.unit.dtype == want
     assert head.unit[0] == f.unit[0]
     if zp.side == ansatz.INTERIOR:
@@ -329,11 +406,19 @@ class TestOmega:
         # omega solves for u only on the sweep's lowest blocks, the blocks
         # above reduced to their transfers, and assembles only the head
         # [n0, n0 + 1] before the backward extension; f_{-1} depends on
-        # nothing above it, so the value is the whole Jost window's f_{-1}
+        # nothing above it, so the value is the whole Jost window's f_{-1}.
+        # The unit tail is the eigenvalue search's alone: there the head
+        # and the whole window come from the solve itself
         model, zp, N, tail_init = OMEGA_CASES[case]
         m, p = model or laguerre0
-        om = solutions.omega(zp, p, m, N=N, tail_init=tail_init)
-        win = solutions.jost(zp, p, m, N=N, tail_init=tail_init)
+        if tail_init == "asymptotic":
+            om = solutions.omega(zp, p, m, N=N)
+            win = solutions.jost(zp, p, m, N=N)
+        else:
+            head, whole = (volterra.solve(zp, p, m, N=N, tail_init="unit", n_top=n_top)
+                           for n_top in (0, None))
+            om = solutions.omega_from_window(solutions._jost_window(head, zp, p, m))
+            win = solutions._jost_window(whole, zp, p, m)
         assert om == pytest.approx(solutions.omega_from_window(win), rel=1e-13)
 
     def test_schwarz_reflection(self, laguerre0):
@@ -420,11 +505,19 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("case", list(REAL_OMEGA_CASES))
     def test_omega_matches_complex_pipeline(self, laguerre0, monkeypatch,
                                             case, tail_init, rel):
+        # the unit tail through the eigenvalue search's path, which reads
+        # Re Omega only
         model, zp, N = REAL_OMEGA_CASES[case]
         m, p = model or laguerre0
-        om = solutions.omega(zp, p, m, N=N, tail_init=tail_init)
+
+        def omega():
+            if tail_init == "unit":
+                return spectral._omega_real(zp.z.real, p, m, N)[0]
+            return solutions.omega(zp, p, m, N=N)
+
+        om = omega()
         force_complex(monkeypatch)
-        om_c = solutions.omega(zp, p, m, N=N, tail_init=tail_init)
+        om_c = omega()
         assert om.imag == 0.0
         assert abs(om - om_c) <= rel * abs(om_c)
 

@@ -340,14 +340,14 @@ class TestEigenvalues:
         # the zeros of Re Omega where the tail-fitted window puts them
         m, p = power(sigma, 0.0, beta)
 
-        def re_omega(lam, tail_init):
-            return solutions.omega(ansatz.interior(complex(lam)), p, m,
-                                   N=20_000, tail_init=tail_init).real
+        def unit(lam):                   # the eigenvalue search's window
+            return spectral._omega_real(lam, p, m, 20_000)[0]
 
-        unit, asym = (brentq(re_omega, eig - 1e-3, eig + 1e-3,
-                             args=(mode,), xtol=1e-13)
-                      for mode in ("unit", "asymptotic"))
-        assert abs(unit - asym) < 1e-9
+        def asymptotic(lam):
+            return solutions.omega(ansatz.interior(complex(lam)), p, m, N=20_000).real
+
+        zeros = [brentq(f, eig - 1e-3, eig + 1e-3, xtol=1e-13) for f in (unit, asymptotic)]
+        assert abs(zeros[0] - zeros[1]) < 1e-9
 
 
 def test_minus_side_conjugate_amplitude(laguerre0):

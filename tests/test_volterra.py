@@ -69,7 +69,7 @@ def window_at(zp, p, m, N):
     one stretch (bit for bit the window's stretches), and the phase
     context."""
     ctx = ansatz.phase_context(zp, p)
-    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N, float)
+    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N)
     return lam, rr, ctx
 
 
@@ -269,13 +269,13 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
     ctx = ansatz.phase_context(zp, p)
     n0, C = ctx.n_start, volterra._CHUNK
     whole = volterra._kernel_chunk(ctx, m, n0, N)
-    whole_lam = volterra._local_chunk(ctx, m, n0, N, float)[0]
+    whole_lam = volterra._local_chunk(ctx, m, n0, N)[0]
     head = volterra._WINDOW_START
     for lo in range(n0, N, C):
         hi = min(lo + C, N)
         *part, head = volterra._kernel_chunk(ctx, m, lo, hi, head)
         sl = slice(lo - n0, hi - n0 + 1)
-        lam = volterra._local_chunk(ctx, m, lo, hi, part[0].dtype)[0]
+        lam = volterra._local_chunk(ctx, m, lo, hi)[0]
         assert np.array_equal(lam[1:], whole_lam[sl][1:])   # entry 0 is nan
         assert np.array_equal(part[0][1:], whole[0][sl][1:])  # rr
         for j in (1, 2):                                     # logX, uniXinv
@@ -790,15 +790,15 @@ class TestSolve:
         chunk = volterra._local_chunk
         n0 = ansatz.phase_context(zp, p).n_start
 
-        def broken(ctx, model, lo, hi, dtype):
-            out = chunk(ctx, model, lo, hi, dtype)
+        def broken(ctx, model, lo, hi):
+            out = chunk(ctx, model, lo, hi)
             if lo > n0:                          # the stretches above n0 + 1
                 out[which][len(out[which]) // 2] = bad
             return out
 
         monkeypatch.setattr(volterra, "_local_chunk", broken)
         with pytest.raises(NumericFailure, match="non-finite kernel transfer"):
-            solutions.omega(zp, p, m, N=40_000, tail_init="unit")
+            volterra.solve(zp, p, m, N=40_000, tail_init="unit", n_top=0)
 
     @pytest.mark.parametrize("model, zp", [
         pytest.param(m, zp, id=tag) for tag, m, zp in
@@ -896,11 +896,11 @@ class TestDtype:
         th = ansatz.theta_window(ctx, n0, N + 1)
         assert not th[:C + 1].real.any() and th.real.any()
         edges = [(lo, min(lo + C, N)) for lo in range(n0, N, C)]
-        parts = [volterra._local_chunk(ctx, m, lo, hi, float) for lo, hi in edges]
+        parts = [volterra._local_chunk(ctx, m, lo, hi) for lo, hi in edges]
         kern = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
         u = kern.sweep()
         force_complex(monkeypatch)
-        refs = [volterra._local_chunk(ctx, m, lo, hi, float) for lo, hi in edges]
+        refs = [volterra._local_chunk(ctx, m, lo, hi) for lo, hi in edges]
         ref = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
         assert [lam.dtype.kind for lam, _ in parts] == ["f"] + ["c"] * (len(edges) - 1)
         for part, want in zip(parts, refs):
@@ -919,17 +919,22 @@ class TestDtype:
         # is purely imaginary on all 13 stretches, whose heads carry the
         # closed-form log X; at z = -0.2 it is so only above the turning
         # point n = 56.25, so the real stretches above the first are made
-        # complex by its head.  Omega is jost's f_{-1} bit for bit and the
-        # forced-complex pipeline's, exactly with the unit tail
+        # complex by its head.  Omega from the head solve is the whole
+        # window's f_{-1} bit for bit and the forced-complex pipeline's,
+        # exactly with the unit tail
         m, p = power(0.5, 1.0, 0.0)
         zp, n0, N = ansatz.interior(z), 50, 200_000
         th = ansatz.theta_window(ansatz.phase_context(zp, p, n0), n0, N + 1)
         assert not th[57 - n0:].real.any() and th[:57 - n0].real.any() == (z == -0.2)
-        om = solutions.omega(zp, p, m, N=N, n0=n0, tail_init=tail_init)
-        f = solutions.jost(zp, p, m, N=N, n0=n0, tail_init=tail_init)
-        assert om == solutions.omega_from_window(f)
+
+        def window(n_top):
+            sol = volterra.solve(zp, p, m, n0=n0, N=N, tail_init=tail_init, n_top=n_top)
+            return solutions._jost_window(sol, zp, p, m)
+
+        om = solutions.omega_from_window(window(0))
+        assert om == solutions.omega_from_window(window(None))
         force_complex(monkeypatch)
-        ref = solutions.omega(zp, p, m, N=N, n0=n0, tail_init=tail_init)
+        ref = solutions.omega_from_window(window(0))
         assert abs(om - ref) <= rel * abs(ref)
 
     def test_real_solve_peak_memory_per_index(self):
