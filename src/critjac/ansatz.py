@@ -20,11 +20,18 @@ from them stays real: a kernel stretch is float64 exactly when theta_n
 is purely imaginary on it and on every stretch below it.  The data
 decides, once per call.
 
-Every function here is pure given (n, point, params, model) and the
-module keeps no state, so calls at different points share nothing: the
-CLI's thread pool (density --threads) relies on that.  The phase sum
-phi_n has one path, phi_stretch, a cumulative sum of a carried value and
-one theta_window; phi_window is its stretch from the window start.
+The window builders (theta_window, ansatz_ratio_window,
+remainder_window) take the index stretch they cover as a Stretch: the
+arrays of one model on [lo, hi) that do not depend on z (a_n, b_n, their
+ratios and roots, n^-sigma, -tau/n, (n/(n+1))^rho, ...), each built on
+first use and kept.  The points of a group that share a stretch build
+them once (volterra.solve_group); a lone call builds its own.  Every
+function here is pure given (point, stretch) and the module keeps no
+state.  A Stretch fills itself as it is read, so it belongs to one
+thread: the CLI's pool (density --threads) gives each thread a group of
+its own.  The phase sum phi_n has one path, phi_stretch, a cumulative sum
+of a carried value and one theta_window; phi_window is its stretch from
+the window start.
 """
 
 from __future__ import annotations
@@ -211,8 +218,110 @@ def t_values(ns: np.ndarray, w: complex, params: CriticalParams) -> np.ndarray:
     return -params.tau / ns + w * ns ** (-params.sigma)
 
 
-def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
-    """theta_n for n in [n0, n1) at the canonical point (no conjugation).
+def _shared(build):
+    """A Stretch array: built by `build` on first use and kept, or, in a
+    stretch cut from another (Stretch.since), a view of that one's."""
+    name = build.__name__
+
+    def get(self):
+        if name not in self._arrays:
+            if self._cut is None:
+                self._arrays[name] = build(self)
+            else:
+                whole, k = self._cut
+                self._arrays[name] = getattr(whole, name)[k:]
+        return self._arrays[name]
+
+    return property(get)
+
+
+class Stretch:
+    """The arrays of one model on the indices [lo, hi) that do not depend
+    on z, for the window builders.
+
+    Each is built on first use from the expression the builders evaluated
+    per point, and kept, so a point reads the values it would have built
+    itself.  One entry per n in [lo, hi): ns (n as float64),
+    neg_tau_over_n (-tau / n) and n_pow (n^-sigma), the terms of t_n;
+    sqrt_n, theta_n's divisor where t_n has a single power; mod,
+    (-gamma) (n / (n + 1))^rho, the modulus of B_n; a (a_n); log_x,
+    log a_n - rho log(n (n + 1)), the z-free part of log|X_n|.  One entry
+    per neighbour pair, n in [lo + 1, hi): ratio (a_n / a_{n-1}), root
+    (its square root), inv_root (1 / root), inv_geo (1 / sqrt(a_n
+    a_{n-1})) and b (b_n).  since(n) is the stretch [n, hi) cut from this
+    one, its arrays views of this one's: the points of a group whose
+    windows start inside a shared stretch each read their part of it.
+    model may be None where only the phases are read (phi_stretch).
+    """
+
+    def __init__(self, params: CriticalParams, model: CoefficientModel | None,
+                 lo: int, hi: int):
+        self.params, self.model = params, model
+        self.lo, self.hi = int(lo), int(hi)
+        self._arrays: dict[str, np.ndarray] = {}
+        self._cut = None
+
+    def since(self, lo: int) -> "Stretch":
+        if lo == self.lo:
+            return self
+        cut = Stretch(self.params, self.model, lo, self.hi)
+        cut._cut = (self, lo - self.lo)
+        return cut
+
+    @_shared
+    def ns(self):
+        return np.arange(self.lo, self.hi, dtype=float)
+
+    @_shared
+    def neg_tau_over_n(self):
+        return -self.params.tau / self.ns
+
+    @_shared
+    def n_pow(self):
+        return self.ns ** (-self.params.sigma)
+
+    @_shared
+    def sqrt_n(self):
+        return np.sqrt(self.ns)
+
+    @_shared
+    def mod(self):
+        ns = self.ns
+        return (-self.params.gamma) * (ns / (ns + 1.0)) ** self.params.rho
+
+    @_shared
+    def a(self):
+        return self.model.a_fn(self.ns)
+
+    @_shared
+    def log_x(self):
+        ns = self.ns
+        return np.log(self.a) - self.params.rho * np.log(ns * (ns + 1.0))
+
+    @_shared
+    def ratio(self):
+        return self.a[1:] / self.a[:-1]
+
+    @_shared
+    def root(self):
+        return np.sqrt(self.ratio)
+
+    @_shared
+    def inv_root(self):
+        return 1.0 / self.root
+
+    @_shared
+    def inv_geo(self):
+        return 1.0 / np.sqrt(self.a[1:] * self.a[:-1])
+
+    @_shared
+    def b(self):
+        return self.model.b_fn(self.ns[1:])
+
+
+def theta_window(ctx: PhaseContext, st: Stretch) -> np.ndarray:
+    """theta_n for n in the stretch st at the canonical point (no
+    conjugation).
 
     At real w, t_n and T_n are real: where T_n keeps one sign on the
     window theta_n is a real sqrt, put into the real part (T_n > 0, the
@@ -220,12 +329,12 @@ def theta_window(ctx: PhaseContext, n0: int, n1: int) -> np.ndarray:
     branch_sqrt gives bit for bit, at a third of the cost; a window where
     T_n changes sign or vanishes goes through branch_sqrt.
     """
-    ns = np.arange(n0, n1, dtype=float)
     p = ctx.params
     if p.single_power:
         # explicit sqrt(c) n^{-1/2}, c = gamma z - tau; avoids cancellation in t_n
-        return sqrt_cut(p.leading_coefficient(ctx.w)) / np.sqrt(ns)
-    t = t_values(ns, ctx.w.real if ctx.w.imag == 0.0 else ctx.w, p)
+        return sqrt_cut(p.leading_coefficient(ctx.w)) / st.sqrt_n
+    w = ctx.w.real if ctx.w.imag == 0.0 else ctx.w
+    t = st.neg_tau_over_n + w * st.n_pow                  # t_values on the stretch
     T = t
     if p.L > 1:
         acc = np.zeros_like(t)
@@ -254,12 +363,12 @@ def phi_stretch(ctx: PhaseContext, lo: int, hi: int,
                 phi_lo: complex) -> np.ndarray:
     """phi_n for n in [lo, hi] at the canonical point, from phi_lo.
 
-    One cumulative sum of phi_lo followed by theta_window(ctx, lo, hi):
-    the carry is the sum's first term, so consecutive stretches, each
-    started from the last one's final value, give phi_window's sums bit
-    for bit.
+    One cumulative sum of phi_lo followed by theta_n on [lo, hi)
+    (theta_window): the carry is the sum's first term, so consecutive
+    stretches, each started from the last one's final value, give
+    phi_window's sums bit for bit.
     """
-    th = theta_window(ctx, lo, hi)
+    th = theta_window(ctx, Stretch(ctx.params, None, lo, hi))
     phi = np.empty(len(th) + 1, dtype=th.dtype)
     phi[0] = phi_lo
     phi[1:] = th
@@ -270,11 +379,11 @@ def phi_stretch(ctx: PhaseContext, lo: int, hi: int,
 # -- the Ansatz and its remainder ---------------------------------------
 
 
-def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int,
+def ansatz_ratio_window(ctx: PhaseContext, st: Stretch,
                         th: np.ndarray) -> np.ndarray:
     """B_n = A_{n+1}/A_n = (-gamma) (n+1)^(-rho) n^rho e^{i theta_n},
-    for n in [n0, n1), at the canonical point, from the caller's
-    th = theta_window(ctx, n0, n1).
+    for n in the stretch st, at the canonical point, from the caller's
+    th = theta_window(ctx, st).
 
     The dtype follows the data: where theta_n is purely imaginary on the
     whole window (real z off the closure of the a.c. set) B_n is real and
@@ -282,9 +391,7 @@ def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int,
     e^{i theta_n} is cos + i sin, the value of the complex exp bit for bit;
     otherwise it is the complex exp.
     """
-    ns = np.arange(n0, n1, dtype=float)
-    p = ctx.params
-    mod = (-p.gamma) * (ns / (ns + 1.0)) ** p.rho
+    mod = st.mod
     if not th.real.any():
         return mod * np.exp(-th.imag)
     if th.imag.any():
@@ -295,9 +402,9 @@ def ansatz_ratio_window(ctx: PhaseContext, n0: int, n1: int,
     return B
 
 
-def remainder_window(ctx: PhaseContext, model: CoefficientModel,
-                     n0: int, n1: int, B: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Relative recurrence defect r_n of the Ansatz for n in [n0, n1).
+def remainder_window(ctx: PhaseContext, st: Stretch, B: np.ndarray) -> np.ndarray:
+    """Relative recurrence defect r_n of the Ansatz for n in
+    [st.lo + 1, st.hi).
 
     Evaluated through the neighbor ratios B_n only -- the raw A_n under-
     or overflow, the ratios are O(1):
@@ -305,8 +412,8 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
         r_n = sqrt(a_{n-1}/a_n) / B_{n-1} + sqrt(a_n/a_{n-1}) B_n
               + (b_n - z)/sqrt(a_{n-1} a_n).
 
-    B = ansatz_ratio_window(ctx, n0 - 1, n1) and a = a_n for n in
-    [n0 - 1, n1) are the caller's, already built.  A real B (theta purely
+    B = ansatz_ratio_window(ctx, st, ...) is the caller's, already built;
+    the roots of a_n and b_n are the stretch's.  A real B (theta purely
     imaginary, so z real) gives a real r_n.  The real divisors enter as
     reciprocals, which is how numpy divides a complex array by a real one,
     so a real B rounds each term as its complex copy would.  A non-finite
@@ -314,13 +421,9 @@ def remainder_window(ctx: PhaseContext, model: CoefficientModel,
     kernel and its solution and raises NumericFailure.
     """
     z = ctx.z_canonical if np.iscomplexobj(B) else ctx.z_canonical.real
-    ns = np.arange(n0, n1, dtype=float)
-    a_n, a_nm1 = a[1:], a[:-1]
-    b_n = model.b_fn(ns)
-    ratio = np.sqrt(a_n / a_nm1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return (B[:-1] ** -1 * (1.0 / ratio) + ratio * B[1:]
-                + (b_n - z) * (1.0 / np.sqrt(a_n * a_nm1)))
+        return (B[:-1] ** -1 * st.inv_root + st.root * B[1:]
+                + (st.b - z) * st.inv_geo)
 
 
 # -- closed-form phase asymptotics (test oracles) ----------------------------

@@ -87,7 +87,8 @@ def _typed(key: str, val, kind: type):
 def _load_config(args) -> dict:
     """The config file's values with the flags' over them, each parsed
     once by its flag's type; a null in the file leaves its key unset.
-    Windows, window starts and thread counts below 1 are rejected."""
+    Windows, window starts and thread counts below 1 are rejected, and a
+    format other than the flag's csv and json."""
     cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -105,6 +106,8 @@ def _load_config(args) -> dict:
     for key in _POSITIVE:
         if cfg.get(key, 1) < 1:
             raise InvalidParameter(f"{key} must be at least 1, got {cfg[key]}")
+    if cfg.get("format", "csv") not in ("csv", "json"):      # the flag's choices
+        raise InvalidParameter(f"format must be csv or json, got {cfg['format']!r}")
     return cfg
 
 
@@ -178,6 +181,20 @@ def _convert_format(text: str, fmt: str | None) -> str:
     return text
 
 
+def _check_window(lams, params, N: int) -> None:
+    """Refuse an explicit window N that is too short for an a.c. point of
+    the grid before any group is solved: each group checks only its own
+    points (volterra.solve_group).  A point that fails for its own sake
+    is left to its row."""
+    for lam in lams:
+        try:
+            spectral._require_in_ac(float(lam), params)
+            n0 = phase_context(at_plus(float(lam)), params).n_start
+        except CritJacError:
+            continue
+        volterra.window_top(n0, N)
+
+
 # -- commands -----------------------------------------------------------
 
 # classify's case line, by spectrum kind and whether t_n has a single power
@@ -219,16 +236,14 @@ def cmd_density(cfg: dict) -> tuple[str, int]:
     params = classify(model)
     lams = _grid(cfg)
     N = cfg.get("N")
-    threads = cfg.get("threads", 1)
-
-    def one(lam: float):
-        try:
-            return spectral.density(float(lam), params, model, N=N)
-        except CritJacError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, lams))
+    if N is not None:
+        _check_window(lams, params, N)
+    # one contiguous group of the grid per pool task
+    groups = np.array_split(lams, min(cfg.get("threads", 1), len(lams)))
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        results = [res for part in pool.map(
+            lambda group: spectral.density_group(group, params, model, N=N), groups)
+            for res in part]
 
     # continue eta by nearest branch along the sweep
     rows = ["lambda,xi,kappa,eta,w"]

@@ -70,3 +70,12 @@ class OverlapsAC(CritJacError):
 
 class WindowMismatch(CritJacError):
     """Two solution windows are not comparable (different z or model)."""
+
+
+def only(results: list):
+    """The result of a group of one (volterra.solve_group and the group
+    functions built on it): its value, or its error raised."""
+    (result,) = results
+    if isinstance(result, CritJacError):
+        raise result
+    return result

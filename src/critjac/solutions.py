@@ -36,11 +36,13 @@ from .ansatz import (
 )
 from .coeffs import CoefficientModel, CriticalParams
 from .errors import (
+    CritJacError,
     InvalidParameter,
     OnSpectrum,
     OutsideAC,
     WindowMismatch,
     ZeroCrossing,
+    only,
 )
 from .logcomplex import LogComplex
 
@@ -404,18 +406,32 @@ def omega_from_window(win: SolutionWindow) -> complex:
     return (-win.value(-1)).to_complex()
 
 
+def omega_group(points: list[SpectralPoint], params: CriticalParams,
+                model: CoefficientModel, N: int | None = None) -> list:
+    """Omega at each of a group of points, from windows at the default
+    phase window start solved together (volterra.solve_group): per point
+    its value, or the CritJacError that stopped it.
+
+    Wronskian of the polynomial and Jost solutions, via f_{-1}.  N as for
+    jost.  Only the window head [n0, n0 + 1] is assembled: f_{-1} depends
+    on nothing above it, so the value is jost's f_{-1} without its
+    window, and the solve keeps u only on the head (n_top = 0).  Each
+    value is the point's omega alone bit for bit.
+    """
+    out = []
+    for zp, sol in zip(points, volterra.solve_group(points, params, model,
+                                                    N=N, n_top=0)):
+        if not isinstance(sol, CritJacError):
+            sol = omega_from_window(_jost_window(sol, zp, params, model))
+        out.append(sol)
+    return out
+
+
 def omega(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
           N: int | None = None) -> complex:
-    """Wronskian of the polynomial and Jost solutions, via f_{-1}, from a
-    window at the default phase window start.
-
-    N as for jost.  Only the window head [n0, n0 + 1] is assembled:
-    f_{-1} depends on nothing above it, so the value is jost's f_{-1}
-    without its window, and the solve keeps u only on the head
-    (volterra.solve's n_top = 0).
-    """
-    sol = volterra.solve(zp, params, model, N=N, n_top=0)
-    return omega_from_window(_jost_window(sol, zp, params, model))
+    """Omega at one point: the group of one (omega_group), its error
+    raised."""
+    return only(omega_group([zp], params, model, N=N))
 
 
 def limit_wronskian(lam: float, params: CriticalParams) -> float:

@@ -27,12 +27,14 @@ from . import recurrence, solutions, volterra
 from .ansatz import SpectralPoint, at_plus, interior
 from .coeffs import CoefficientModel, CriticalParams, RealInterval
 from .errors import (
+    CritJacError,
     EigenvalueHit,
     InvalidParameter,
     NumericFailure,
     OutsideAC,
     OverlapsAC,
     ThresholdPoint,
+    only,
 )
 
 EIG_XTOL = 1e-9
@@ -102,22 +104,53 @@ def amplitude_phase(lam: float, params: CriticalParams, model: CoefficientModel,
     phase eta = arg Omega(lambda+i0), from a solve over the default window
     start; unwrap along sweeps externally."""
     _require_in_ac(lam, params)
-    om = solutions.omega(at_plus(lam), params, model, N=N)
+    return _amplitude_phase(solutions.omega(at_plus(lam), params, model, N=N))
+
+
+def _amplitude_phase(om: complex) -> tuple[float, float]:
     return abs(om), math.atan2(om.imag, om.real)
+
+
+def density_group(lams, params: CriticalParams, model: CoefficientModel,
+                  N: int | None = None) -> list:
+    """Density samples xi = w / (pi kappa^2) at the lambdas, their Omegas
+    solved as one group (solutions.omega_group): per point a
+    DensitySample, eta on its principal branch, or the CritJacError that
+    stopped it (a lambda outside the a.c. set or in a threshold's guard
+    band among them).  Each sample is the point's density alone bit for
+    bit.
+
+    N defaults to volterra.solve_group's fixed window (10^6 for most
+    points), a length, not an accuracy target: on Laguerre at
+    lambda = 0.5, xi is 2.0e-6 relative off e^-lambda at N = 2e5 but
+    2.5e-5 at N = 10^6.  An explicit N too short for an a.c. point raises
+    InvalidParameter before anything is solved.
+    """
+    lams = [float(lam) for lam in lams]
+    out: list = [None] * len(lams)
+    ac = []
+    for i, lam in enumerate(lams):
+        try:
+            _require_in_ac(lam, params)
+            ac.append(i)
+        except CritJacError as exc:
+            out[i] = exc
+    oms = solutions.omega_group([at_plus(lams[i]) for i in ac], params, model, N=N)
+    for i, om in zip(ac, oms):
+        if not isinstance(om, CritJacError):
+            kappa, eta = _amplitude_phase(om)
+            w = solutions.limit_wronskian(lams[i], params)
+            om = DensitySample(lam=lams[i], xi=w / (math.pi * kappa ** 2),
+                               kappa=kappa, eta=eta, w=w)
+        out[i] = om
+    return out
 
 
 def density(lam: float, params: CriticalParams, model: CoefficientModel,
             N: int | None = None) -> DensitySample:
-    """One density sample xi = w / (pi kappa^2) at lambda in the a.c. set.
-
-    N defaults to volterra.solve's fixed window (10^6 for most points),
-    a length, not an accuracy target: on Laguerre at lambda = 0.5, xi is
-    2.0e-6 relative off e^-lambda at N = 2e5 but 2.5e-5 at N = 10^6.
-    """
-    kappa, eta = amplitude_phase(lam, params, model, N=N)
-    w = solutions.limit_wronskian(lam, params)
-    return DensitySample(lam=float(lam), xi=w / (math.pi * kappa ** 2),
-                         kappa=kappa, eta=eta, w=w)
+    """One density sample at lambda in the a.c. set: the group of one
+    (density_group), its error raised."""
+    return only(density_group([lam], params, model, N=N))
 
 
 def nearest_branch(eta: float, prev_eta: float | None) -> float:
@@ -131,11 +164,14 @@ def nearest_branch(eta: float, prev_eta: float | None) -> float:
 
 def density_sweep(lams, params: CriticalParams, model: CoefficientModel,
                   N: int | None = None) -> list[DensitySample]:
-    """Density over a lambda grid with eta continued by nearest branch."""
+    """Density over a lambda grid, solved as one group (density_group),
+    with eta continued by nearest branch; the first point in grid order
+    that fails raises its error."""
     out: list[DensitySample] = []
     prev_eta = None
-    for lam in lams:
-        s = density(float(lam), params, model, N=N)
+    for s in density_group(lams, params, model, N=N):
+        if isinstance(s, CritJacError):
+            raise s
         prev_eta = nearest_branch(s.eta, prev_eta)
         out.append(DensitySample(s.lam, s.xi, s.kappa, prev_eta, s.w))
     return out

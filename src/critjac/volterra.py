@@ -29,20 +29,35 @@ truncation error was 2.4e-6 to 2.9e-4 (eight points, N = 5e4 against
 normalisation_estimate) or by comparing windows.
 
 The window is never held whole.  Lambda_n and Rcal_n are local in n, so
-the sweep builds the window's stretches of 2^14 indices (_local_chunk)
-from the top down and hands the state (u, D) from each stretch to the
-one below (VolterraKernel.sweep).  A stretch below n_top, the highest
-index whose u the caller reads, is swept for u; a stretch above it only
-moves the state down.  u on [n0, n_top] is therefore the whole-window u
-bit for bit, and a solve holds O(2^14) memory besides u: Omega, which
-reads u only at n0 and n0 + 1, holds O(2^14) however long the window.
+the sweep builds the window's stretches (_local_chunk) from the top down
+and hands the state (u, D) from each stretch to the one below
+(VolterraKernel.sweep).  A stretch below n_top, the highest index whose
+u the caller reads, is swept for u; a stretch above it only moves the
+state down.  u on [n0, n_top] is therefore the whole-window u bit for
+bit, and a solve holds O(2^14) memory besides u: Omega, which reads u
+only at n0 and n0 + 1, holds O(2^14) however long the window.
 
 The window top is seeded from first-order tail sums of the kernel over
 the next N indices (at most 10^6), their limits fitted against a remainder
 model with Levin's oscillating remainder (_top_boundary); letting the
 oscillation average out instead needed a tail window twice as long.  The
-tail window is streamed the same way; its sums need X_n and the prefix
-sums of X_n^{-1}, carried from stretch to stretch (_kernel_chunk).
+tail window is streamed the same way, from the bottom up; its sums need
+X_n and the prefix sums of X_n^{-1}, carried from stretch to stretch
+(_kernel_chunk).
+
+The window's stretch edges sit at the multiples of 2^14 (_stretches),
+so a stretch is the same index range for every point whatever its
+window start n0; only a window's bottom stretch starts at its own n0.
+The tail window's edges sit at N + k 2^14, the same for every point
+that shares N.  Points that share N, the tail mode and n_top are solved
+as one group in lockstep (solve_group): the tail pass bottom-up, then
+the window pass top-down, and at each stretch the arrays that do not
+depend on z (ansatz.Stretch: a_n, b_n, their ratios and roots,
+n^-sigma, the z-free part of log|X_n|; the tail fit's powers of m) are
+built once for the group.  Each point then does its own
+z-dependent work and carries its own state: the tail head, sums and fit,
+then (u, D).  A point that fails keeps its exception and drops out; the
+rest go on.  solve is the group of one.
 
 A kernel stretch is float64 exactly when theta_n is purely imaginary on
 it: real z off the closure of the a.c. set (the discrete region, the
@@ -72,17 +87,18 @@ from scipy.linalg.lapack import dgeqrf
 from .ansatz import (
     PhaseContext,
     SpectralPoint,
+    Stretch,
     ansatz_ratio_window,
     phase_context,
     remainder_window,
     theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
-from .errors import InvalidParameter, NumericFailure
+from .errors import CritJacError, InvalidParameter, NumericFailure, only
 
 N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
-_CHUNK = 2 ** 14                          # indices per stretch of a window
+_CHUNK = 2 ** 14                          # stretch edges sit at its multiples
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
 _SUM_BLOCK = 65536                        # most terms per frame of _scaled_prefix_sum
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
@@ -112,69 +128,119 @@ class VolterraSolution:
 
 
 class VolterraKernel:
-    """The window [n0, N] and its backward sweep for u on [n0, n_top]
-    (n_top clamped to [n0 + 1, N], default N).
+    """The windows [n0, N] of a group of points that share N, each swept
+    backward for u on [n0, n_top] (n_top clamped to [n0 + 1, N] per
+    point, default N).  n0 is the lowest window start of the group.
 
-    Nothing is built here: sweep builds the window's stretches, the edges
-    range(n0, N, _CHUNK), top stretch first.  Everything is evaluated at
-    the canonical (upper half-plane) point; conjugation happens when the
-    solution is assembled.
+    Nothing is built here: sweep builds the stretches of [n0, N]
+    (_stretches), top stretch first.  Everything is evaluated at the
+    canonical (upper half-plane) points; conjugation happens when the
+    solutions are assembled.
     """
 
-    def __init__(self, ctx: PhaseContext, model: CoefficientModel,
-                 n0: int, N: int, n_top: int | None = None):
-        self.ctx, self.model = ctx, model
-        self.n0, self.N = int(n0), int(N)
-        if ctx.params.delta - ctx.params.nu <= 1.0:
+    def __init__(self, ctxs: list[PhaseContext], model: CoefficientModel,
+                 N: int, n_top: int | None = None):
+        self.ctxs, self.model, self.N = list(ctxs), model, int(N)
+        self.params = self.ctxs[0].params
+        if self.params.delta - self.params.nu <= 1.0:
             raise InvalidParameter("tail exponent nu - delta must be < -1")
-        if self.N <= self.n0:
+        if self.N <= max(ctx.n_start for ctx in self.ctxs):
             raise InvalidParameter("window needs N > n0")
-        self.n_top = self.N if n_top is None else min(max(int(n_top), self.n0 + 1), self.N)
-        self.residual = None
+        self.n0 = min(ctx.n_start for ctx in self.ctxs)
+        self.n_top = n_top
 
-    def sweep(self, u_top: complex = 1.0 + 0.0j,
-              d_top: complex = 0.0 + 0.0j) -> np.ndarray:
-        """u on [n0, n_top] from (u_N, D_N) = (u_top, d_top), the
-        stretches swept from the top down.
+    def sweep(self, tops: list[tuple]) -> list:
+        """Per point, (u, residual) with u on [n0, n_top] from its
+        (u_N, D_N) in tops, or the NumericFailure that stopped it.
 
-        A stretch [lo, hi] with lo < n_top runs backward_sweep and leaves
-        its u in place (an entry at a stretch edge is the state handed
-        down); one above only moves the state down (_block_pass, _chain),
-        in backward_sweep's dtype.  Sets self.residual, the worst relative
-        defect of the difference equation over the swept stretches, each
-        with the u above its top where that was swept.  A non-finite
-        state below a stretch raises NumericFailure.
+        At each stretch [lo, hi], from the top down, the group's
+        z-independent arrays are built once (ansatz.Stretch, from the
+        lowest window start among the points it holds) and every point
+        whose window reaches below hi takes its part, from its own n0 in
+        its bottom stretch, and moves its own state down (_Window.down).
+        residual is the worst relative defect of the difference equation
+        over the stretches swept for u, each with the u above its top
+        where that was swept.  A point whose state turns non-finite drops
+        out with NumericFailure.
 
-        With the default boundary data the tail beyond N is treated as
-        u = 1; tail-corrected boundary values come from _top_boundary().
+        With unit boundary data the tail beyond N is treated as u = 1;
+        tail-corrected boundary values come from _top_boundary().
         """
-        n0, n_top = self.n0, self.n_top
-        u, u_above, self.residual = None, None, 0.0
-        state = (u_top, d_top)
-        for lo in reversed(range(n0, self.N, _CHUNK)):
-            hi = min(lo + _CHUNK, self.N)
-            lam, rr = _local_chunk(self.ctx, self.model, lo, hi)
-            # a non-finite kernel term makes the block products overflow
-            # or form inf - inf; the state is checked below
-            with np.errstate(over="ignore", invalid="ignore"):
-                if lo >= n_top:
-                    _, b, nb, dtype, *start = _sweep_setup(lam, rr, *state)
-                    state = _chain(_block_pass(lam, rr, b, nb, dtype), *start)[2]
-                else:
-                    part, state = backward_sweep(lam, rr, *state)
-                    if u is None:
-                        u = np.empty(n_top - n0 + 1, dtype=part.dtype)
-                    elif part.dtype.kind == "c" and u.dtype.kind != "c":
-                        u = u.astype(complex)        # a complex stretch under real ones
-                    top = min(hi, n_top) - lo
-                    u[lo - n0:lo - n0 + top + 1] = part[:top + 1]
-                    if u_above is not None:
-                        part = np.append(part, u_above)
-                    self.residual = max(self.residual, _defect(lam, rr, part))
-                    u_above = part[1]
-            if not np.all(np.isfinite(state)):
-                raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
-        return u
+        wins = [_Window(ctx, self.N if self.n_top is None else
+                        min(max(int(self.n_top), ctx.n_start + 1), self.N), top)
+                for ctx, top in zip(self.ctxs, tops)]
+        above = None
+        for lo, hi in reversed(_stretches(self.n0, self.N)):
+            live = [w for w in wins if w.error is None and w.ctx.n_start < hi]
+            if not live:
+                continue
+            st = Stretch(self.params, self.model,
+                         max(lo, min(w.ctx.n_start for w in live)), hi + 1)
+            for w in live:
+                try:
+                    w.down(st.since(max(lo, w.ctx.n_start)))
+                except NumericFailure as exc:
+                    w.error = exc
+            # the stretch above is freed only now, once this one's arrays
+            # are built: freed with the rest of its stretch, its memory went
+            # back to the system and was faulted in again (a unit-tail head
+            # solve at N = 6e4: 1,600 minor page faults, 14 to 475 this way)
+            above = st
+        return [w.error or (w.u, w.residual) for w in wins]
+
+
+@dataclass
+class _Window:
+    """One point's part of a group sweep: its context, the top index n_top
+    whose u it keeps, the state (u, D) handed down and u on [n0, n_top]."""
+
+    ctx: PhaseContext
+    n_top: int
+    state: tuple
+    u: np.ndarray | None = None
+    u_above: complex | None = None
+    residual: float = 0.0
+    error: CritJacError | None = None
+
+    def down(self, st: Stretch) -> None:
+        """Sweep the stretch [lo, hi] = [st.lo, st.hi - 1] from the state.
+
+        A stretch with lo < n_top runs backward_sweep and leaves its u in
+        place (an entry at a stretch edge is the state handed down); one
+        above only moves the state down (_block_pass, _chain), in
+        backward_sweep's dtype.  A non-finite state below the stretch
+        raises NumericFailure.
+        """
+        n0, n_top, lo, hi = self.ctx.n_start, self.n_top, st.lo, st.hi - 1
+        lam, rr = _local_chunk(self.ctx, st)
+        # a non-finite kernel term makes the block products overflow
+        # or form inf - inf; the state is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lo >= n_top:
+                _, b, nb, dtype, *start = _sweep_setup(lam, rr, *self.state)
+                self.state = _chain(_block_pass(lam, rr, b, nb, dtype), *start)[2]
+            else:
+                part, self.state = backward_sweep(lam, rr, *self.state)
+                if self.u is None:
+                    self.u = np.empty(n_top - n0 + 1, dtype=part.dtype)
+                elif part.dtype.kind == "c" and self.u.dtype.kind != "c":
+                    self.u = self.u.astype(complex)  # a complex stretch under real ones
+                top = min(hi, n_top) - lo
+                self.u[lo - n0:lo - n0 + top + 1] = part[:top + 1]
+                if self.u_above is not None:
+                    part = np.append(part, self.u_above)
+                self.residual = max(self.residual, _defect(lam, rr, part))
+                self.u_above = part[1]
+        if not np.all(np.isfinite(self.state)):
+            raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
+
+
+def _stretches(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The stretches [s, t] of the index range [lo, hi], bottom up: their
+    edges are lo, hi and the multiples of _CHUNK between them, so every
+    range that holds a stretch [k _CHUNK, (k + 1) _CHUNK] cuts it there."""
+    edges = [lo, *range((lo // _CHUNK + 1) * _CHUNK, hi, _CHUNK), hi]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _defect(lam: np.ndarray, rr: np.ndarray, u: np.ndarray) -> float:
@@ -187,50 +253,48 @@ def _defect(lam: np.ndarray, rr: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(np.abs(res) / scale)) if len(res) else 0.0
 
 
-def _local_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int,
-                 hi: int) -> tuple:
-    """(lam, rr): Lambda_n and Rcal_n on the stretch [lo, hi] of the
-    solve's window, indexed by n - lo (entry 0 is nan: it belongs to the
-    stretch below), in the dtype of B_n (_rcal_chunk).
+def _local_chunk(ctx: PhaseContext, st: Stretch) -> tuple:
+    """(lam, rr): Lambda_n and Rcal_n on the stretch [lo, hi] =
+    [st.lo, st.hi - 1] of the solve's window, indexed by n - lo (entry 0
+    is nan: it belongs to the stretch below), in the dtype of B_n
+    (_rcal_chunk).
     """
-    rr, B, ratio, _ = _rcal_chunk(ctx, model, lo, hi, float)
-    lam = np.empty(hi + 1 - lo, dtype=B.dtype)            # Lambda_n, n >= lo+1
+    rr, B = _rcal_chunk(ctx, st, float)
+    lam = np.empty(len(B), dtype=B.dtype)                 # Lambda_n, n >= lo+1
     lam[0] = np.nan
-    lam[1:] = ratio * B[1:] * B[:-1]
+    lam[1:] = st.ratio * B[1:] * B[:-1]
     return lam, rr
 
 
-def _rcal_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
-                dtype: np.dtype, th: np.ndarray | None = None) -> tuple:
-    """(rr, B, ratio, a): Rcal_n on the stretch [lo, hi] (entry 0 nan),
-    B_n and a_n on [lo, hi] and a_n/a_{n-1} on [lo + 1, hi], in the dtype
-    of B_n promoted to `dtype`: float in the solve's window, the stretch
-    below's in the tail window.  Each caller forms the other products it
-    needs from B_n and the ratio: the window Lambda_n (_local_chunk), the
-    tail nothing more (_kernel_chunk).  th is theta_n on [lo, hi] where
-    the caller keeps it (_kernel_chunk); otherwise it is built here and
+def _rcal_chunk(ctx: PhaseContext, st: Stretch, dtype: np.dtype,
+                th: np.ndarray | None = None) -> tuple:
+    """(rr, B): Rcal_n on the stretch [lo, hi] = [st.lo, st.hi - 1] (entry
+    0 nan) and B_n on [lo, hi], in the dtype of B_n promoted to `dtype`:
+    float in the solve's window, the stretch below's in the tail window.
+    Each caller forms the other products it needs from B_n and the
+    stretch's arrays: the window Lambda_n (_local_chunk), the tail
+    nothing more (_kernel_chunk).  th is theta_n on [lo, hi] where the
+    caller keeps it (_kernel_chunk); otherwise it is built here and
     dropped as soon as B_n is built, 16 B per index off a window
     stretch's peak.
     """
     if th is None:
-        th = theta_window(ctx, lo, hi + 1)                # theta_n, n in [lo, hi]
-    B = ansatz_ratio_window(ctx, lo, hi + 1, th)          # B_n, n in [lo, hi]
+        th = theta_window(ctx, st)                        # theta_n, n in [lo, hi]
+    B = ansatz_ratio_window(ctx, st, th)                  # B_n, n in [lo, hi]
     del th
     B = B.astype(np.result_type(B, dtype), copy=False)
-    a = model.a_fn(np.arange(lo, hi + 1, dtype=float))
-    r = remainder_window(ctx, model, lo + 1, hi + 1, B, a)
-    ratio = a[1:] / a[:-1]                                # a_n/a_{n-1}, n >= lo+1
-    rr = np.empty(hi + 1 - lo, dtype=B.dtype)             # Rcal_n, n >= lo+1
+    r = remainder_window(ctx, st, B)                      # r_n, n in [lo+1, hi]
+    rr = np.empty(len(B), dtype=B.dtype)                  # Rcal_n, n >= lo+1
     rr[0] = np.nan
-    rr[1:] = -np.sqrt(ratio) * B[:-1] * r
-    return rr, B, ratio, a
+    rr[1:] = -st.root * B[:-1] * r
+    return rr, B
 
 
-def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
+def _kernel_chunk(ctx: PhaseContext, st: Stretch,
                   head: tuple = _WINDOW_START) -> tuple:
-    """The tail window's arrays on the stretch [lo, hi] of a window that
-    starts at n0: (rr, logX, uniXinv, logPS, uniPS, head), indexed by
-    n - lo.
+    """The tail window's arrays on the stretch [lo, hi] = [st.lo,
+    st.hi - 1] of a window that starts at n0: (rr, logX, uniXinv, logPS,
+    uniPS, head), indexed by n - lo.
 
     rr holds Rcal_n (_rcal_chunk); logX and uniXinv give
     X_n = Lambda_{n0+1} ... Lambda_n as log|X_n| and the unit phase of
@@ -255,21 +319,18 @@ def _kernel_chunk(ctx: PhaseContext, model: CoefficientModel, lo: int, hi: int,
     complex; on a real kernel Re Phi_n = 0 and every unit phase is 1.
     """
     c0, phi0, logps0, unips0 = head
-    th = theta_window(ctx, lo, hi + 1)                    # theta_n, n in [lo, hi]
-    rr, _, _, a = _rcal_chunk(ctx, model, lo, hi, np.result_type(unips0), th)
-    phi = np.empty(hi + 1 - lo, dtype=complex)            # Phi_n
+    th = theta_window(ctx, st)                            # theta_n, n in [lo, hi]
+    rr, _ = _rcal_chunk(ctx, st, np.result_type(unips0), th)
+    phi = np.empty(len(th), dtype=complex)                # Phi_n
     phi[0] = phi0
     np.add(th[1:], th[:-1], out=phi[1:])
     del th
     np.cumsum(phi, out=phi)
-    ns = np.arange(lo, hi + 1, dtype=float)
-    logX = np.log(a) - ctx.params.rho * np.log(ns * (ns + 1.0))
-    del a, ns
     if c0 is None:
-        c0 = float(logX[0])
-    logX -= phi.imag
+        c0 = float(st.log_x[0])
+    logX = st.log_x - phi.imag
     logX -= c0
-    uniXinv = np.ones(hi + 1 - lo, dtype=rr.dtype)        # e^{-i arg X_n}: 1 on a real kernel
+    uniXinv = np.ones(len(phi), dtype=rr.dtype)           # e^{-i arg X_n}: 1 on a real kernel
     if uniXinv.dtype.kind == "c":
         np.cos(phi.real, out=uniXinv.real)
         np.sin(-phi.real, out=uniXinv.imag)
@@ -464,10 +525,9 @@ def prefix_sum_frames(lo: int, hi: int, terms):
 class _TailFit:
     """The tail fit's state and solve: the rows fed to it by
     _fit_partial_limit, kept as the R factor of [A | P - origin] (A the
-    unscaled basis, P the partial sums, origin the first fitted row of P),
-    and the least-squares solve for the limits (limits).
+    unscaled basis, P the partial sums, origin the first row of P), and
+    the least-squares solve for the limits (limits).
 
-    Rows are counted from the first fed; rows below `first` are skipped.
     Fitting P - origin leaves the limits' rounding relative to how far the
     sums still move, not to the sums themselves: a D-sum that has
     converged to 1e-7 keeps all its digits, and sums that no longer move
@@ -475,20 +535,16 @@ class _TailFit:
     them digits: 5e-13 relative in test_fit_partial_limit_vanishing_terms).
     """
 
-    def __init__(self, exponents: tuple[float, ...], first: int):
-        self.exponents = exponents
-        self.first = first
-        self.seen = 0                        # rows passed, fitted or skipped
+    def __init__(self):
         self.rows = 0                        # rows fitted
         self.R = self.top = self.pending = self.origin = None
         self.sq = 0.0                        # ||P||^2 per real column
         self.split = False
 
-    def add(self, P: np.ndarray, ms: np.ndarray, y: np.ndarray) -> None:
-        """Fold the rows P at ms into R, row i with omega from y[i], y[i+1]."""
-        skip = min(max(0, self.first - self.seen), len(P))
-        self.seen += len(P)
-        P, ms, y0, y1 = P[skip:], ms[skip:], y[skip:-1], y[skip + 1:]
+    def add(self, P: np.ndarray, powers: np.ndarray, y: np.ndarray) -> None:
+        """Fold the rows P with the power columns `powers` into R, row i
+        with omega from y[i], y[i+1]."""
+        y0, y1 = y[:-1], y[1:]
         if not len(P):
             return
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -500,7 +556,7 @@ class _TailFit:
         if self.origin is None:
             self.origin = P[0].copy()
         self.split = np.iscomplexobj(P)
-        ne, c = len(self.exponents), P.shape[1]
+        ne, c = powers.shape[1], P.shape[1]
         na = ne + 2 + self.split
         held = 0 if self.R is None else len(self.R)
         stack = np.empty((held + len(P), na + c * (1 + self.split)), order="F")
@@ -508,17 +564,20 @@ class _TailFit:
             stack[:held] = self.R
         rows = stack[held:]
         rows[:, 0] = 1.0
-        rows[:, 1:ne + 1] = ms[:, None] ** np.asarray(self.exponents)
-        moved = P - self.origin
-        if self.split:
+        rows[:, 1:ne + 1] = powers
+        if self.split:                           # P - origin, part by part
             rows[:, na - 2], rows[:, na - 1] = omega.real, omega.imag
-            rows[:, na:na + c], rows[:, na + c:] = moved.real, moved.imag
+            np.subtract(P.real, self.origin.real, out=rows[:, na:na + c])
+            np.subtract(P.imag, self.origin.imag, out=rows[:, na + c:])
         else:
             rows[:, na - 1] = omega
-            rows[:, na:] = moved
-        top = np.max(np.abs(rows[:, :na]), axis=0)
+            np.subtract(P, self.origin, out=rows[:, na:])
+        del omega
+        basis = rows[:, :na]                     # max |A| without an |A| array
+        top = np.maximum(basis.max(axis=0), -basis.min(axis=0))
         self.top = top if self.top is None else np.maximum(self.top, top)
-        self.sq += np.sum(np.abs(P) ** 2, axis=0)
+        sq = P.real ** 2 + P.imag ** 2 if self.split else P ** 2
+        self.sq += np.sum(sq, axis=0)
         # LAPACK's Householder QR in place; numpy's qr would copy the stack
         # twice and hold the GIL throughout, stalling the other threads
         self.R = np.triu(dgeqrf(stack, overwrite_a=True)[0][:stack.shape[1]])
@@ -547,20 +606,21 @@ class _TailFit:
         return lim + self.origin, float(np.sqrt(np.max(err / np.where(scale > 0.0, scale, 1.0))))
 
 
-def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray, terms: np.ndarray,
+def _fit_partial_limit(partials: np.ndarray, powers: np.ndarray, terms: np.ndarray,
                        fit: _TailFit) -> None:
     """Feed rows of partial-sum sequences (one per column, each summing
     terms that oscillate like `terms`) to the tail fit `fit`.
 
-    Row i is partials[i] at ms[i], regressed against {1, m^e for e in
-    fit.exponents, omega_m}, omega_m = terms_m terms_{m+1} /
-    (terms_m - terms_{m+1}) (Levin's remainder estimate, exact for a
-    geometric series); the constant is the limit (_TailFit.limits).  The
-    last row waits (fit.pending) for the next call's first term.  omega_m
-    is 0 where both terms have underflowed to zero or subnormals; any
-    other non-finite omega_m raises NumericFailure.  A complex omega
-    enters the real basis as its real and imaginary parts, so one real
-    least-squares solve takes the real and imaginary parts of every column.
+    Row i is partials[i] at m_i, regressed against {1, m_i^e, omega_m},
+    the powers m_i^e given as the row powers[i], omega_m = terms_m
+    terms_{m+1} / (terms_m - terms_{m+1}) (Levin's remainder estimate,
+    exact for a geometric series); the constant is the limit
+    (_TailFit.limits).  The last row waits (fit.pending) for the next
+    call's first term.  omega_m is 0 where both terms have underflowed to
+    zero or subnormals; any other non-finite omega_m raises
+    NumericFailure.  A complex omega enters the real basis as its real and
+    imaginary parts, so one real least-squares solve takes the real and
+    imaginary parts of every column.
 
     The rows are folded into the R factor by Householder QR of [R; A | P]
     (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34
@@ -569,17 +629,18 @@ def _fit_partial_limit(partials: np.ndarray, ms: np.ndarray, terms: np.ndarray,
     (2.2e5 on the whole line).
     """
     if fit.pending is not None:
-        P0, m0, y0 = fit.pending
-        fit.add(P0[None], np.array([m0]), np.array([y0, terms[0]]))
+        P0, a0, y0 = fit.pending
+        fit.add(P0[None], a0[None], np.array([y0, terms[0]]))
     n = len(partials) - 1
-    fit.add(partials[:n], ms[:n], terms)
-    fit.pending = partials[n].copy(), ms[n], terms[n]
+    fit.add(partials[:n], powers[:n], terms)
+    fit.pending = partials[n].copy(), powers[n], terms[n]
 
 
-def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
-                  tail_len: int) -> tuple[complex, complex, float]:
-    """Boundary data (u_N, D_N) from the kernel's own tail, and the tail
-    fit's relative residual.
+def _top_boundary(ctxs: list[PhaseContext], model: CoefficientModel, N: int,
+                  tail_len: int) -> list:
+    """Per point of a group, the boundary data (u_N, D_N) from the
+    kernel's own tail and the tail fit's relative residual, or the
+    NumericFailure that stopped the point's tail.
 
     Sums u_N - 1 = sum_{m>N} G_{N,m} Rcal_m u_m and
     D_N = sum_{m>N} (X_{m-1}/X_N) Rcal_m u_m to first order (u_m = 1) over
@@ -592,31 +653,64 @@ def _top_boundary(ctx: PhaseContext, model: CoefficientModel, N: int,
     (u_m - 1 inside the tail): summed only to the tail window's end it is
     cut short by about its own size and made the limits worse.
 
-    The tail window is streamed like the solve's window (_kernel_chunk):
-    the running sums are carried from stretch to stretch and the fit rows
-    go into the fit's R factor, so the tail holds O(_CHUNK) memory.
-    Raises NumericFailure if a tail term is not finite.  A real kernel
-    keeps every term real and gives real boundary data.
+    The tail window is streamed like the solve's window (_kernel_chunk),
+    bottom up: the running sums are carried from stretch to stretch and
+    the fit rows go into the fit's R factor, so a point's tail holds
+    O(_CHUNK) memory.  Each stretch's z-independent arrays and the fitted
+    rows' powers of m are built once for the group.  A non-finite tail
+    term fails its point with NumericFailure.  A real kernel keeps every
+    term real and gives real boundary data.
     """
-    p = ctx.params
+    p = ctxs[0].params
     slow = p.nu - p.delta + 1.0                  # power remainder of the sums
-    fit = _TailFit((slow, 2.0 * p.nu - p.delta, slow - p.sigma),
-                   first=(int(tail_len) - 1) // 2)
+    exponents = np.asarray((slow, 2.0 * p.nu - p.delta, slow - p.sigma))
+    fit_from = N + 1 + (int(tail_len) - 1) // 2  # the first m fitted
+    tails = [_Tail(ctx) for ctx in ctxs]
     M = N + int(tail_len)
-    carry, head = 0.0, _WINDOW_START             # the sums below the stretch
     for lo in range(N, M, _CHUNK):
         hi = min(lo + _CHUNK, M)
-        arrays = _kernel_chunk(ctx, model, lo, hi, head)
-        head = arrays[-1]
-        sums = np.stack(_tail_terms(*arrays[:5]), axis=1)  # t_m, y_m, m in (lo, hi]
+        live = [t for t in tails if t.error is None]
+        if not live:
+            break
+        st = Stretch(p, model, lo, hi + 1)
+        skip = min(max(fit_from - lo - 1, 0), hi - lo)   # rows m in (lo, hi] not fitted
+        powers = st.ns[1 + skip:, None] ** exponents
+        for t in live:
+            try:
+                t.add(st, skip, powers)
+            except NumericFailure as exc:
+                t.error = exc
+    return [t.error or t.boundary() for t in tails]
+
+
+@dataclass
+class _Tail:
+    """One point's tail window in a group: the head and the running sums
+    carried up from the stretch below, and its fit."""
+
+    ctx: PhaseContext
+    fit: _TailFit = field(default_factory=_TailFit)
+    carry: np.ndarray | float = 0.0              # the sums below the stretch
+    head: tuple = _WINDOW_START
+    error: CritJacError | None = None
+
+    def add(self, st: Stretch, skip: int, powers: np.ndarray) -> None:
+        """Sum the stretch's terms t_m, y_m, m in (lo, hi], and feed the
+        rows past the first `skip` to the fit."""
+        arrays = _kernel_chunk(self.ctx, st, self.head)
+        self.head = arrays[-1]
+        sums = np.stack(_tail_terms(*arrays[:5]), axis=1)
         del arrays
         y = sums[:, 1].copy()
-        sums[0] += carry
+        sums[0] += self.carry
         np.cumsum(sums, axis=0, out=sums)
-        carry = sums[-1].copy()
-        _fit_partial_limit(sums, lo + 1.0 + np.arange(hi - lo), y, fit)
-    (t_lim, y_lim), resid = fit.limits()
-    return (1.0 + t_lim).item(), y_lim.item(), resid
+        self.carry = sums[-1].copy()
+        if skip < len(sums):
+            _fit_partial_limit(sums[skip:], powers, y[skip:], self.fit)
+
+    def boundary(self) -> tuple[complex, complex, float]:
+        (t_lim, y_lim), resid = self.fit.limits()
+        return (1.0 + t_lim).item(), y_lim.item(), resid
 
 
 def _tail_terms(rr: np.ndarray, logX: np.ndarray, uniXinv: np.ndarray,
@@ -649,20 +743,32 @@ def _require_finite(v: np.ndarray, name: str) -> np.ndarray:
 # -- public operations -------------------------------------------------------
 
 
-def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
-          n0: int | None = None, N: int | None = None,
-          tail_init: str = "asymptotic",
-          n_top: int | None = None) -> VolterraSolution:
-    """Bounded solution of the Volterra equation by one backward sweep.
+def solve_group(points: list[SpectralPoint], params: CriticalParams,
+                model: CoefficientModel, n0: int | None = None,
+                N: int | None = None, tail_init: str = "asymptotic",
+                n_top: int | None = None) -> list:
+    """Bounded solutions of the Volterra equation at a group of points, by
+    one backward sweep each, in lockstep: per point a VolterraSolution, or
+    the CritJacError that stopped it.
 
-    The window is [n0, N], n0 defaulting to the phase window start.  The
-    default N is 10^6 (at least 4 n0 + 2000, at most N_CAP = 10^7): the
-    longest window whose tail window is still N long.  It is a fixed
-    length, not an accuracy target; pass N to trade time for accuracy.
-    No window is refused as too short: u's error has no a-priori bound
-    here (compare two windows, or read jost's normalisation_estimate).
-    A window start at or beyond the cap raises InvalidParameter before
-    anything is built.
+    Each window is [n0, N], n0 defaulting to the point's phase window
+    start.  The default N is 10^6 (at least 4 n0 + 2000, at most N_CAP =
+    10^7): the longest window whose tail window is still N long.  It is a
+    fixed length, not an accuracy target; pass N to trade time for
+    accuracy.  No window is refused as too short: u's error has no
+    a-priori bound here (compare two windows, or read jost's
+    normalisation_estimate).
+
+    Points whose windows share N, whether passed or the default, are
+    solved as one group (the module docstring); the values of every point
+    are those of its solve alone bit for bit.  An argument that does not
+    fit a point is the call's error and raises InvalidParameter before
+    anything is built: a tail_init other than "unit" and "asymptotic", an
+    explicit N at most n0 + 2, an n_top above an explicit N.  A point's
+    own failure is its entry and the rest go on: its phase context (a
+    branch point, a missing side tag), a default window whose start is at
+    or beyond the cap, an n_top above its default window, a non-finite
+    tail term or kernel transfer.
 
     tail_init selects the boundary data at the window top: "unit" sets
     u = 1 beyond N (the bare sweep), "asymptotic" (default) seeds the
@@ -681,37 +787,90 @@ def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
 
     n_top is the highest index whose u the caller reads, clamped below to
     n0 + 1 (default N), so any n_top <= n0 + 1 asks for the head
-    [n0, n0 + 1] alone, as Omega does; an n_top above N raises
-    InvalidParameter before anything is built.  u covers [n0, n_top] and
-    is there the whole-window u bit for bit; the residual covers every
-    stretch of 2^14 indices the sweep computed u on, the one holding n0
-    always among them (VolterraKernel.sweep).  The window is swept from
-    the top down, one stretch at a time, so a solve holds O(2^14) memory
-    besides u for any N.
+    [n0, n0 + 1] alone, as Omega does.  u covers [n0, n_top] and is there
+    the whole-window u bit for bit; the residual covers every stretch the
+    sweep computed u on, the one holding n0 always among them
+    (VolterraKernel.sweep).  The windows are swept from the top down, one
+    stretch at a time, so a group holds O(2^14) memory per point besides
+    its u for any N.
     """
-    ctx = phase_context(zp, params, n0)
-    n0 = ctx.n_start
+    if tail_init not in ("unit", "asymptotic"):
+        raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
+    out: list = [None] * len(points)
+    groups: dict[int, list] = {}                 # window top -> [(index, ctx)]
+    for i, zp in enumerate(points):
+        try:
+            ctx = phase_context(zp, params, n0)
+        except CritJacError as exc:
+            out[i] = exc
+            continue
+        try:
+            top = window_top(ctx.n_start, N, n_top)
+        except InvalidParameter as exc:
+            if N is not None:
+                raise                            # the call's own N does not fit
+            out[i] = exc
+            continue
+        groups.setdefault(top, []).append((i, ctx))
+    for top, members in groups.items():
+        sols = _solve_window([ctx for _, ctx in members], model, top,
+                             tail_init, n_top)
+        for (i, _), sol in zip(members, sols):
+            out[i] = sol
+    return out
+
+
+def window_top(n0: int, N: int | None, n_top: int | None = None) -> int:
+    """The top of the window that starts at n0: N, or without it the
+    default (solve_group).  Raises InvalidParameter if the window is too
+    short (N <= n0 + 2) or n_top lies above it."""
     if N is None:
         N = min(max(_TAIL_CAP, 4 * n0 + 2000), N_CAP)
     if N <= n0 + 2:
         raise InvalidParameter(f"window too short: n0 = {n0}, N = {N}")
-    if tail_init not in ("unit", "asymptotic"):
-        raise InvalidParameter("tail_init must be 'unit' or 'asymptotic'")
     if n_top is not None and n_top > N:
         raise InvalidParameter(f"index {n_top} beyond the window top N = {N}")
+    return N
 
-    u_top, d_top, tail_len, fit_residual = 1.0 + 0.0j, 0.0 + 0.0j, 0, None
+
+def _solve_window(ctxs: list[PhaseContext], model: CoefficientModel, N: int,
+                  tail_init: str, n_top: int | None) -> list:
+    """solve_group's solutions of one group of points that share N."""
+    tops: list = [(1.0 + 0.0j, 0.0 + 0.0j, None)] * len(ctxs)
+    tail_len = 0
     if tail_init == "asymptotic":
         tail_len = min(N, _TAIL_CAP)
-        u_top, d_top, fit_residual = _top_boundary(ctx, model, N, tail_len)
-    kern = VolterraKernel(ctx, model, n0, N, n_top=n_top)
-    u = kern.sweep(u_top, d_top)
-    meta = {"n0": n0, "N": N, "tail_init": tail_init,
-            "tail_len": tail_len, "tail_fit_residual": fit_residual}
-    res = kern.residual
+        tops = _top_boundary(ctxs, model, N, tail_len)
+    out = list(tops)                             # a failed tail stays its error
+    live = [k for k, top in enumerate(tops) if not isinstance(top, CritJacError)]
+    if not live:
+        return out
+    kern = VolterraKernel([ctxs[k] for k in live], model, N, n_top=n_top)
+    for k, swept in zip(live, kern.sweep([tops[k][:2] for k in live])):
+        out[k] = swept if isinstance(swept, CritJacError) else \
+            _solution(ctxs[k], N, *swept, tail_init, tail_len, tops[k][2])
+    return out
+
+
+def _solution(ctx: PhaseContext, N: int, u: np.ndarray, res: float,
+              tail_init: str, tail_len: int, fit_residual) -> VolterraSolution:
+    """A point's VolterraSolution from its sweep, or NumericFailure."""
+    n0 = ctx.n_start
     if not (np.all(np.isfinite(u)) and math.isfinite(res)):
-        raise NumericFailure(f"non-finite Volterra solution on [{n0}, {N}]")
+        return NumericFailure(f"non-finite Volterra solution on [{n0}, {N}]")
     if ctx.conj:
         np.conjugate(u, out=u)                   # in place: u is this solve's own
+    meta = {"n0": n0, "N": N, "tail_init": tail_init,
+            "tail_len": tail_len, "tail_fit_residual": fit_residual}
     return VolterraSolution(u=u, n0=n0, N=N, residual=res,
                             conjugated=ctx.conj, meta=meta)
+
+
+def solve(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
+          n0: int | None = None, N: int | None = None,
+          tail_init: str = "asymptotic",
+          n_top: int | None = None) -> VolterraSolution:
+    """Bounded solution of the Volterra equation at one point: the group
+    of one (solve_group, which documents the arguments), its error
+    raised."""
+    return only(solve_group([zp], params, model, n0, N, tail_init, n_top))

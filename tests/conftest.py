@@ -32,13 +32,18 @@ def log_sample_indices(lo, hi, count=40):
     return np.unique(np.logspace(np.log10(lo), np.log10(hi), count).astype(int))
 
 
+def theta_on(ctx, n0, n1):
+    """theta_n for n in [n0, n1) at ctx's canonical point."""
+    return ansatz.theta_window(ctx, ansatz.Stretch(ctx.params, None, n0, n1))
+
+
 def remainder_at(ctx, model, ns):
     """r_n at the indices ns, from one remainder_window over [n_start + 1, max(ns)]."""
     ns = np.asarray(ns, dtype=int)
     n0, n1 = ctx.n_start, int(ns.max()) + 1
-    B = ansatz.ansatz_ratio_window(ctx, n0, n1, ansatz.theta_window(ctx, n0, n1))
-    a = model.a_fn(np.arange(n0, n1, dtype=float))
-    return ansatz.remainder_window(ctx, model, n0 + 1, n1, B, a)[ns - n0 - 1]
+    st = ansatz.Stretch(ctx.params, model, n0, n1)
+    B = ansatz.ansatz_ratio_window(ctx, st, ansatz.theta_window(ctx, st))
+    return ansatz.remainder_window(ctx, st, B)[ns - n0 - 1]
 
 
 def phi_at(zp, params, ns):

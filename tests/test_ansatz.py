@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_sample_indices, loglog_slope, phi_at, power, remainder_at
+from conftest import log_sample_indices, loglog_slope, phi_at, power, remainder_at, theta_on
 from critjac import ansatz, coeffs
 from critjac.errors import BranchPoint, InvalidParameter
 
@@ -12,7 +12,7 @@ def thetas(zp, params, n0, n1):
     """theta_n for n in [n0, n1) from a window that starts at n0,
     conjugated back to zp as phase_context says."""
     ctx = ansatz.phase_context(zp, params, n0)
-    th = ansatz.theta_window(ctx, n0, n1)
+    th = theta_on(ctx, n0, n1)
     return -th.conjugate() if ctx.conj else th
 
 
@@ -81,7 +81,7 @@ class TestPhases:
         phi = ansatz.phi_window(ctx, n0 + 20)
         assert len(phi) == 21 and phi[0] == 0.0
         np.testing.assert_allclose(np.diff(phi),
-                                   ansatz.theta_window(ctx, n0, n0 + 20),
+                                   theta_on(ctx, n0, n0 + 20),
                                    rtol=0.0, atol=1e-14)
 
     def test_im_theta_nonnegative(self):
@@ -109,7 +109,7 @@ class TestPhases:
             # the same identity evaluated directly at conj(w), unconjugated
             up = ansatz.phase_context(ansatz.interior(z), p, n)
             raw = ansatz.PhaseContext(up.w.conjugate(), False, n, p)
-            t_raw = complex(ansatz.theta_window(raw, n, n + 1)[0])
+            t_raw = complex(theta_on(raw, n, n + 1)[0])
             assert t_raw == pytest.approx(-t_up.conjugate())
 
     def test_im_phi_monotone_upper_half(self, laguerre0):

@@ -212,6 +212,32 @@ def test_density_default_window_past_cap(capsys):
     assert out.strip().split("\n")[1] == "-50,ERROR:InvalidParameter,,,"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "0", "--lambda-min", "1", "--N", "5"],
+    # the too-short point (n0 = 32768 at -4) is in the second pool group
+    ["--sigma", "1.25", "--beta", "-0.875", "--lambda-min", "-4", "--lambda-max", "1",
+     "--lambda-step", "1", "--N", "20000", "--threads", "2"],
+], ids=["one_point", "later_group"])
+def test_density_window_too_short_is_config_error(argv, monkeypatch, capsys):
+    # an explicit --N too short for an a.c. grid point is a bad
+    # configuration, refused before any group is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the window")
+
+    monkeypatch.setattr(volterra, "solve_group", no_solve)
+    code, out, err = run(["density", *argv], capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter: window too short" in err
+
+
+def test_density_short_window_outside_ac_is_error_row(capsys):
+    # a point outside the a.c. set is refused for its own sake, whatever N
+    code, out, _ = run(["density", "--p", "0", "--lambda-min", "-1", "--N", "5"], capsys)
+    assert code == 3
+    assert out.strip().split("\n")[1] == "-1,ERROR:OutsideAC,,,"
+
+
 def test_density_rejects_zero_threads(capsys):
     code, out, err = run(["density", "--p", "0", "--lambda-min", "1.0",
                           "--N", "20000", "--threads", "0"], capsys)
@@ -224,12 +250,11 @@ def test_density_error_row_mid_sweep(monkeypatch, capsys):
     # an error row keeps its place, and eta continues from the last good row
     etas = {1.0: 3.0, 2.0: -3.0, 4.0: -2.5, 5.0: -2.0}
 
-    def fake_density(lam, params, model, N=None):
-        if lam not in etas:
-            raise NumericFailure("injected")
-        return spectral.DensitySample(lam, 0.1, 1.0, etas[lam], 0.5)
+    def fake_density(lams, params, model, N=None):
+        return [spectral.DensitySample(lam, 0.1, 1.0, etas[lam], 0.5)
+                if lam in etas else NumericFailure("injected") for lam in lams]
 
-    monkeypatch.setattr(spectral, "density", fake_density)
+    monkeypatch.setattr(spectral, "density_group", fake_density)
     code, out, _ = run(["density", "--p", "0", "--lambda-min", "1", "--lambda-max",
                         "5", "--lambda-step", "1"], capsys)
     assert code == 3
@@ -248,6 +273,16 @@ def test_density_byte_identical(capsys):
     assert out1 == out2
     _, out3, _ = run(args + ["--threads", "3"], capsys)
     assert out3 == out1
+
+
+def test_config_format_outside_flag_choices(tmp_path, capsys):
+    # the file's format is held to the flag's choices, csv and json
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 0.0, "format": "xml"}))
+    code, out, err = run(["classify", "--config", str(cfg)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err and "xml" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -305,6 +340,7 @@ def test_non_positive_window_is_config_error(argv, monkeypatch, capsys):
         raise AssertionError("solved before checking the window")
 
     monkeypatch.setattr(volterra, "solve", no_solve)
+    monkeypatch.setattr(volterra, "solve_group", no_solve)
     code, out, err = run(argv, capsys)
     assert code == 4
     assert out == ""

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from conftest import power
 from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
 from critjac.errors import (
+    CritJacError,
     EigenvalueHit,
     InvalidParameter,
     NumericFailure,
@@ -94,6 +95,31 @@ class TestDensity:
             spectral.density(-1.0, p, m)
         with pytest.raises(ThresholdPoint):
             spectral.density(5e-4, p, m)
+
+    @pytest.mark.parametrize("case", ["laguerre", "whole_line"])
+    def test_sweep_matches_each_point_alone(self, laguerre0, case):
+        # the sweep solves its grid as one group; every sample is the
+        # point's density alone bit for bit, eta continued by nearest branch
+        m, p = laguerre0 if case == "laguerre" else power(1.25, 0.0, -0.875)
+        lams = [0.5, 1.0, 2.0, 4.0] if case == "laguerre" else [-2.0, -0.5, 0.0, 1.5]
+        prev = None
+        for lam, got in zip(lams, spectral.density_sweep(lams, p, m, N=20_000)):
+            one = spectral.density(lam, p, m, N=20_000)
+            prev = spectral.nearest_branch(one.eta, prev)
+            assert got == spectral.DensitySample(one.lam, one.xi, one.kappa, prev, one.w)
+
+    def test_group_keeps_each_point_error(self, laguerre0):
+        # points outside the a.c. set or in a threshold's guard band keep
+        # their errors in place; the rest are their densities alone
+        m, p = laguerre0
+        lams = [-1.0, 1.0, 5e-4, 2.0]
+        for lam, got in zip(lams, spectral.density_group(lams, p, m, N=20_000)):
+            try:
+                assert got == spectral.density(lam, p, m, N=20_000)
+            except CritJacError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+        with pytest.raises(OutsideAC):
+            spectral.density_sweep(lams, p, m, N=20_000)
 
     def test_sweep_unwraps_eta(self, laguerre0):
         m, p = laguerre0

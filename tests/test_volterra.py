@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import force_complex, loglog_slope, phi_at, power, remainder_at
+from conftest import force_complex, loglog_slope, phi_at, power, remainder_at, theta_on
 from critjac import ansatz, solutions, volterra
-from critjac.errors import InvalidParameter, NumericFailure
+from critjac.errors import CritJacError, InvalidParameter, NumericFailure
 from critjac.logcomplex import LogComplex
 
 
@@ -64,12 +64,17 @@ def sweep_error(u: np.ndarray, u_ref: np.ndarray) -> float:
     return float(np.max(np.abs(u - u_ref) / np.maximum(1.0, np.abs(u_ref))))
 
 
+def stretch(ctx, m, lo, hi):
+    """The z-independent arrays of the stretch [lo, hi]."""
+    return ansatz.Stretch(ctx.params, m, lo, hi + 1)
+
+
 def window_at(zp, p, m, N):
     """Lambda_n and Rcal_n of the solve's window [n_start, N], built as
     one stretch (bit for bit the window's stretches), and the phase
     context."""
     ctx = ansatz.phase_context(zp, p)
-    lam, rr = volterra._local_chunk(ctx, m, ctx.n_start, N)
+    lam, rr = volterra._local_chunk(ctx, stretch(ctx, m, ctx.n_start, N))
     return lam, rr, ctx
 
 
@@ -82,7 +87,7 @@ class KernelLogs:
         self.ctx = ansatz.phase_context(zp, p)
         self.n0 = self.ctx.n_start
         _, self.logX, self.uniXinv, self.logPS, self.uniPS, _ = \
-            volterra._kernel_chunk(self.ctx, m, self.n0, N)
+            volterra._kernel_chunk(self.ctx, stretch(self.ctx, m, self.n0, N))
 
 
 def x_at(kern, n: int) -> LogComplex:
@@ -174,8 +179,8 @@ def test_blocked_sweep_matches_scalar_loop_on_kernels(laguerre0, model, zp, N,
     lam, rr, ctx = window_at(zp, p, m, N)
     top = (1.0 + 0.0j, 0.0 + 0.0j)
     if tail_init == "asymptotic":
-        top = volterra._top_boundary(ctx, m, N, N)[:2]
-    u = volterra.VolterraKernel(ctx, m, ctx.n_start, N).sweep(*top)
+        top = volterra._top_boundary([ctx], m, N, N)[0][:2]
+    (u, _), = volterra.VolterraKernel([ctx], m, N).sweep([top])
     assert sweep_error(u, scalar_sweep(lam, rr, *top)) <= 1e-12
 
 
@@ -207,7 +212,7 @@ def log_x_reference(ctx, model, N, stride=97):
     and its rounding error).  Returns (ks, log|X|, arg X) as doubles.
     """
     n0, rho = ctx.n_start, mpmath.mpf(ctx.params.rho)
-    th = ansatz.theta_window(ctx, n0, N + 1)
+    th = theta_on(ctx, n0, N + 1)
     a = model.a_fn(np.arange(n0, N + 1, dtype=float)).tolist()
     re, im = th.real.tolist(), th.imag.tolist()
     ks = list(range(0, N - n0, stride)) + [N - n0]
@@ -247,7 +252,7 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
     # the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, m, ctx.n_start, N)
+    _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, stretch(ctx, m, ctx.n_start, N))
     ks, logref, argref = log_x_reference(ctx, m, N)
     tol = 1e-14 + np.finfo(float).eps * np.sqrt(ks)
     assert np.all(np.abs(logX[ks] - logref) <= tol * np.maximum(1.0, np.abs(logref)))
@@ -267,15 +272,14 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
     # the prefix sums to rounding (their blocks are framed per stretch)
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    n0, C = ctx.n_start, volterra._CHUNK
-    whole = volterra._kernel_chunk(ctx, m, n0, N)
-    whole_lam = volterra._local_chunk(ctx, m, n0, N)[0]
+    n0 = ctx.n_start
+    whole = volterra._kernel_chunk(ctx, stretch(ctx, m, n0, N))
+    whole_lam = volterra._local_chunk(ctx, stretch(ctx, m, n0, N))[0]
     head = volterra._WINDOW_START
-    for lo in range(n0, N, C):
-        hi = min(lo + C, N)
-        *part, head = volterra._kernel_chunk(ctx, m, lo, hi, head)
+    for lo, hi in volterra._stretches(n0, N):
+        *part, head = volterra._kernel_chunk(ctx, stretch(ctx, m, lo, hi), head)
         sl = slice(lo - n0, hi - n0 + 1)
-        lam = volterra._local_chunk(ctx, m, lo, hi)[0]
+        lam = volterra._local_chunk(ctx, stretch(ctx, m, lo, hi))[0]
         assert np.array_equal(lam[1:], whole_lam[sl][1:])   # entry 0 is nan
         assert np.array_equal(part[0][1:], whole[0][sl][1:])  # rr
         for j in (1, 2):                                     # logX, uniXinv
@@ -319,24 +323,29 @@ def levin_omega(y: np.ndarray) -> np.ndarray:
 
 def fit_limit(partials, ms, exponents, terms, chunk=997):
     """The streamed tail fit over the second half of the rows, fed in
-    chunks of `chunk` rows as _top_boundary feeds it its stretches."""
-    fit = volterra._TailFit(exponents, (len(partials) - 1) // 2)
+    chunks of `chunk` rows, the rows below the second half left out, as
+    _top_boundary feeds it its stretches."""
+    fit = volterra._TailFit()
+    first = (len(partials) - 1) // 2
+    powers = ms[:, None] ** np.asarray(exponents)
     for lo in range(0, len(partials), chunk):
-        sl = slice(lo, lo + chunk)
-        volterra._fit_partial_limit(partials[sl], ms[sl], terms[sl], fit)
+        sl = slice(max(lo, first), lo + chunk)
+        if sl.start < min(sl.stop, len(partials)):
+            volterra._fit_partial_limit(partials[sl], powers[sl], terms[sl], fit)
     return fit.limits()
 
 
-def scaled_lstsq(partials, ms, exponents, terms):
+def scaled_lstsq(partials, powers, terms, first=None):
     """One np.linalg.lstsq over the same rows as the streamed fit: the
-    second half of the rows less the last, against {1, m^e, omega} (omega
-    as its real and imaginary parts), columns scaled to unit size.
-    Returns the limits and the scaled basis's condition number."""
+    rows from `first` (default the second half) less the last, against
+    {1, m^e, omega} (m^e the columns of powers, omega as its real and
+    imaginary parts), columns scaled to unit size.  Returns the limits
+    and the scaled basis's condition number."""
     K = len(partials) - 1
-    sl = slice(K // 2, K)
+    sl = slice(K // 2 if first is None else first, K)
     w = levin_omega(terms)[sl]
     P = partials[sl]
-    cols = [np.ones(len(w))] + [ms[sl] ** e for e in exponents]
+    cols = [np.ones(len(w))] + list(powers[sl].T)
     cols += [w.real, w.imag] if np.iscomplexobj(P) else [w]
     A = np.column_stack(cols)
     A /= np.max(np.abs(A), axis=0)
@@ -447,7 +456,7 @@ def test_streamed_fit_matches_lstsq(chunk):
     S = c[0] + sum(np.outer(m ** e, ck) for e, ck in zip(ex, c[1:4])) \
         + np.outer(np.cumsum(y), c[4]) + 1e-9 * rng.normal(size=(4000, 2))
     lim, _ = fit_limit(S, m, ex, y, chunk=chunk)
-    ref, cond = scaled_lstsq(S, m, ex, y)
+    ref, cond = scaled_lstsq(S, m[:, None] ** np.asarray(ex), y)
     assert np.all(np.abs(lim - ref) <= np.finfo(float).eps * cond * np.abs(ref))
 
 
@@ -461,17 +470,20 @@ def test_streamed_fit_matches_lstsq_on_a_tail(zp, monkeypatch):
     N, fed = 20_000, []
     feed = volterra._fit_partial_limit
 
-    def recording(partials, ms, terms, fit):
-        fed.append((partials.copy(), ms.copy(), terms.copy()))
-        feed(partials, ms, terms, fit)
+    def recording(partials, powers, terms, fit):
+        fed.append((partials.copy(), powers.copy(), terms.copy()))
+        feed(partials, powers, terms, fit)
 
     monkeypatch.setattr(volterra, "_fit_partial_limit", recording)
-    u_top, d_top, _ = volterra._top_boundary(ctx, m, N, N)
+    u_top, d_top, _ = volterra._top_boundary([ctx], m, N, N)[0]
     assert len(fed) == 2
-    partials, ms, terms = (np.concatenate(a) for a in zip(*fed))
+    # the fed rows are the fitted ones, from the second half of the tail
+    partials, powers, terms = (np.concatenate(a) for a in zip(*fed))
     slow = p.nu - p.delta + 1.0
-    (t_lim, y_lim), cond = scaled_lstsq(
-        partials, ms, (slow, 2 * p.nu - p.delta, slow - p.sigma), terms)
+    ms = N + (N - 1) // 2 + 1.0 + np.arange(len(partials))
+    assert np.array_equal(powers, ms[:, None] ** np.array(
+        [slow, 2 * p.nu - p.delta, slow - p.sigma]))
+    (t_lim, y_lim), cond = scaled_lstsq(partials, powers, terms, 0)
     tol = np.finfo(float).eps * cond
     assert abs(u_top - 1.0 - t_lim) <= tol * abs(t_lim)
     assert abs(d_top - y_lim) <= tol * abs(y_lim)
@@ -739,9 +751,9 @@ class TestSolve:
         N = 20_000
         chunk = volterra._kernel_chunk
 
-        def broken(ctx, model, lo, hi, head):
-            out = chunk(ctx, model, lo, hi, head)
-            if lo > N:                           # above the tail's first stretch
+        def broken(ctx, st, head):
+            out = chunk(ctx, st, head)
+            if st.lo > N:                        # above the tail's first stretch
                 out[0][len(out[0]) // 2] = bad
             return out
 
@@ -790,9 +802,9 @@ class TestSolve:
         chunk = volterra._local_chunk
         n0 = ansatz.phase_context(zp, p).n_start
 
-        def broken(ctx, model, lo, hi):
-            out = chunk(ctx, model, lo, hi)
-            if lo > n0:                          # the stretches above n0 + 1
+        def broken(ctx, st):
+            out = chunk(ctx, st)
+            if st.lo > n0:                       # the stretches above n0 + 1
                 out[which][len(out[which]) // 2] = bad
             return out
 
@@ -891,25 +903,26 @@ class TestDtype:
         # Lambda, Rcal and u equal a build forced complex from the same B_n
         # bit for bit
         m, p = power(1.25, 0.0, -0.875)
-        n0, N, C = 100, 60_000, volterra._CHUNK
+        n0, N = 100, 60_000
         ctx = ansatz.phase_context(ansatz.at_plus(-5.9), p, n0)
-        th = ansatz.theta_window(ctx, n0, N + 1)
-        assert not th[:C + 1].real.any() and th.real.any()
-        edges = [(lo, min(lo + C, N)) for lo in range(n0, N, C)]
-        parts = [volterra._local_chunk(ctx, m, lo, hi) for lo, hi in edges]
-        kern = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
-        u = kern.sweep()
+        edges = volterra._stretches(n0, N)
+        th = theta_on(ctx, n0, N + 1)
+        assert not th[:edges[0][1] - n0 + 1].real.any() and th.real.any()
+        parts = [volterra._local_chunk(ctx, stretch(ctx, m, lo, hi)) for lo, hi in edges]
+        kern = volterra.VolterraKernel([ctx], m, N, n_top=n_top)
+        (u, res), = kern.sweep([(1.0 + 0.0j, 0.0 + 0.0j)])
         force_complex(monkeypatch)
-        refs = [volterra._local_chunk(ctx, m, lo, hi) for lo, hi in edges]
-        ref = volterra.VolterraKernel(ctx, m, n0, N, n_top=n_top)
+        refs = [volterra._local_chunk(ctx, stretch(ctx, m, lo, hi)) for lo, hi in edges]
+        ref = volterra.VolterraKernel([ctx], m, N, n_top=n_top)
         assert [lam.dtype.kind for lam, _ in parts] == ["f"] + ["c"] * (len(edges) - 1)
         for part, want in zip(parts, refs):
             assert part[0].dtype == part[1].dtype
             assert np.array_equal(part[0], want[0], equal_nan=True)
             assert np.array_equal(part[1], want[1], equal_nan=True)
         assert u.dtype == np.complex128
-        assert np.array_equal(u, ref.sweep())
-        assert kern.residual == ref.residual
+        (u_ref, res_ref), = ref.sweep([(1.0 + 0.0j, 0.0 + 0.0j)])
+        assert np.array_equal(u, u_ref)
+        assert res == res_ref
 
     @pytest.mark.parametrize("tail_init, rel", [("unit", 0.0), ("asymptotic", 1e-12)])
     @pytest.mark.parametrize("z", [-0.5, -0.2])
@@ -924,7 +937,7 @@ class TestDtype:
         # exactly with the unit tail
         m, p = power(0.5, 1.0, 0.0)
         zp, n0, N = ansatz.interior(z), 50, 200_000
-        th = ansatz.theta_window(ansatz.phase_context(zp, p, n0), n0, N + 1)
+        th = theta_on(ansatz.phase_context(zp, p, n0), n0, N + 1)
         assert not th[57 - n0:].real.any() and th[:57 - n0].real.any() == (z == -0.2)
 
         def window(n_top):
@@ -999,9 +1012,123 @@ def test_tail_bound_zero_for_zero_kernel(laguerre0, monkeypatch):
     zp = ansatz.at_plus(1.0)
     ctx = ansatz.phase_context(zp, p)
     for N in (3000, 40_000):
-        assert volterra._top_boundary(ctx, m, N, N)[:2] == (1.0, 0.0)
+        assert volterra._top_boundary([ctx], m, N, N)[0][:2] == (1.0, 0.0)
         for n_top in (None, ctx.n_start + 1):
             sol = volterra.solve(zp, p, m, N=N, n_top=n_top)
             assert len(sol.u) == (n_top or N) - ctx.n_start + 1
             assert np.all(sol.u == 1.0)
 
+
+
+# -- groups of points solved in lockstep --------------------------------------
+
+# the points of a group share the model, N and the tail mode; their
+# window starts differ (2048 at the whole line's -2 + i0, 8 elsewhere), and
+# the last point of each group fails on its own: a real point inside the
+# a.c. set without a side tag, a threshold
+GROUPS = {
+    "whole_line": (power(1.25, 0.0, -0.875), 60_000,
+                   [ansatz.at_plus(-2.0), ansatz.at_plus(1.5),
+                    ansatz.interior(0.7 - 0.4j), ansatz.interior(1.5)]),
+    "laguerre": (None, 20_000,
+                 [ansatz.at_plus(1.0), ansatz.interior(1.0 + 1.0j),
+                  ansatz.interior(-1.0), ansatz.at_plus(0.0)]),
+}
+
+
+def assert_same_solution(got, want):
+    """Two VolterraSolutions equal bit for bit."""
+    assert got.u.dtype == want.u.dtype and np.array_equal(got.u, want.u)
+    assert (got.n0, got.N, got.residual, got.conjugated, got.meta) == \
+        (want.n0, want.N, want.residual, want.conjugated, want.meta)
+
+
+def alone(zp, p, m, **kwargs):
+    """The point's solve on its own, or the error it raises."""
+    try:
+        return volterra.solve(zp, p, m, **kwargs)
+    except CritJacError as exc:
+        return exc
+
+
+class TestGroup:
+    @pytest.mark.parametrize("n_top", [None, 0])
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    @pytest.mark.parametrize("case", list(GROUPS))
+    def test_group_matches_each_point_alone(self, laguerre0, case, tail_init, n_top):
+        # each point of a group gets the u, residual and meta of its solve
+        # alone bit for bit, a.c., complex and real points alike, and a
+        # point that fails keeps its own error while the rest go on
+        model, N, points = GROUPS[case]
+        m, p = model or laguerre0
+        group = volterra.solve_group(points, p, m, N=N, tail_init=tail_init, n_top=n_top)
+        assert len(group) == len(points) and isinstance(group[-1], CritJacError)
+        for zp, got in zip(points, group):
+            want = alone(zp, p, m, N=N, tail_init=tail_init, n_top=n_top)
+            if isinstance(want, CritJacError):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert_same_solution(got, want)
+
+    @pytest.mark.parametrize("case", list(GROUPS))
+    def test_omega_group_matches_each_point_alone(self, laguerre0, case):
+        model, N, points = GROUPS[case]
+        m, p = model or laguerre0
+        for zp, got in zip(points, solutions.omega_group(points, p, m, N=N)):
+            try:
+                assert got == solutions.omega(zp, p, m, N=N)
+            except CritJacError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+
+    @pytest.mark.parametrize("stage, chunk", [("tail", "_kernel_chunk"),
+                                              ("window", "_local_chunk")])
+    def test_failure_stays_with_its_point(self, laguerre0, monkeypatch, stage, chunk):
+        # a non-finite kernel term at one point of a group, in its tail
+        # window or its window, fails that point alone: the others still
+        # get their solves alone bit for bit
+        m, p = laguerre0
+        points = [ansatz.at_plus(1.0), ansatz.interior(1.0 + 1.0j), ansatz.interior(-1.0)]
+        bad_w = ansatz.phase_context(points[1], p).w
+        build = getattr(volterra, chunk)
+
+        def broken(ctx, st, *head):
+            out = build(ctx, st, *head)
+            if ctx.w == bad_w:
+                out[0][len(out[0]) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(volterra, chunk, broken)
+        group = volterra.solve_group(points, p, m, N=40_000)
+        match = "non-finite tail term" if stage == "tail" else "non-finite kernel transfer"
+        assert isinstance(group[1], NumericFailure) and match in str(group[1])
+        for k in (0, 2):
+            assert_same_solution(group[k], volterra.solve(points[k], p, m, N=40_000))
+
+    def test_explicit_window_too_short_for_a_point_raises(self, monkeypatch):
+        # an N that does not fit one point's window start is the call's
+        # error, raised before anything is built; a default window past
+        # N_CAP is the point's own (test_default_window_start_beyond_cap)
+        m, p = power(1.25, 0.0, -0.875)
+        monkeypatch.setattr(volterra, "_solve_window", None)   # never reached
+        with pytest.raises(InvalidParameter, match=r"window too short: n0 = 32768"):
+            volterra.solve_group([ansatz.at_plus(1.0), ansatz.at_plus(-4.0)], p, m, N=20_000)
+
+    @pytest.mark.parametrize("below", [1, 3])
+    @pytest.mark.parametrize("n_top", [None, 0])
+    def test_window_start_just_below_a_stretch_edge(self, laguerre0, below, n_top):
+        # a window that starts `below` indices under a multiple of 2^14 has
+        # a bottom stretch of `below` steps; u matches one scalar loop over
+        # the whole window and solves its equation to rounding, and a head
+        # solve reads the same u
+        m, p = laguerre0
+        zp, C = ansatz.at_plus(1.0), volterra._CHUNK
+        n0 = 2 * C - below
+        N = n0 + 30_000
+        assert volterra._stretches(n0, N)[0] == (n0, 2 * C)
+        ctx = ansatz.phase_context(zp, p, n0)
+        lam, rr = volterra._local_chunk(ctx, stretch(ctx, m, n0, N))
+        whole = volterra.solve(zp, p, m, n0=n0, N=N, tail_init="unit")
+        assert sweep_error(whole.u, scalar_sweep(lam, rr)) <= 1e-12
+        assert whole.residual < 1e-14
+        sol = volterra.solve(zp, p, m, n0=n0, N=N, tail_init="unit", n_top=n_top)
+        assert np.array_equal(sol.u, whole.u[:len(sol.u)])
