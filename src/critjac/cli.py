@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int)
         p.add_argument("--out")
         p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="density: pool threads, one contiguous group of the grid "
+                            "each; run with OPENBLAS_NUM_THREADS=1, or the tail fit's "
+                            "LAPACK QR starts threads of its own")
         if name == "resolvent":
             p.add_argument("--n", type=int)
             p.add_argument("--m", type=int)

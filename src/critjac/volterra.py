@@ -41,8 +41,10 @@ The window top is seeded from first-order tail sums of the kernel over
 the next N indices (at most 10^6), their limits fitted against a remainder
 model with Levin's oscillating remainder (_top_boundary); letting the
 oscillation average out instead needed a tail window twice as long.  The
-tail window is streamed the same way, from the bottom up; its sums need
-X_n and the prefix sums of X_n^{-1}, carried from stretch to stretch
+tail window is streamed the same way, from the bottom up; its terms need
+X_n and the prefix sums of X_n^{-1}, which stay in scaled frames
+(_sum_frames) from which the terms are formed directly, and only each
+stretch's last sum is carried up as a log-magnitude and a phase
 (_kernel_chunk).
 
 The window's stretch edges sit at the multiples of 2^14 (_stretches),
@@ -100,7 +102,7 @@ N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # stretch edges sit at its multiples
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
-_SUM_BLOCK = 65536                        # most terms per frame of _scaled_prefix_sum
+_SUM_BLOCK = 65536                        # most terms per frame of _sum_frames
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
 
 
@@ -292,56 +294,83 @@ def _rcal_chunk(ctx: PhaseContext, st: Stretch, dtype: np.dtype,
 
 def _kernel_chunk(ctx: PhaseContext, st: Stretch,
                   head: tuple = _WINDOW_START) -> tuple:
-    """The tail window's arrays on the stretch [lo, hi] = [st.lo,
-    st.hi - 1] of a window that starts at n0: (rr, logX, uniXinv, logPS,
-    uniPS, head), indexed by n - lo.
+    """The tail window's terms on the stretch [lo, hi] = [st.lo,
+    st.hi - 1] of a window that starts at n0: (t, y, head), t and y
+    indexed by m - lo - 1 for m in (lo, hi], with
 
-    rr holds Rcal_n (_rcal_chunk); logX and uniXinv give
-    X_n = Lambda_{n0+1} ... Lambda_n as log|X_n| and the unit phase of
-    X_n^{-1}, e^{-i arg X_n}; logPS, uniPS give the prefix sums
-    PS_n = sum_{p=n0}^{n} X_p^{-1}, scaled blockwise: exp(+-Im Phi_n)
-    spans hundreds of orders of magnitude off the spectrum.
+        t_m = G_{n0,m} Rcal_m = X_{m-1} PS_{m-1} Rcal_m,
+        y_m = (X_{m-1}/X_{n0}) Rcal_m = X_{m-1} Rcal_m,
+
+    PS_n = sum_{p=n0}^{n} X_p^{-1} and X_n = Lambda_{n0+1} ... Lambda_n
+    (_x_chunk).  The prefix sums come in scaled frames (_sum_frames):
+    exp(+-Im Phi_n) spans hundreds of orders of magnitude off the
+    spectrum.  The terms are formed straight from them, with no log of a
+    sum or of Rcal_m: y_m = exp(log|X_{m-1}|) e^{i arg X_{m-1}} Rcal_m and
+    t_m = exp(log|X_{m-1}| + ref) e^{i arg X_{m-1}} Rcal_m S_{m-1}, ref and
+    S the frame's reference and scaled sum; each factor stays in range
+    where the terms do, since they are terms of the convergent sums for
+    u_N - 1 and D_N.  Only a stretch's last sum is turned into logs, for
+    the head.
+
+    `head` is (c0, Phi_lo, log|PS_lo|, phase of PS_lo), _WINDOW_START
+    where lo = n0 (c0 is then taken at lo); the returned head is the same
+    at hi, for the stretch above.  The running sums go on from the head,
+    so the stretches of a window add in the order of one pass over it.
+    The PS phase hands the dtype up (_rcal_chunk): on a real kernel every
+    unit phase is 1 and the terms are real.
+    """
+    c0, phi0, logps0, unips0 = head
+    th = theta_window(ctx, st)                            # theta_n, n in [lo, hi]
+    rr, _ = _rcal_chunk(ctx, st, np.result_type(unips0), th)
+    logX, uni, c0, phi_hi = _x_chunk(st, th, c0, phi0, rr.dtype)
+    del th
+    logv = np.negative(logX)
+    logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
+    S, frames = _sum_frames(logv, uni, carry=(logps0, unips0))
+    del logv
+    head = (c0, phi_hi, *_last_log(S[-1:], frames[-1][2]))
+    w = rr[1:]                                            # e^{i arg X_{m-1}} Rcal_m
+    w *= np.conjugate(uni[:-1], out=uni[:-1])
+    del uni
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        y = np.exp(logX[:-1]) * w
+        for lo, hi, ref in frames:
+            S[lo:hi] *= np.exp(logX[lo:hi] + ref)
+        t = S[:-1]                                        # t_m from S_{m-1}
+        t *= w
+    return t, y, head
+
+
+def _x_chunk(st: Stretch, th: np.ndarray, c0: float | None, phi0: complex,
+             dtype: np.dtype) -> tuple:
+    """(logX, uniXinv, c0, Phi_hi): X_n = Lambda_{n0+1} ... Lambda_n on the
+    stretch [lo, hi] = [st.lo, st.hi - 1] as log|X_n| and the unit phase of
+    X_n^{-1}, e^{-i arg X_n} (1 in a real `dtype`), indexed by n - lo,
+    from theta_n on [lo, hi] and the head's c0 and Phi_lo (_kernel_chunk).
 
     X_n telescopes to a_n A_n A_{n+1} / (a_{n0} A_{n0} A_{n0+1}), so with
     |gamma| = 1 it is taken in closed form, not from Lambda_n:
     log|X_n| = log a_n - rho log(n (n + 1)) - Im Phi_n - c0 and
     arg X_n = Re Phi_n, where Phi_n is the running sum of
     theta_k + theta_{k-1} over k in (n0, n] and c0 is log a_n0 -
-    rho log(n0 (n0 + 1)).  Against a 40-digit sum of log Lambda_k,
-    log|X_N| is off by 8.9e-16 on the Laguerre kernel at 1 + i0
-    (N = 2e5), the summed logs of the rounded Lambda_n by 5.7e-12.
-
-    `head` is (c0, Phi_lo, log|PS_lo|, phase of PS_lo), _WINDOW_START
-    where lo = n0 (c0 is then taken at lo); the returned head is the same
-    at hi, for the stretch above.  The running sums go on from the head,
-    so the stretches of a window add in the order of one pass over it.
-    The PS phase hands the dtype up (_rcal_chunk).  Phi is always
-    complex; on a real kernel Re Phi_n = 0 and every unit phase is 1.
+    rho log(n0 (n0 + 1)) (taken at lo when None).  Against a 40-digit sum
+    of log Lambda_k, log|X_N| is off by 8.9e-16 on the Laguerre kernel at
+    1 + i0 (N = 2e5), the summed logs of the rounded Lambda_n by 5.7e-12.
+    Phi is always complex; on a real kernel Re Phi_n = 0.
     """
-    c0, phi0, logps0, unips0 = head
-    th = theta_window(ctx, st)                            # theta_n, n in [lo, hi]
-    rr, _ = _rcal_chunk(ctx, st, np.result_type(unips0), th)
     phi = np.empty(len(th), dtype=complex)                # Phi_n
     phi[0] = phi0
     np.add(th[1:], th[:-1], out=phi[1:])
-    del th
     np.cumsum(phi, out=phi)
     if c0 is None:
         c0 = float(st.log_x[0])
     logX = st.log_x - phi.imag
     logX -= c0
-    uniXinv = np.ones(len(phi), dtype=rr.dtype)           # e^{-i arg X_n}: 1 on a real kernel
+    uniXinv = np.ones(len(phi), dtype=dtype)              # e^{-i arg X_n}: 1 on a real kernel
     if uniXinv.dtype.kind == "c":
         np.cos(phi.real, out=uniXinv.real)
         np.sin(-phi.real, out=uniXinv.imag)
-    phi_hi = complex(phi[-1])
-    del phi
-
-    logv = np.negative(logX)
-    logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
-    logPS, uniPS = _scaled_prefix_sum(logv, uniXinv, carry=(logps0, unips0))
-    return (rr, logX, uniXinv, logPS, uniPS,
-            (c0, phi_hi, float(logPS[-1]), uniPS[-1].item()))
+    return logX, uniXinv, c0, complex(phi[-1])
 
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,
@@ -455,53 +484,101 @@ def _step_rows(a: np.ndarray, K: int, b: int, nb: int,
     return out
 
 
-def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
-                       carry: tuple = (-np.inf, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase),
-    added to `carry`, a sum already taken in the same form.
+def _sum_frames(logv: np.ndarray, unitv: np.ndarray,
+                carry: tuple = (-np.inf, 1.0)) -> tuple[np.ndarray, list]:
+    """Prefix sums of exp(logv) * unitv, added to `carry`, a sum given as
+    (log-magnitude, unit phase), in scaled frames: (S, frames) with
+    frames the list of (lo, hi, ref) that cover [0, len(logv)) bottom up,
+    and the sum at k in [lo, hi) equal to exp(ref) S[k].
 
-    Each term comes in as a real log-magnitude and a unit complex phase,
-    the form the sums themselves come out in, so a term costs one real
-    exp and one complex product.  Angles would cost a complex exp per
-    term (over ten times as much: 9.9 against 0.75 ms for 2e5 terms) and,
-    where a phase is a product of unit numbers, an np.angle per factor.
-
-    Terms are summed blockwise, at most _SUM_BLOCK at a time, in the
-    frame of the block's running maximum; a block is cut as soon as that
-    frame would grow by more than _SUM_SPAN nats, so every partial sum
-    stays inside the normal double range no matter how steeply the
-    magnitudes climb.  A partial
-    sum that is exactly zero comes out as (-inf, 1).  The phases come out
-    in the dtype of unitv: real terms give real signs.  The last sum is
-    the carry for the terms that follow.
+    Each term comes in as a real log-magnitude and a unit phase, so a
+    term costs one real exp and one product; angles would cost a complex
+    exp per term (over ten times as much: 9.9 against 0.75 ms for 2e5
+    terms).  A frame holds at most _SUM_BLOCK terms and is cut as soon
+    as the running maximum of logv would climb more than _SUM_SPAN nats
+    above its start (its first term or the carry), so every scaled sum
+    stays inside the normal double range however steeply the magnitudes
+    climb; ref is the frame's largest log-magnitude.  The frame's maximum
+    is taken first and the running maximum only where it climbs that far;
+    there one running maximum finds every cut of the block by bisection,
+    since past a cut the running maximum from the block start is the one
+    from the cut.  S is in the dtype of unitv (real terms, real sums).
     """
     n = len(logv)
-    out_log = np.empty(n)
-    out_unit = np.empty(n, dtype=unitv.dtype)
+    S = np.empty(n, dtype=np.result_type(unitv, float))
+    frames: list = []
     carry_log, carry_unit = carry
+
+    def frame(lo, hi, ref):                  # sum [lo, hi) and carry it on
+        nonlocal carry_log, carry_unit
+        part = S[lo:hi]
+        np.cumsum(np.exp(logv[lo:hi] - ref) * unitv[lo:hi], out=part)
+        if np.isfinite(carry_log):
+            part += np.exp(carry_log - ref) * carry_unit
+        frames.append((lo, hi, ref))
+        carry_log, carry_unit = _last_log(S[hi - 1:hi], ref)
+
     lo = 0
     while lo < n:
         cap = min(lo + _SUM_BLOCK, n)
-        runmax = np.maximum.accumulate(logv[lo:cap])
         frame0 = max(float(logv[lo]), carry_log)
-        cut = np.nonzero(runmax > frame0 + _SUM_SPAN)[0]
-        hi = lo + int(cut[0]) if len(cut) and cut[0] > 0 else (
-            lo + 1 if len(cut) else cap)
-        ref = max(float(runmax[hi - 1 - lo]), carry_log)
-        terms = np.exp(logv[lo:hi] - ref) * unitv[lo:hi]
-        partial = np.cumsum(terms)
-        if np.isfinite(carry_log):
-            partial += np.exp(carry_log - ref) * carry_unit
-        mag = np.abs(partial)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(mag, out=out_log[lo:hi])
-            np.divide(partial, mag, out=out_unit[lo:hi])
-        out_log[lo:hi] += ref
-        if not mag.all():                    # a sum that cancels exactly
-            out_unit[lo:hi][mag == 0.0] = 1.0
-        carry_log, carry_unit = float(out_log[hi - 1]), out_unit[hi - 1].item()
-        lo = hi
-    return out_log, out_unit
+        top = float(np.max(logv[lo:cap]))
+        if top <= frame0 + _SUM_SPAN:        # no cut (a NaN takes the search)
+            frame(lo, cap, max(top, carry_log))
+            lo = cap
+            continue
+        runmax = np.maximum.accumulate(logv[lo:cap])
+        a = lo
+        while True:
+            limit = frame0 + _SUM_SPAN       # numpy sorts NaN last: check the hit
+            k = a - lo + int(np.searchsorted(runmax[a - lo:], limit, "right"))
+            cut = k < len(runmax) and runmax[k] > limit
+            if not cut and a > lo and cap < n:
+                break                        # the frame from a may reach past cap
+            hi = lo + k if cut else cap
+            frame(a, hi, max(float(runmax[hi - 1 - lo]), carry_log))
+            a = hi
+            if not cut:
+                break
+            frame0 = max(float(logv[a]), carry_log)
+        lo = a
+    return S, frames
+
+
+def _to_logs(S: np.ndarray, ref: float, out_log: np.ndarray,
+             out_unit: np.ndarray) -> None:
+    """exp(ref) S as log-magnitudes and unit phases, into out_log and
+    out_unit (which may be S itself).  An exactly zero sum comes out as
+    (-inf, 1)."""
+    mag = np.abs(S)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(mag, out=out_log)
+        np.divide(S, mag, out=out_unit)
+    out_log += ref
+    if not mag.all():                        # a sum that cancels exactly
+        out_unit[mag == 0.0] = 1.0
+
+
+def _last_log(S: np.ndarray, ref: float) -> tuple:
+    """The one sum exp(ref) S[0] as (log-magnitude, unit phase) scalars."""
+    out_log, out_unit = np.empty(1), np.empty(1, dtype=S.dtype)
+    _to_logs(S, ref, out_log, out_unit)
+    return float(out_log[0]), out_unit[0].item()
+
+
+def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
+                       carry: tuple = (-np.inf, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of exp(logv) * unitv as (log-magnitude, unit phase),
+    added to `carry`, a sum already taken in the same form: _sum_frames'
+    scaled sums, each frame turned into logs.  The phases come out in the
+    dtype of unitv: real terms give real signs.  The last sum is the
+    carry for the terms that follow.
+    """
+    S, frames = _sum_frames(logv, unitv, carry)
+    out_log = np.empty(len(S))
+    for lo, hi, ref in frames:
+        _to_logs(S[lo:hi], ref, out_log[lo:hi], S[lo:hi])
+    return out_log, S
 
 
 def prefix_sum_frames(lo: int, hi: int, terms):
@@ -576,8 +653,10 @@ class _TailFit:
         basis = rows[:, :na]                     # max |A| without an |A| array
         top = np.maximum(basis.max(axis=0), -basis.min(axis=0))
         self.top = top if self.top is None else np.maximum(self.top, top)
-        sq = P.real ** 2 + P.imag ** 2 if self.split else P ** 2
-        self.sq += np.sum(sq, axis=0)
+        # ||P||^2 per column in one pass over its real and imaginary parts
+        # (einsum: unlike BLAS's dot it rounds alike for any thread count)
+        self.sq += np.array([np.einsum("i,i->", v, v) for v in
+                             (np.ascontiguousarray(col).view(float) for col in P.T)])
         # LAPACK's Householder QR in place; numpy's qr would copy the stack
         # twice and hold the GIL throughout, stalling the other threads
         self.R = np.triu(dgeqrf(stack, overwrite_a=True)[0][:stack.shape[1]])
@@ -690,54 +769,37 @@ class _Tail:
 
     ctx: PhaseContext
     fit: _TailFit = field(default_factory=_TailFit)
-    carry: np.ndarray | float = 0.0              # the sums below the stretch
+    carry: tuple = (0.0, 0.0)                    # the sums below the stretch
     head: tuple = _WINDOW_START
     error: CritJacError | None = None
 
     def add(self, st: Stretch, skip: int, powers: np.ndarray) -> None:
         """Sum the stretch's terms t_m, y_m, m in (lo, hi], and feed the
-        rows past the first `skip` to the fit."""
-        arrays = _kernel_chunk(self.ctx, st, self.head)
-        self.head = arrays[-1]
-        sums = np.stack(_tail_terms(*arrays[:5]), axis=1)
-        del arrays
-        y = sums[:, 1].copy()
-        sums[0] += self.carry
-        np.cumsum(sums, axis=0, out=sums)
-        self.carry = sums[-1].copy()
-        if skip < len(sums):
-            _fit_partial_limit(sums[skip:], powers, y[skip:], self.fit)
+        rows past the first `skip` to the fit.  The sums are laid out as
+        two rows, one per sequence, so each is one cumsum and the fit
+        reads contiguous columns."""
+        t, y, self.head = _kernel_chunk(self.ctx, st, self.head)
+        _require_finite(t, "t")
+        _require_finite(y, "y")
+        sums = np.empty((2, len(t)), dtype=t.dtype)
+        t[0] += self.carry[0]
+        np.cumsum(t, out=sums[0])
+        del t
+        sums[1] = y
+        sums[1, 0] += self.carry[1]
+        np.cumsum(sums[1], out=sums[1])
+        self.carry = sums[0, -1], sums[1, -1]
+        if skip < len(y):
+            _fit_partial_limit(sums.T[skip:], powers, y[skip:], self.fit)
 
     def boundary(self) -> tuple[complex, complex, float]:
         (t_lim, y_lim), resid = self.fit.limits()
         return (1.0 + t_lim).item(), y_lim.item(), resid
 
 
-def _tail_terms(rr: np.ndarray, logX: np.ndarray, uniXinv: np.ndarray,
-                logPS: np.ndarray, uniPS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t_m = G_{N,m} Rcal_m and y_m = (X_{m-1}/X_N) Rcal_m = t_m / PS_{m-1}
-    over a tail stretch (_kernel_chunk's arrays, m = lo + 1 ... hi), formed
-    from log-magnitudes and unit phases."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                     under="ignore"):
-        absr = np.abs(rr[1:])
-        logy = np.log(absr)                      # -inf where Rcal_m = 0
-        logy += logX[:-1]
-        uniy = rr[1:] / absr
-        if not absr.all():                       # Rcal_m = 0: any unit phase
-            uniy[absr == 0.0] = 1.0
-        uniy *= uniXinv[:-1].conjugate()         # e^{+i arg X}: X's own phase
-        # t_m and y_m are terms of the convergent sums for u_N - 1 and
-        # D_N, so plain exponentials are safe
-        t = _require_finite(np.exp(logy + logPS[:-1]) * (uniy * uniPS[:-1]), "t")
-        y = _require_finite(np.exp(logy) * uniy, "y")
-    return t, y
-
-
-def _require_finite(v: np.ndarray, name: str) -> np.ndarray:
+def _require_finite(v: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(v)):
         raise NumericFailure(f"non-finite tail term {name}_m at the window top")
-    return v
 
 
 # -- public operations -------------------------------------------------------

@@ -304,17 +304,17 @@ class TestEigenvalues:
 
     def test_omega_evaluation_takes_no_prefix_sum(self, monkeypatch):
         # the window needs Lambda_n and Rcal_n alone: an evaluation of the
-        # search (a bare window) takes no log-framed prefix sum, and the
+        # search (a bare window) takes no framed prefix sum, and the
         # asymptotic tail takes one per stretch of its window
         m, p = power(1.0, 0.0, 0.0)
         calls = []
-        prefix_sum = volterra._scaled_prefix_sum
+        prefix_sum = volterra._sum_frames
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
             return prefix_sum(*args, **kwargs)
 
-        monkeypatch.setattr(volterra, "_scaled_prefix_sum", counted)
+        monkeypatch.setattr(volterra, "_sum_frames", counted)
         spectral._omega_real(-3.0, p, m, 40_000)
         assert calls == []
         solutions.omega(ansatz.interior(-3.0), p, m, N=40_000)

@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from conftest import force_complex, loglog_slope, phi_at, power, remainder_at, theta_on
 from critjac import ansatz, solutions, volterra
@@ -78,16 +79,28 @@ def window_at(zp, p, m, N):
     return lam, rr, ctx
 
 
+def x_logs(ctx, st, head=volterra._WINDOW_START):
+    """log|X_n| and e^{-i arg X_n} on the stretch st of a window, formed
+    from `head` as _kernel_chunk forms them."""
+    th = ansatz.theta_window(ctx, st)
+    rr, _ = volterra._rcal_chunk(ctx, st, np.result_type(head[3]), th)
+    return volterra._x_chunk(st, th, head[0], head[1], rr.dtype)[:2]
+
+
 class KernelLogs:
     """The log-form kernel arrays of the solve's window on [n_start, N],
     built as one stretch: logX, uniXinv (the unit phase of X_n^{-1}),
-    logPS and uniPS."""
+    logPS and uniPS, the prefix sums of X_n^{-1} framed as _kernel_chunk
+    frames them."""
 
     def __init__(self, zp, p, m, N):
         self.ctx = ansatz.phase_context(zp, p)
         self.n0 = self.ctx.n_start
-        _, self.logX, self.uniXinv, self.logPS, self.uniPS, _ = \
-            volterra._kernel_chunk(self.ctx, stretch(self.ctx, m, self.n0, N))
+        self.logX, self.uniXinv = x_logs(self.ctx, stretch(self.ctx, m, self.n0, N))
+        logv = -self.logX
+        logv[0] = -np.inf                # PS_{n0} = X_{n0}^{-1} = 1 is the carry
+        self.logPS, self.uniPS = volterra._scaled_prefix_sum(logv, self.uniXinv,
+                                                             carry=(0.0, 1.0))
 
 
 def x_at(kern, n: int) -> LogComplex:
@@ -252,7 +265,7 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
     # the error in arg X plus the rounding of cos and sin
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
-    _, logX, uniXinv, _, _, _ = volterra._kernel_chunk(ctx, stretch(ctx, m, ctx.n_start, N))
+    logX, uniXinv = x_logs(ctx, stretch(ctx, m, ctx.n_start, N))
     ks, logref, argref = log_x_reference(ctx, m, N)
     tol = 1e-14 + np.finfo(float).eps * np.sqrt(ks)
     assert np.all(np.abs(logX[ks] - logref) <= tol * np.maximum(1.0, np.abs(logref)))
@@ -267,25 +280,28 @@ def test_kernel_log_matches_numpy_log(laguerre0, model, zp, N):
 ], ids=["discrete", "laguerre", "whole_line"])
 def test_stretches_carry_the_window(laguerre0, model, zp, N):
     # the stretches of the forward pass, each started from the head the
-    # one below returned, give the one-stretch window: Lambda, Rcal, log X
-    # and its phase bit for bit (the cumulative sums run on from the head),
-    # the prefix sums to rounding (their blocks are framed per stretch)
+    # one below returned, give the one-stretch window: Lambda, log X, its
+    # phase and the terms y_m = X_{m-1} Rcal_m bit for bit (the cumulative
+    # sums run on from the head), the terms t_m = X_{m-1} PS_{m-1} Rcal_m
+    # to rounding (the prefix sums are framed per stretch)
     m, p = model or laguerre0
     ctx = ansatz.phase_context(zp, p)
     n0 = ctx.n_start
-    whole = volterra._kernel_chunk(ctx, stretch(ctx, m, n0, N))
+    whole_t, whole_y, _ = volterra._kernel_chunk(ctx, stretch(ctx, m, n0, N))
+    whole_x = x_logs(ctx, stretch(ctx, m, n0, N))
     whole_lam = volterra._local_chunk(ctx, stretch(ctx, m, n0, N))[0]
     head = volterra._WINDOW_START
     for lo, hi in volterra._stretches(n0, N):
-        *part, head = volterra._kernel_chunk(ctx, stretch(ctx, m, lo, hi), head)
-        sl = slice(lo - n0, hi - n0 + 1)
-        lam = volterra._local_chunk(ctx, stretch(ctx, m, lo, hi))[0]
+        st = stretch(ctx, m, lo, hi)
+        x = x_logs(ctx, st, head)
+        t, y, head = volterra._kernel_chunk(ctx, st, head)
+        sl, sl_m = slice(lo - n0, hi - n0 + 1), slice(lo - n0, hi - n0)  # n, m - 1
+        lam = volterra._local_chunk(ctx, st)[0]
         assert np.array_equal(lam[1:], whole_lam[sl][1:])   # entry 0 is nan
-        assert np.array_equal(part[0][1:], whole[0][sl][1:])  # rr
-        for j in (1, 2):                                     # logX, uniXinv
-            assert np.array_equal(part[j], whole[j][sl])
-        assert np.max(np.abs(part[3] - whole[3][sl])) <= 1e-12   # log|PS|
-        assert np.max(np.abs(part[4] - whole[4][sl])) <= 1e-12   # its phase
+        for j in (0, 1):                                     # logX, uniXinv
+            assert np.array_equal(x[j], whole_x[j][sl])
+        assert np.array_equal(y, whole_y[sl_m])
+        assert np.all(np.abs(t - whole_t[sl_m]) <= 1e-12 * np.abs(whole_t[sl_m]))
 
 
 
@@ -315,6 +331,152 @@ def test_prefix_sum_real_terms_give_real_signs(monkeypatch):
     assert un.dtype == np.float64 and np.all(np.abs(un) == 1.0)
     assert np.array_equal(lg, lg_c)
     assert np.max(np.abs(un - un_c)) <= 2 * np.finfo(float).eps
+
+
+def per_cut_prefix_sum(logv, unitv, carry=(-np.inf, 1.0)):
+    """The framed prefix sums as one loop over the frames, each cut found
+    from the frame's own running maximum: the reference for _sum_frames'
+    search.  Returns the log-magnitudes, the unit phases and the frames
+    as (lo, hi, ref)."""
+    n = len(logv)
+    out_log = np.empty(n)
+    out_unit = np.empty(n, dtype=unitv.dtype)
+    frames = []
+    carry_log, carry_unit = carry
+    lo = 0
+    while lo < n:
+        cap = min(lo + volterra._SUM_BLOCK, n)
+        runmax = np.maximum.accumulate(logv[lo:cap])
+        frame0 = max(float(logv[lo]), carry_log)
+        cut = np.nonzero(runmax > frame0 + volterra._SUM_SPAN)[0]
+        hi = lo + int(cut[0]) if len(cut) and cut[0] > 0 else (
+            lo + 1 if len(cut) else cap)
+        ref = max(float(runmax[hi - 1 - lo]), carry_log)
+        partial = np.cumsum(np.exp(logv[lo:hi] - ref) * unitv[lo:hi])
+        if np.isfinite(carry_log):
+            partial += np.exp(carry_log - ref) * carry_unit
+        mag = np.abs(partial)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(mag, out=out_log[lo:hi])
+            np.divide(partial, mag, out=out_unit[lo:hi])
+        out_log[lo:hi] += ref
+        if not mag.all():
+            out_unit[lo:hi][mag == 0.0] = 1.0
+        frames.append((lo, hi, ref))
+        carry_log, carry_unit = float(out_log[hi - 1]), out_unit[hi - 1].item()
+        lo = hi
+    return out_log, out_unit, frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=hs.lists(hs.one_of(hs.floats(-3.0, 3.0), hs.floats(-60.0, 60.0),
+                                hs.floats(-900.0, 900.0)), min_size=1, max_size=150),
+       span=hs.sampled_from([2.0, 7.0, 500.0]), block=hs.integers(2, 40),
+       carry=hs.one_of(hs.none(), hs.floats(-100.0, 100.0)),
+       complex_terms=hs.booleans(), head_term=hs.booleans(), seed=hs.integers(0, 2 ** 16))
+def test_sum_frames_cuts_match_per_cut_loop(steps, span, block, carry, complex_terms,
+                                            head_term, seed):
+    # steep climbs and falls, frames of a few terms and spans of a few
+    # nats: the max-first search with one running maximum per block gives
+    # the frames, log-magnitudes and phases of the per-cut loop bit for
+    # bit, with and without a carry, and with the tail's first term (-inf,
+    # already in the carry)
+    logv = np.cumsum(steps)
+    rng = np.random.default_rng(seed)
+    if complex_terms:
+        unitv = np.exp(1j * rng.uniform(-np.pi, np.pi, len(logv)))
+    else:
+        unitv = np.where(rng.random(len(logv)) < 0.5, -1.0, 1.0)
+    c = (-np.inf, 1.0)
+    if carry is not None:
+        c = (carry, complex(np.exp(1j * rng.uniform(-np.pi, np.pi))) if complex_terms else -1.0)
+        if head_term:
+            logv[0] = -np.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volterra, "_SUM_SPAN", span)
+        mp.setattr(volterra, "_SUM_BLOCK", block)
+        ref_log, ref_unit, ref_frames = per_cut_prefix_sum(logv, unitv, c)
+        _, frames = volterra._sum_frames(logv, unitv, c)
+        lg, un = volterra._scaled_prefix_sum(logv, unitv, c)
+    assert frames == ref_frames
+    assert np.array_equal(lg, ref_log) and np.array_equal(un, ref_unit)
+    assert un.dtype == unitv.dtype
+
+
+def log_path_terms(rr, logX, uniXinv, logPS, uniPS):
+    """t_m and y_m over a tail stretch from log-magnitudes and unit phases:
+    the logs of Rcal_m and of the prefix sums, and back by exp (the
+    reference for _kernel_chunk's direct products)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        absr = np.abs(rr[1:])
+        logy = np.log(absr) + logX[:-1]
+        uniy = rr[1:] / absr
+        uniy[absr == 0.0] = 1.0
+        uniy *= uniXinv[:-1].conjugate()
+        return np.exp(logy + logPS[:-1]) * (uniy * uniPS[:-1]), np.exp(logy) * uniy
+
+
+@pytest.mark.parametrize("model, zp, N, span", [
+    (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 60_000, None),
+    (None, ansatz.at_plus(1.0), 200_000, None),                 # Laguerre p = 0
+    (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0), 100_000, None),
+    (None, ansatz.interior(1.0 + 1.0j), 20_000, 5.0),           # |X^-1| climbs
+], ids=["discrete", "laguerre", "whole_line", "forced_cut"])
+def test_tail_terms_match_log_path(laguerre0, monkeypatch, model, zp, N, span):
+    # over the first two stretches of the tail window, the terms formed
+    # straight from the scaled frames match the log/unit path to 1e-13
+    # relative (the log path rounds log|Rcal_m X_{m-1} PS_{m-1}|, up to
+    # 1e3 on the discrete kernel), and the head carries the same sum bit
+    # for bit; a span of 5 nats cuts each stretch into 8 to 11 frames
+    m, p = model or laguerre0
+    if span is not None:
+        monkeypatch.setattr(volterra, "_SUM_SPAN", span)
+    ctx = ansatz.phase_context(zp, p)
+    head, cuts = volterra._WINDOW_START, 0
+    for lo in (N, N + volterra._CHUNK):
+        st = stretch(ctx, m, lo, lo + volterra._CHUNK)
+        th = ansatz.theta_window(ctx, st)
+        rr, _ = volterra._rcal_chunk(ctx, st, np.result_type(head[3]), th)
+        logX, uniXinv = x_logs(ctx, st, head)
+        logv = -logX
+        logv[0] = -np.inf
+        logPS, uniPS, frames = per_cut_prefix_sum(logv, uniXinv, head[2:])
+        cuts += len(frames) - 1
+        t_ref, y_ref = log_path_terms(rr, logX, uniXinv, logPS, uniPS)
+        t, y, head = volterra._kernel_chunk(ctx, st, head)
+        assert t.dtype == y.dtype == t_ref.dtype
+        assert np.all(np.abs(t - t_ref) <= 1e-13 * np.abs(t_ref))
+        assert np.all(np.abs(y - y_ref) <= 1e-13 * np.abs(y_ref))
+        assert head[2:] == (float(logPS[-1]), uniPS[-1].item())
+    assert (cuts > 0) == (span is not None)
+
+
+def test_tail_fit_norms_from_dot_products():
+    # rows fed as the (2, K) layout of _Tail.add (contiguous columns) and
+    # as a (K, 2) array give the same limits bit for bit (the norms only
+    # scale the residual); the norms, one dot product per column and
+    # stretch, match the exactly rounded sum of |P|^2 over the fed rows
+    # to 1e-15, where np.sum down the (K, 2) columns misses it by up to 1.4e-14
+    K, C = 3 * volterra._CHUNK, volterra._CHUNK
+    m = 2000.0 + np.arange(K)
+    ex = (-0.25, -0.75, -1.5)
+    y = m ** -1.75 * np.exp(0.3j * m + 2e-4j * m ** 1.5)
+    powers = m[:, None] ** np.asarray(ex)
+    for seed in range(4):
+        c = np.random.default_rng(seed).normal(size=(5, 2, 2)) @ np.array([1.0, 1.0j])
+        S = c[0] + sum(np.outer(m ** e, ck) for e, ck in zip(ex, c[1:4])) \
+            + np.outer(np.cumsum(y), c[4])
+        rows = np.ascontiguousarray(S.T)
+        fits = volterra._TailFit(), volterra._TailFit()
+        for lo in range(0, K, C):
+            sl = slice(lo, lo + C)
+            volterra._fit_partial_limit(rows[:, sl].T, powers[sl], y[sl], fits[0])
+            volterra._fit_partial_limit(np.ascontiguousarray(S[sl]), powers[sl], y[sl], fits[1])
+        (lim, res), (lim_kx2, res_kx2) = fits[0].limits(), fits[1].limits()
+        assert np.array_equal(lim, lim_kx2) and res == pytest.approx(res_kx2, rel=1e-13)
+        fed = np.abs(S[:-1]) ** 2                   # the last row waits (pending)
+        exact = np.array([math.fsum(col) for col in fed.T])
+        assert np.all(np.abs(fits[0].sq - exact) <= 1e-15 * exact)
 
 
 def levin_omega(y: np.ndarray) -> np.ndarray:
