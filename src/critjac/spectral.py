@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import recurrence, solutions, volterra
-from .ansatz import SpectralPoint, at_plus, interior
+from .ansatz import SpectralPoint, at_plus, interior, keep_stretches
 from .coeffs import CoefficientModel, CriticalParams, RealInterval
 from .errors import (
     CritJacError,
@@ -299,6 +299,15 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
     counts from the nodes, the zeros and the matrix, and every zero
     within EIG_CROSS_TOL of a matrix eigenvalue.  A deviation with no
     matrix eigenvalue to measure it from is None.
+
+    Every Omega evaluation sweeps the same window stretches of the same
+    model, so the search keeps them (ansatz.keep_stretches): each
+    stretch's z-free arrays (a_n, b_n, their ratios and roots, ...) are
+    built once per search, not once per evaluation, for at most
+    volterra._SEARCH_KEEP stretches (2^18 indices; the rest of a longer
+    window is built per evaluation).  They are the arrays an evaluation
+    would build, so the report is the same bit for bit, and nothing is
+    kept once the call returns or raises.
     """
     if hi <= lo:
         raise InvalidParameter("need lo < hi")
@@ -320,26 +329,27 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         (fa, ca), (fb, cb) = at(a), at(b)
         return abs(cb - ca) - int((fb if params.gamma > 0 else fa) == 0.0)
 
-    zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
-    count = inside(lo, hi) + len(zeros)
-    brackets = [(lo, hi)]
-    while brackets:
-        a, b = brackets.pop()
-        k = inside(a, b)
-        if k == 0:
-            continue
-        if k == 1 and at(a)[0] * at(b)[0] < 0.0:
-            zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
-            continue
-        if b - a < EIG_XTOL:
-            raise NumericFailure(
-                f"node count {k} in ({a:.17g}, {b:.17g}), a bracket narrower "
-                f"than {EIG_XTOL:g}: cannot isolate the eigenvalues"
-            )
-        m = 0.5 * (a + b)
-        if at(m)[0] == 0.0:
-            zeros.append(m)
-        brackets += [(m, b), (a, m)]
+    with keep_stretches(params, model, volterra._SEARCH_KEEP):
+        zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
+        count = inside(lo, hi) + len(zeros)
+        brackets = [(lo, hi)]
+        while brackets:
+            a, b = brackets.pop()
+            k = inside(a, b)
+            if k == 0:
+                continue
+            if k == 1 and at(a)[0] * at(b)[0] < 0.0:
+                zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
+                continue
+            if b - a < EIG_XTOL:
+                raise NumericFailure(
+                    f"node count {k} in ({a:.17g}, {b:.17g}), a bracket narrower "
+                    f"than {EIG_XTOL:g}: cannot isolate the eigenvalues"
+                )
+            m = 0.5 * (a + b)
+            if at(m)[0] == 0.0:
+                zeros.append(m)
+            brackets += [(m, b), (a, m)]
     zeros.sort()
 
     ref, N_mat, settled = matrix_eigs_adaptive(model, (lo, hi))

@@ -231,3 +231,31 @@ class TestAsymptoticPhase:
         scaled = [abs(ph.real - ansatz.asymptotic_phase(n, 0.7, p).real)
                   / (1.0 + n ** pow_) for n, ph in zip(ns, phi)]
         assert max(scaled) < 10.0 * max(min(scaled), 1e-6)
+
+
+class TestKeptStretches:
+    """stretch() hands out a search's kept stretches (keep_stretches)."""
+
+    def test_kept_cut_and_fresh(self):
+        # inside the scope the same edges give the kept stretch, a higher
+        # start its cut, a lower start a new stretch kept in its place;
+        # another model, a full scope and the outside build new ones
+        m, p = power(1.0, 0.0, 0.0)
+        other, _ = power(1.0, 0.0, 0.0)
+        with ansatz.keep_stretches(p, m, 2) as kept:
+            a = ansatz.stretch(p, m, 20, 101)
+            assert ansatz.stretch(p, m, 20, 101) is a and kept == {101: a}
+            cut = ansatz.stretch(p, m, 30, 101)
+            assert (cut.lo, cut.hi) == (30, 101) and np.shares_memory(cut.b, a.b)
+            low = ansatz.stretch(p, m, 8, 101)
+            assert low is not a and kept == {101: low}
+            assert ansatz.stretch(p, other, 8, 101) is not low
+            top = ansatz.stretch(p, m, 101, 201)
+            assert kept == {101: low, 201: top}
+            assert ansatz.stretch(p, m, 201, 301) is not ansatz.stretch(p, m, 201, 301)
+            assert len(kept) == 2
+        assert ansatz.stretch(p, m, 8, 101) is not low
+        for name in ("ns", "sqrt_n", "mod", "a", "log_x", "ratio", "root",
+                     "inv_root", "inv_geo", "b"):
+            assert np.array_equal(getattr(cut, name),
+                                  getattr(ansatz.Stretch(p, m, 30, 101), name))

@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -374,6 +376,95 @@ class TestEigenvalues:
 
         zeros = [brentq(f, eig - 1e-3, eig + 1e-3, xtol=1e-13) for f in (unit, asymptotic)]
         assert abs(zeros[0] - zeros[1]) < 1e-9
+
+
+class TestSearchScope:
+    """An eigenvalue search keeps its stretches (ansatz.keep_stretches):
+    every value is the one built fresh per evaluation, bit for bit."""
+
+    @staticmethod
+    def recorded_scope(monkeypatch):
+        """The stretches each search keeps, one dict per search."""
+        kept, scope = [], spectral.keep_stretches
+
+        @contextlib.contextmanager
+        def recording(*args):
+            with scope(*args) as stretches:
+                kept.append(stretches)
+                yield stretches
+
+        monkeypatch.setattr(spectral, "keep_stretches", recording)
+        return kept
+
+    @pytest.mark.parametrize("model, lo, hi, N", [
+        ((1.0, 0.0), -5.0, 0.9, 60_000),         # eig_scan's search
+        ((1.25, 0.5), 1.0, 4.0, 20_000),         # all discrete, 4 eigenvalues
+    ], ids=["eig_scan", "all_discrete"])
+    def test_report_matches_fresh_stretches(self, monkeypatch, model, lo, hi, N):
+        m, p = power(model[0], 0.0, model[1])
+        kept = self.recorded_scope(monkeypatch)
+        rep = spectral.eigenvalue_report(lo, hi, p, m, N=N)
+        assert len(kept) == 1 and len(kept[0]) == -(-N // volterra._CHUNK)
+        assert rep["agree"] and rep["count"] >= 1
+        monkeypatch.setattr(volterra, "stretch", ansatz.Stretch)   # build fresh
+        assert spectral.eigenvalue_report(lo, hi, p, m, N=N) == rep
+
+    def test_omega_real_same_inside_a_search(self):
+        # (Re Omega, count) at the node-count points, each model's points
+        # in one scope at two windows whose top stretches share their
+        # start: bit for bit the evaluation outside, the first pass
+        # building the kept stretches and the second reading them
+        points = TestEigenvalues.COUNT_POINTS
+        for model, group in itertools.groupby(points, key=lambda pt: pt[0]):
+            sigma, beta, gamma = model
+            m, p = power(sigma, 0.0, beta, gamma)
+            lams, Ns = [lam for _, lam in group], (40_000, 35_000)
+            want = [spectral._omega_real(lam, p, m, N) for N in Ns for lam in lams]
+            with ansatz.keep_stretches(p, m, volterra._SEARCH_KEEP) as kept:
+                for _ in range(2):
+                    got = [spectral._omega_real(lam, p, m, N) for N in Ns for lam in lams]
+                    assert [(np.float64(om).tobytes(), c) for om, c in got] == \
+                        [(np.float64(om).tobytes(), c) for om, c in want]
+            assert len(kept) == 4
+
+    def test_default_window_keeps_at_most_the_cap(self):
+        # a default window (N = 1e6, 62 stretches) keeps _SEARCH_KEEP of
+        # them, each at most _CHUNK + 1 indices of 11 arrays at most
+        m, p = power(1.0, 0.0, 0.0)
+        with ansatz.keep_stretches(p, m, volterra._SEARCH_KEEP) as kept:
+            got = spectral._omega_real(-3.0, p, m, None)
+        assert len(kept) == volterra._SEARCH_KEEP
+        assert all(st.hi - st.lo <= volterra._CHUNK + 1 for st in kept.values())
+        held = sum(a.nbytes for st in kept.values() for a in st._arrays.values())
+        assert held <= volterra._SEARCH_KEEP * 11 * (volterra._CHUNK + 1) * 8
+        assert got == spectral._omega_real(-3.0, p, m, None)
+
+    def test_scope_ends_with_the_search(self, monkeypatch):
+        # each evaluation runs inside the scope, a thread started there
+        # sees none, and none is left once the search returns or raises
+        m, p = power(1.0, 0.0, 0.0)
+        inside, in_thread = [], []
+        omega_real = spectral._omega_real
+
+        def spy(lam, *args):
+            inside.append(ansatz._KEPT.get() is not None)
+            with ThreadPoolExecutor(1) as pool:
+                in_thread.append(pool.submit(ansatz._KEPT.get).result())
+            return omega_real(lam, *args)
+
+        monkeypatch.setattr(spectral, "_omega_real", spy)
+        spectral.eigenvalue_report(-5.0, 0.9, p, m, N=3000)
+        assert inside and all(inside) and in_thread == [None] * len(inside)
+        assert ansatz._KEPT.get() is None
+
+        def failing(lam, *args):
+            omega_real(lam, *args)
+            raise NumericFailure("stopped")
+
+        monkeypatch.setattr(spectral, "_omega_real", failing)
+        with pytest.raises(NumericFailure, match="stopped"):
+            spectral.eigenvalue_report(-5.0, 0.9, p, m, N=3000)
+        assert ansatz._KEPT.get() is None
 
 
 def test_minus_side_conjugate_amplitude(laguerre0):
