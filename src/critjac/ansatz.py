@@ -331,24 +331,31 @@ class Stretch:
         return self.model.b_fn(self.ns[1:])
 
 
-# the stretches kept for one search: (params, model, cap, {hi: Stretch})
+# most stretches one search keeps (keep_stretches).  A solver stretch
+# spans volterra._CHUNK = 2^14 indices and holds at most 11 float64
+# arrays, so a search holds at most 5.8 MB of them whatever N; four
+# cover a window of N <= 2^16 (eig_scan's N = 6e4), and past the cap a
+# stretch is built per evaluation, as outside a search
+_SEARCH_KEEP = 4
+
+# the stretches kept for one search: (params, model, {hi: Stretch})
 _KEPT: contextvars.ContextVar = contextvars.ContextVar("critjac_kept_stretches",
                                                        default=None)
 
 
 @contextmanager
-def keep_stretches(params: CriticalParams, model: CoefficientModel, cap: int):
+def keep_stretches(params: CriticalParams, model: CoefficientModel):
     """Within the block, stretch() keeps the stretches of (params, model)
-    it builds, at most cap of them, and hands them out again: the Omega
-    evaluations of one search sweep the same stretches and read the same
-    z-free arrays.  Yields the kept stretches by their top edge.
+    it builds, at most _SEARCH_KEEP of them, and hands them out again:
+    the Omega evaluations of one search sweep the same stretches and read
+    the same z-free arrays.  Yields the kept stretches by their top edge.
 
     The scope is a context variable, reset on the way out however the
     block ends; a thread started inside it does not see it (a thread
     starts in a context of its own).  Nothing is kept past the block.
     """
     kept: dict[int, Stretch] = {}
-    token = _KEPT.set((params, model, cap, kept))
+    token = _KEPT.set((params, model, kept))
     try:
         yield kept
     finally:
@@ -363,7 +370,7 @@ def stretch(params: CriticalParams, model: CoefficientModel | None,
     stretch with top edge hi, cut at lo (Stretch.since) when that one
     starts below lo.  Where none is kept, or the kept one starts above lo
     (a window's bottom stretch starts at its own n0), a new one is built
-    and kept in its place, while fewer than the scope's cap are kept.
+    and kept in its place, while fewer than _SEARCH_KEEP are kept.
     Anywhere else it is a new Stretch.  A cut reads the values a new
     stretch would build, since each array is the same expression on the
     same indices.
@@ -371,12 +378,12 @@ def stretch(params: CriticalParams, model: CoefficientModel | None,
     scope = _KEPT.get()
     if scope is None or params is not scope[0] or model is not scope[1]:
         return Stretch(params, model, lo, hi)
-    cap, kept = scope[2], scope[3]
+    kept = scope[2]
     st = kept.get(hi)
     if st is not None and st.lo <= lo:
         return st.since(lo)
     st = Stretch(params, model, lo, hi)
-    if hi in kept or len(kept) < cap:
+    if hi in kept or len(kept) < _SEARCH_KEEP:
         kept[hi] = st
     return st
 

@@ -304,7 +304,7 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
     model, so the search keeps them (ansatz.keep_stretches): each
     stretch's z-free arrays (a_n, b_n, their ratios and roots, ...) are
     built once per search, not once per evaluation, for at most
-    volterra._SEARCH_KEEP stretches (2^18 indices; the rest of a longer
+    ansatz._SEARCH_KEEP stretches (2^16 indices; the rest of a longer
     window is built per evaluation).  They are the arrays an evaluation
     would build, so the report is the same bit for bit, and nothing is
     kept once the call returns or raises.
@@ -329,7 +329,7 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         (fa, ca), (fb, cb) = at(a), at(b)
         return abs(cb - ca) - int((fb if params.gamma > 0 else fa) == 0.0)
 
-    with keep_stretches(params, model, volterra._SEARCH_KEEP):
+    with keep_stretches(params, model):
         zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
         count = inside(lo, hi) + len(zeros)
         brackets = [(lo, hi)]

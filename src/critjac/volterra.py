@@ -57,11 +57,11 @@ the window pass top-down, and at each stretch the arrays that do not
 depend on z (ansatz.Stretch: a_n, b_n, their ratios and roots,
 n^-sigma, the z-free part of log|X_n|; the tail fit's powers of m) are
 built once for the group.  An eigenvalue search keeps the first
-_SEARCH_KEEP stretches it builds (ansatz.keep_stretches), so across its
-Omega evaluations those are built once too.  Each point then does its own
-z-dependent work and carries its own state: the tail head, sums and fit,
-then (u, D).  A point that fails keeps its exception and drops out; the
-rest go on.  solve is the group of one.
+stretches it builds, up to a fixed number (ansatz.keep_stretches), so
+across its Omega evaluations those are built once too.  Each point then
+does its own z-dependent work and carries its own state: the tail head,
+sums and fit, then (u, D).  A point that fails keeps its exception and
+drops out; the rest go on.  solve is the group of one.
 
 A kernel stretch is float64 exactly when theta_n is purely imaginary on
 it: real z off the closure of the a.c. set (the discrete region, the
@@ -104,11 +104,6 @@ from .errors import CritJacError, InvalidParameter, NumericFailure, only
 N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # stretch edges sit at its multiples
-# most stretches one eigenvalue search keeps (ansatz.keep_stretches): a
-# stretch holds at most 11 float64 arrays of _CHUNK + 1 entries, so the
-# search holds at most 23 MB of them whatever N (19 MB for a unit-tail
-# window at sigma = 1); past the cap a stretch is built per evaluation
-_SEARCH_KEEP = 16
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
 _SUM_BLOCK = 65536                        # most terms per frame of _sum_frames
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
@@ -365,26 +360,21 @@ def _x_chunk(st: Stretch, th: np.ndarray, c0: float | None, phi0: complex,
     rho log(n0 (n0 + 1)) (taken at lo when None).  Against a 40-digit sum
     of log Lambda_k, log|X_N| is off by 8.9e-16 on the Laguerre kernel at
     1 + i0 (N = 2e5), the summed logs of the rounded Lambda_n by 5.7e-12.
-    On a real kernel Re theta_n = 0, so Re Phi_n stays Re Phi_lo and only
-    Im Phi_n is summed, in float64: complex sums add part by part, so it
-    is the complex sum's imaginary part bit for bit.  The head's Phi_hi
-    is complex either way.
+    Phi is always complex; on a real kernel Re Phi_n = 0.
     """
-    real = np.dtype(dtype).kind != "c"
-    parts = th.imag if real else th
-    phi = np.empty(len(th), dtype=parts.dtype)            # Phi_n, Im Phi_n if real
-    phi[0] = phi0.imag if real else phi0
-    np.add(parts[1:], parts[:-1], out=phi[1:])
+    phi = np.empty(len(th), dtype=complex)                # Phi_n
+    phi[0] = phi0
+    np.add(th[1:], th[:-1], out=phi[1:])
     np.cumsum(phi, out=phi)
     if c0 is None:
         c0 = float(st.log_x[0])
-    logX = st.log_x - (phi if real else phi.imag)
+    logX = st.log_x - phi.imag
     logX -= c0
     uniXinv = np.ones(len(phi), dtype=dtype)              # e^{-i arg X_n}: 1 on a real kernel
-    if not real:
+    if uniXinv.dtype.kind == "c":
         np.cos(phi.real, out=uniXinv.real)
         np.sin(-phi.real, out=uniXinv.imag)
-    return logX, uniXinv, c0, complex(phi0.real, phi[-1]) if real else complex(phi[-1])
+    return logX, uniXinv, c0, complex(phi[-1])
 
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,

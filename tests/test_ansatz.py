@@ -236,13 +236,14 @@ class TestAsymptoticPhase:
 class TestKeptStretches:
     """stretch() hands out a search's kept stretches (keep_stretches)."""
 
-    def test_kept_cut_and_fresh(self):
+    def test_kept_cut_and_fresh(self, monkeypatch):
         # inside the scope the same edges give the kept stretch, a higher
         # start its cut, a lower start a new stretch kept in its place;
         # another model, a full scope and the outside build new ones
         m, p = power(1.0, 0.0, 0.0)
         other, _ = power(1.0, 0.0, 0.0)
-        with ansatz.keep_stretches(p, m, 2) as kept:
+        monkeypatch.setattr(ansatz, "_SEARCH_KEEP", 2)
+        with ansatz.keep_stretches(p, m) as kept:
             a = ansatz.stretch(p, m, 20, 101)
             assert ansatz.stretch(p, m, 20, 101) is a and kept == {101: a}
             cut = ansatz.stretch(p, m, 30, 101)

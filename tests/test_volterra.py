@@ -87,20 +87,6 @@ def x_logs(ctx, st, head=volterra._WINDOW_START):
     return volterra._x_chunk(st, th, head[0], head[1], rr.dtype)[:2]
 
 
-def complex_x_chunk(st, th, c0, phi0, dtype):
-    """_x_chunk on a real kernel with Phi_n summed in complex arithmetic:
-    the reference for its float64 sum of Im Phi_n."""
-    phi = np.empty(len(th), dtype=complex)
-    phi[0] = phi0
-    np.add(th[1:], th[:-1], out=phi[1:])
-    np.cumsum(phi, out=phi)
-    if c0 is None:
-        c0 = float(st.log_x[0])
-    logX = st.log_x - phi.imag
-    logX -= c0
-    return logX, np.ones(len(phi), dtype=dtype), c0, complex(phi[-1])
-
-
 class KernelLogs:
     """The log-form kernel arrays of the solve's window on [n_start, N],
     built as one stretch: logX, uniXinv (the unit phase of X_n^{-1}),
@@ -1126,33 +1112,6 @@ class TestDtype:
         ref = solutions.omega_from_window(window(0))
         assert abs(om - ref) <= rel * abs(ref)
 
-    @pytest.mark.parametrize("model, zp, N", [
-        (power(1.0, 0.0, 0.0), ansatz.interior(-3.0), 60_000),
-        (None, ansatz.interior(-1.0), 20_000),                 # Laguerre p = 0
-    ], ids=["discrete", "laguerre"])
-    def test_real_phase_sum_matches_complex_build(self, laguerre0, monkeypatch,
-                                                  model, zp, N):
-        # on a real kernel _x_chunk sums Im Phi_n alone in float64: over
-        # the first two tail stretches log|X_n|, the head and the terms
-        # t_m, y_m equal those of Phi_n summed complex bit for bit
-        m, p = model or laguerre0
-        ctx = ansatz.phase_context(zp, p)
-        heads = [volterra._WINDOW_START] * 2
-        for lo in (N, N + volterra._CHUNK):
-            st = stretch(ctx, m, lo, lo + volterra._CHUNK)
-            th = ansatz.theta_window(ctx, st)
-            got = volterra._x_chunk(st, th, *heads[0][:2], np.float64)
-            want = complex_x_chunk(st, th, *heads[1][:2], np.float64)
-            assert np.array_equal(got[0], want[0]) and got[2:] == want[2:]
-            assert np.all(got[1] == 1.0) and got[1].dtype == np.float64
-            t, y, heads[0] = volterra._kernel_chunk(ctx, st, heads[0])
-            with monkeypatch.context() as mp:
-                mp.setattr(volterra, "_x_chunk", complex_x_chunk)
-                t_ref, y_ref, heads[1] = volterra._kernel_chunk(ctx, st, heads[1])
-            assert t.dtype == y.dtype == np.float64
-            assert np.array_equal(t, t_ref) and np.array_equal(y, y_ref)
-            assert heads[0] == heads[1]
-
     def test_real_solve_peak_memory_per_index(self):
         # a whole-window solve holds u and one stretch's workspace, so its
         # peak grows by u's 8 B per index on a real kernel (8.0 measured
@@ -1292,14 +1251,14 @@ class TestGroup:
         model, N, points = GROUPS[case]
         m, p = model or laguerre0
         want = volterra.solve_group(points, p, m, N=N, tail_init=tail_init)
-        with ansatz.keep_stretches(p, m, volterra._SEARCH_KEEP) as kept:
+        with ansatz.keep_stretches(p, m) as kept:
             for _ in range(2):
                 group = volterra.solve_group(points, p, m, N=N, tail_init=tail_init)
                 for got, sol in zip(group[:-1], want[:-1]):
                     assert_same_solution(got, sol)
                 assert (type(group[-1]), str(group[-1])) == (type(want[-1]), str(want[-1]))
-        windows = -(-N // volterra._CHUNK)
-        assert len(kept) == windows * (2 if tail_init == "asymptotic" else 1)
+        windows = -(-N // volterra._CHUNK) * (2 if tail_init == "asymptotic" else 1)
+        assert len(kept) == min(windows, ansatz._SEARCH_KEEP)
 
     @pytest.mark.parametrize("stage, chunk", [("tail", "_kernel_chunk"),
                                               ("window", "_local_chunk")])
