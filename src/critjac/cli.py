@@ -134,6 +134,8 @@ def _grid(cfg: dict) -> np.ndarray:
     step = cfg.get("lambda_step", 0.0)
     if lo is None:
         raise InvalidParameter("a lambda grid needs --lambda-min")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InvalidParameter("lambda grid ends and step must be finite")
     if hi < lo:
         raise InvalidParameter("lambda grid must be monotone (max >= min)")
     if step <= 0.0:

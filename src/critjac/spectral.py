@@ -309,6 +309,8 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
     would build, so the report is the same bit for bit, and nothing is
     kept once the call returns or raises.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameter("interval ends must be finite")
     if hi <= lo:
         raise InvalidParameter("need lo < hi")
     ac = params.ac_set

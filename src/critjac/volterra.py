@@ -60,8 +60,11 @@ built once for the group.  An eigenvalue search keeps the first
 stretches it builds, up to a fixed number (ansatz.keep_stretches), so
 across its Omega evaluations those are built once too.  Each point then
 does its own z-dependent work and carries its own state: the tail head,
-sums and fit, then (u, D).  A point that fails keeps its exception and
-drops out; the rest go on.  solve is the group of one.
+sums and fit, then (u, D).  Where a stretch lies above the n_top of
+several points, their states are moved down it in batches, each block
+step one array operation over the batch (_hand_down), and each state is
+still the point's own bit for bit.  A point that fails keeps its
+exception and drops out; the rest go on.  solve is the group of one.
 
 A kernel stretch is float64 exactly when theta_n is purely imaginary on
 it: real z off the closure of the a.c. set (the discrete region, the
@@ -82,6 +85,7 @@ amplifies: 6.6e-13 to 1.1e-12 relative with the unit tail, 9.4e-12 to
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -107,6 +111,7 @@ _CHUNK = 2 ** 14                          # stretch edges sit at its multiples
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
 _SUM_BLOCK = 65536                        # most terms per frame of _sum_frames
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
+_BATCH_BYTES = 2 ** 22                    # step rows per batch of _hand_down: 7 complex points of a stretch
 
 
 @dataclass
@@ -163,7 +168,10 @@ class VolterraKernel:
         lowest window start among the points it holds, or kept from an
         earlier evaluation of the same search) and every point
         whose window reaches below hi takes its part, from its own n0 in
-        its bottom stretch, and moves its own state down (_Window.down).
+        its bottom stretch.  A point with lo < n_top sweeps it for u on
+        its own (_Window.down); the points whose n_top lies below the
+        stretch only move their states down, in batches that run each
+        block step as one array operation over the batch (_hand_down).
         residual is the worst relative defect of the difference equation
         over the stretches swept for u, each with the u above its top
         where that was swept.  A point whose state turns non-finite drops
@@ -183,10 +191,12 @@ class VolterraKernel:
             st = stretch(self.params, self.model,
                          max(lo, min(w.ctx.n_start for w in live)), hi + 1)
             for w in live:
-                try:
-                    w.down(st.since(max(lo, w.ctx.n_start)))
-                except NumericFailure as exc:
-                    w.error = exc
+                if lo < w.n_top:     # its bottom stretch starts at its own n0
+                    try:
+                        w.down(st.since(max(lo, w.ctx.n_start)))
+                    except NumericFailure as exc:
+                        w.error = exc
+            _hand_down([w for w in live if lo >= w.n_top], st)
             # the stretch above is freed only now, once this one's arrays
             # are built: freed with the rest of its stretch, its memory went
             # back to the system and was faulted in again (a unit-tail head
@@ -209,36 +219,91 @@ class _Window:
     error: CritJacError | None = None
 
     def down(self, st: Stretch) -> None:
-        """Sweep the stretch [lo, hi] = [st.lo, st.hi - 1] from the state.
-
-        A stretch with lo < n_top runs backward_sweep and leaves its u in
-        place (an entry at a stretch edge is the state handed down); one
-        above only moves the state down (_block_pass, _chain), in
-        backward_sweep's dtype.  A non-finite state below the stretch
-        raises NumericFailure.
+        """Sweep the stretch [lo, hi] = [st.lo, st.hi - 1], lo < n_top,
+        from the state with backward_sweep and leave its u in place (an
+        entry at a stretch edge is the state handed down).  A non-finite
+        state below the stretch raises NumericFailure.
         """
         n0, n_top, lo, hi = self.ctx.n_start, self.n_top, st.lo, st.hi - 1
         lam, rr = _local_chunk(self.ctx, st)
         # a non-finite kernel term makes the block products overflow
         # or form inf - inf; the state is checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            if lo >= n_top:
-                _, b, nb, dtype, *start = _sweep_setup(lam, rr, *self.state)
-                self.state = _chain(_block_pass(lam, rr, b, nb, dtype), *start)[2]
-            else:
-                part, self.state = backward_sweep(lam, rr, *self.state)
-                if self.u is None:
-                    self.u = np.empty(n_top - n0 + 1, dtype=part.dtype)
-                elif part.dtype.kind == "c" and self.u.dtype.kind != "c":
-                    self.u = self.u.astype(complex)  # a complex stretch under real ones
-                top = min(hi, n_top) - lo
-                self.u[lo - n0:lo - n0 + top + 1] = part[:top + 1]
-                if self.u_above is not None:
-                    part = np.append(part, self.u_above)
-                self.residual = max(self.residual, _defect(lam, rr, part))
-                self.u_above = part[1]
-        if not np.all(np.isfinite(self.state)):
-            raise NumericFailure(f"non-finite kernel transfer on [{lo}, {hi}]")
+            part, self.state = backward_sweep(lam, rr, *self.state)
+            if self.u is None:
+                self.u = np.empty(n_top - n0 + 1, dtype=part.dtype)
+            elif part.dtype.kind == "c" and self.u.dtype.kind != "c":
+                self.u = self.u.astype(complex)  # a complex stretch under real ones
+            top = min(hi, n_top) - lo
+            self.u[lo - n0:lo - n0 + top + 1] = part[:top + 1]
+            if self.u_above is not None:
+                part = np.append(part, self.u_above)
+            self.residual = max(self.residual, _defect(lam, rr, part))
+            self.u_above = part[1]
+        _require_state(self.state, st)
+
+
+def _hand_down(wins: list[_Window], st: Stretch) -> None:
+    """Move the states of `wins` down the stretch [lo, hi] = [st.lo,
+    st.hi - 1], which lies above each one's n_top: no u is kept, only the
+    state below it.
+
+    Each point builds its own Lambda_n and Rcal_n (_local_chunk) and
+    writes their step rows (_step_rows) into its column of a batch's
+    buffer, one buffer per dtype (backward_sweep's dtype for the point:
+    complex where its kernel or its state is).  Each of the b block steps
+    (_block_pass) is then one ufunc call over all points of the batch:
+    one point's (2, nb) arrays are too small for numpy to release the
+    GIL, so the CLI's pool threads ran these passes no faster than one
+    after the other.  Elementwise results do not depend on where an entry
+    sits in an array, so each point's state is that of its own pass bit
+    for bit.  A batch holds at most _BATCH_BYTES of step rows, and at
+    least one point.  Each point then chains its blocks (_chain), and a
+    non-finite state below the stretch fails that point alone with
+    NumericFailure.
+    """
+    K = st.hi - 1 - st.lo
+    b = _block_size(K)
+    nb = -(-K // b)
+    batches: dict = {}                           # dtype -> (rows, [(w, u_top, d_top)])
+    for k, w in enumerate(wins):
+        lam, rr = _local_chunk(w.ctx, st)
+        _, _, _, dtype, *start = _sweep_setup(lam, rr, *w.state)
+        if dtype not in batches:
+            width = max(1, _BATCH_BYTES // (2 * b * nb * dtype.itemsize))
+            batches[dtype] = np.zeros((2, b, min(width, len(wins) - k), nb), dtype), []
+        rows, members = batches[dtype]
+        _step_rows(lam, rr, rows[:, :, len(members)])
+        members.append((w, *start))
+        full = len(members) == rows.shape[2]
+        del lam, rr, rows                        # a full buffer is freed with its batch
+        if full:
+            _pass_batch(*batches.pop(dtype), K % b, st)
+    for batch in batches.values():
+        _pass_batch(*batch, K % b, st)
+
+
+def _pass_batch(rows: np.ndarray, members: list, rest: int, st: Stretch) -> None:
+    """One batch of _hand_down: the block pass over the step rows of its
+    points (rows[:, :, p] those of members[p] = (window, u_top, d_top)),
+    then each point's chain and state check."""
+    # a non-finite kernel term makes the block products overflow or
+    # form inf - inf; each state is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = _block_pass(rows[:, :, :len(members)], rest)
+    nb = rows.shape[3]
+    for p, (w, *start) in enumerate(members):
+        w.state = _chain([e[p * nb:(p + 1) * nb] for e in ends], *start)[2]
+        try:
+            _require_state(w.state, st)
+        except NumericFailure as exc:
+            w.error = exc
+
+
+def _require_state(state: tuple, st: Stretch) -> None:
+    """NumericFailure unless the state (u, D) below the stretch st is finite."""
+    if not all(map(cmath.isfinite, state)):
+        raise NumericFailure(f"non-finite kernel transfer on [{st.lo}, {st.hi - 1}]")
 
 
 def _stretches(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -400,9 +465,13 @@ def backward_sweep(lam: np.ndarray, rr: np.ndarray,
     only if they are complex or the boundary data has an imaginary part.
     """
     K, b, nb, dtype, u_top, d_top = _sweep_setup(lam, rr, u_top, d_top)
+    rows = np.zeros((2, b, 1, nb), dtype=dtype)
+    _step_rows(lam, rr, rows[:, :, 0])
     # U[t, j] = u after step t of every block, started from unit state j
     U = np.empty((b, 2, nb), dtype=dtype)
-    u_in, d_in, bottom = _chain(_block_pass(lam, rr, b, nb, dtype, U), u_top, d_top)
+    ends = _block_pass(rows, K % b, U)
+    del rows
+    u_in, d_in, bottom = _chain(ends, u_top, d_top)
     U0, U1 = U[:, 0, :], U[:, 1, :]
     U0 *= np.asarray(u_in)
     U1 *= np.asarray(d_in)
@@ -431,29 +500,38 @@ def _sweep_setup(lam: np.ndarray, rr: np.ndarray, u_top, d_top) -> tuple:
     return K, b, -(-K // b), dtype, u_top, d_top
 
 
-def _block_pass(lam: np.ndarray, rr: np.ndarray, b: int, nb: int,
-                dtype: np.dtype, U: np.ndarray | None = None) -> tuple[list, ...]:
-    """Run the nb blocks of b steps of the sweep on lam, rr at once from the
-    unit states (1, 0) and (0, 1); U[t] receives u after step t if given.
-    Returns the block transfers [[u0, u1], [d0, d1]] as four lists."""
-    K = len(lam) - 1
-    rest = K % b
-    R, L = _step_rows(rr, K, b, nb, dtype), _step_rows(lam, K, b, nb, dtype)
-    u = np.zeros((2, nb), dtype=dtype)
-    d = np.zeros((2, nb), dtype=dtype)
+def _block_pass(rows: np.ndarray, rest: int,
+                U: np.ndarray | None = None) -> tuple[list, ...]:
+    """Run the nb blocks of b steps of the sweeps of P points at once from
+    the unit states (1, 0) and (0, 1): rows[0] and rows[1], shape
+    (b, P, nb), hold their Rcal and Lambda step rows (_step_rows), with
+    rest = K % b for the K steps every point takes.  U[t], shape
+    (2, P nb), receives u after step t if given.  Returns the block
+    transfers [[u0, u1], [d0, d1]] as four lists, point p's at the
+    entries [p nb, (p + 1) nb).
+
+    The state arrays are (2, P nb), each point's blocks side by side, so
+    a step is the same four ufunc calls for any P, on the shapes one point
+    alone uses when P = 1, with each product's operands in the same order
+    (a complex product is not bitwise commutative).
+    """
+    _, b, P, nb = rows.shape
+    R, L = rows.reshape(2, b, P * nb)
+    u = np.zeros((2, P * nb), dtype=rows.dtype)
+    d = np.zeros((2, P * nb), dtype=rows.dtype)
     u[0] = 1.0
     d[1] = 1.0
-    tmp = np.empty((2, nb), dtype=dtype)
+    tmp = np.empty((2, P * nb), dtype=rows.dtype)
     for t in range(b):
         np.multiply(R[t], u, out=tmp)
         np.multiply(L[t], d, out=d)
         d += tmp
         u = np.add(u, d, out=u if U is None else U[t])
         if t + 1 == rest:       # the zero steps past K keep u but zero D
-            d_last = d[:, -1].tolist()
+            d_last = d[:, nb - 1::nb].tolist()
     ends = u[0].tolist(), u[1].tolist(), d[0].tolist(), d[1].tolist()
     if rest:
-        ends[2][-1], ends[3][-1] = d_last
+        ends[2][nb - 1::nb], ends[3][nb - 1::nb] = d_last
     return ends
 
 
@@ -476,16 +554,17 @@ def _block_size(K: int) -> int:
     return max(1, round(math.sqrt(K / 2.0)))
 
 
-def _step_rows(a: np.ndarray, K: int, b: int, nb: int,
-               dtype: np.dtype) -> np.ndarray:
-    """a_{K-s} for step s = i*b + t at row t, column i; zero past step K-1."""
-    out = np.zeros((b, nb), dtype=dtype)
+def _step_rows(lam: np.ndarray, rr: np.ndarray, out: np.ndarray) -> None:
+    """Rcal_{K-s} and Lambda_{K-s} for step s = i*b + t into out[0, t, i]
+    and out[1, t, i], out of shape (2, b, nb) and zero past step K-1,
+    K = len(lam) - 1."""
+    K, b = len(lam) - 1, out.shape[1]
     full, rest = divmod(K, b)
-    rev = a[:0:-1]
-    out.T[:full] = rev[:full * b].reshape(full, b)
-    if rest:
-        out[:rest, full] = rev[full * b:]
-    return out
+    for rows, a in zip(out, (rr, lam)):
+        rev = a[:0:-1]
+        rows.T[:full] = rev[:full * b].reshape(full, b)
+        if rest:
+            rows[:rest, full] = rev[full * b:]
 
 
 def _sum_frames(logv: np.ndarray, unitv: np.ndarray,

@@ -347,6 +347,32 @@ def test_non_positive_window_is_config_error(argv, monkeypatch, capsys):
     assert "InvalidParameter" in err and "must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--p", "0", "--lambda-min", "0.5", "--lambda-max", "nan",
+     "--lambda-step", "0.1", "--N", "2000"],
+    ["density", "--p", "0", "--lambda-min", "0.5", "--lambda-max", "1",
+     "--lambda-step", "nan", "--N", "2000"],
+    ["density", "--p", "0", "--lambda-min", "0.5", "--lambda-max", "inf",
+     "--lambda-step", "0.1", "--N", "2000"],
+    ["density", "--p", "0", "--lambda-min", "nan", "--N", "2000"],
+    ["eigs", "--sigma", "1", "--lambda-min", "nan", "--lambda-max", "0.9", "--N", "6000"],
+    ["eigs", "--sigma", "1", "--lambda-min", "-5", "--lambda-max", "nan", "--N", "6000"],
+], ids=["density_max_nan", "density_step_nan", "density_max_inf", "density_min_nan",
+        "eigs_min_nan", "eigs_max_nan"])
+def test_non_finite_grid_is_config_error(argv, monkeypatch, capsys):
+    # refused before anything is solved: not a traceback from building
+    # the grid, nor NaN rows or an a.c. overlap reported for a NaN end
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grid")
+
+    monkeypatch.setattr(volterra, "solve", no_solve)
+    monkeypatch.setattr(volterra, "solve_group", no_solve)
+    code, out, err = run(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err and "must be finite" in err
+
+
 def test_eigs_empty_interval(capsys):
     code, out, _ = run(["eigs", "--p", "0", "--lambda-min", "-10",
                         "--lambda-max", "-0.1", "--N", "20000"], capsys)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -195,6 +196,73 @@ def test_blocked_sweep_matches_scalar_loop_on_kernels(laguerre0, model, zp, N,
         top = volterra._top_boundary([ctx], m, N, N)[0][:2]
     (u, _), = volterra.VolterraKernel([ctx], m, N).sweep([top])
     assert sweep_error(u, scalar_sweep(lam, rr, *top)) <= 1e-12
+
+
+def one_point_pass(lam, rr, u_top, d_top):
+    """The state below a stretch that only hands it down, by one point's
+    own block pass on (2, nb) arrays and its chain: the reference for the
+    batched pass (_hand_down).  The steps are backward_sweep's, ufunc by
+    ufunc, with each product's operands in the same order."""
+    K, b, nb, dtype, u_top, d_top = volterra._sweep_setup(lam, rr, u_top, d_top)
+    rows = np.zeros((2, b, nb), dtype=dtype)
+    full, rest = divmod(K, b)
+    for out, a in zip(rows, (rr, lam)):
+        out.T[:full] = a[:0:-1][:full * b].reshape(full, b)
+        out[:rest, full] = a[:0:-1][full * b:]
+    u, d = np.zeros((2, nb), dtype=dtype), np.zeros((2, nb), dtype=dtype)
+    u[0], d[1] = 1.0, 1.0
+    tmp = np.empty((2, nb), dtype=dtype)
+    for t in range(b):
+        np.multiply(rows[0, t], u, out=tmp)
+        np.multiply(rows[1, t], d, out=d)
+        d += tmp
+        u = np.add(u, d, out=u)
+        if t + 1 == rest:
+            d_last = d[:, -1].tolist()
+    ends = u[0].tolist(), u[1].tolist(), d[0].tolist(), d[1].tolist()
+    if rest:
+        ends[2][-1], ends[3][-1] = d_last
+    return volterra._chain(ends, u_top, d_top)[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=hs.integers(5, 700).filter(lambda K: K % volterra._block_size(K)),
+       count=hs.sampled_from([1, 2, 3, 5]), seed=hs.integers(0, 2 ** 32 - 1))
+def test_batched_pass_matches_each_point_alone(K, count, seed):
+    # points with random real and complex kernels and states, K steps not
+    # a multiple of the block size, handed down in batches of one, of two,
+    # and of one more than the buffer holds (2 complex or 4 real points):
+    # each point's state is its own pass's bit for bit, and backward_sweep
+    # (a batch of one) hands down the same state
+    rng = np.random.default_rng(seed)
+    kernels, wins = [], []
+    for k in range(count):
+        cplx = rng.random() < 0.5
+
+        def noise():
+            x = rng.normal(size=K + 1)
+            return x + 1j * rng.normal(size=K + 1) if cplx else x
+
+        lam, rr = 1.0 + 0.02 * noise(), 0.01 * noise()
+        lam[0] = rr[0] = np.nan                   # never read
+        if rng.random() < 0.5:
+            top = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        else:
+            top = float(rng.normal()), float(rng.normal())
+        kernels.append((lam, rr))
+        wins.append(volterra._Window(ctx=k, n_top=0, state=top))
+    want = [one_point_pass(lam, rr, *w.state) for (lam, rr), w in zip(kernels, wins)]
+    for (lam, rr), w, ref in zip(kernels, wins, want):
+        bottom = volterra.backward_sweep(lam, rr, *w.state)[1]
+        assert bottom == ref and list(map(type, bottom)) == list(map(type, ref))
+    b = volterra._block_size(K)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volterra, "_local_chunk", lambda ctx, st: kernels[ctx])
+        mp.setattr(volterra, "_BATCH_BYTES", 2 * 2 * b * -(-K // b) * 16)
+        volterra._hand_down(wins, SimpleNamespace(lo=1000, hi=1000 + K + 1))
+    for w, ref in zip(wins, want):
+        assert w.error is None
+        assert w.state == ref and list(map(type, w.state)) == list(map(type, ref))
 
 
 def test_sweep_peak_memory_per_index():
@@ -1260,12 +1328,41 @@ class TestGroup:
         windows = -(-N // volterra._CHUNK) * (2 if tail_init == "asymptotic" else 1)
         assert len(kept) == min(windows, ansatz._SEARCH_KEEP)
 
-    @pytest.mark.parametrize("stage, chunk", [("tail", "_kernel_chunk"),
-                                              ("window", "_local_chunk")])
-    def test_failure_stays_with_its_point(self, laguerre0, monkeypatch, stage, chunk):
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    @pytest.mark.parametrize("budget", ["default", "two_complex"])
+    def test_batches_match_each_point_alone(self, laguerre0, monkeypatch, budget,
+                                            tail_init):
+        # a head solve (n_top = 0) hands the states of nine complex and
+        # three real points down each stretch above the bottom one in
+        # batches: with the module's budget the complex points fill more
+        # than one batch, with a budget of two complex (four real) points
+        # each fills several; every point gets its solve alone bit for bit
+        m, p = laguerre0
+        points = [ansatz.at_plus(lam) for lam in (0.5, 1.0, 1.5, 2.0, 3.0)] + \
+            [ansatz.interior(z) for z in (1.0 + 1.0j, 0.5 + 0.2j, 2.0 - 0.3j, 4.0 + 0.1j,
+                                           -1.0, -0.5, -2.0)]
+        b = volterra._block_size(volterra._CHUNK)
+        per_point = 2 * b * -(-volterra._CHUNK // b) * 16     # complex step rows
+        assert volterra._BATCH_BYTES // per_point < 9
+        if budget == "two_complex":
+            monkeypatch.setattr(volterra, "_BATCH_BYTES", 2 * per_point)
+        group = volterra.solve_group(points, p, m, N=60_000, tail_init=tail_init, n_top=0)
+        for zp, got in zip(points, group):
+            sol = volterra.solve(zp, p, m, N=60_000, tail_init=tail_init, n_top=0)
+            assert_same_solution(got, sol)
+            assert sol.u.dtype.kind == ("f" if zp.z.imag == 0 and zp.z.real < 0 else "c")
+
+    @pytest.mark.parametrize("stage, chunk, n_top", [
+        ("tail", "_kernel_chunk", None), ("window", "_local_chunk", None),
+        ("tail", "_kernel_chunk", 0), ("window", "_local_chunk", 0),
+    ], ids=["tail-_kernel_chunk", "window-_local_chunk",
+            "tail-_kernel_chunk-head", "window-_local_chunk-head"])
+    def test_failure_stays_with_its_point(self, laguerre0, monkeypatch, stage, chunk,
+                                          n_top):
         # a non-finite kernel term at one point of a group, in its tail
         # window or its window, fails that point alone: the others still
-        # get their solves alone bit for bit
+        # get their solves alone bit for bit.  With n_top = 0 the window's
+        # term lands in a stretch whose states are handed down in one batch
         m, p = laguerre0
         points = [ansatz.at_plus(1.0), ansatz.interior(1.0 + 1.0j), ansatz.interior(-1.0)]
         bad_w = ansatz.phase_context(points[1], p).w
@@ -1278,11 +1375,14 @@ class TestGroup:
             return out
 
         monkeypatch.setattr(volterra, chunk, broken)
-        group = volterra.solve_group(points, p, m, N=40_000)
-        match = "non-finite tail term" if stage == "tail" else "non-finite kernel transfer"
+        group = volterra.solve_group(points, p, m, N=40_000, n_top=n_top)
+        # the window's top stretch, the first one swept, is where it fails
+        match = "non-finite tail term" if stage == "tail" else \
+            "non-finite kernel transfer on [32768, 40000]"
         assert isinstance(group[1], NumericFailure) and match in str(group[1])
         for k in (0, 2):
-            assert_same_solution(group[k], volterra.solve(points[k], p, m, N=40_000))
+            assert_same_solution(group[k], volterra.solve(points[k], p, m, N=40_000,
+                                                          n_top=n_top))
 
     def test_explicit_window_too_short_for_a_point_raises(self, monkeypatch):
         # an N that does not fit one point's window start is the call's
