@@ -138,10 +138,15 @@ def _grid(cfg: dict) -> np.ndarray:
         raise InvalidParameter("lambda grid ends and step must be finite")
     if hi < lo:
         raise InvalidParameter("lambda grid must be monotone (max >= min)")
-    if step <= 0.0:
+    if step < 0.0:
+        raise InvalidParameter("lambda grid step must not be negative (0: the two ends)")
+    if step == 0.0:
         return np.array([lo]) if hi == lo else np.array([lo, hi])
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    try:
+        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        return lo + step * np.arange(count)
+    except (OverflowError, ValueError, MemoryError):
+        raise InvalidParameter(f"lambda grid step {step:g} gives too many points") from None
 
 
 def _emit(text: str, out: str | None):

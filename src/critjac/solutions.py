@@ -268,22 +268,30 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     """Exponentially growing partner of the Jost solution (regular z only).
 
     The reciprocal sum starts at the Jost window's n0, raised past any
-    near-zero of f (meta["n0g"]).  It is accumulated in the log frame with
-    blockwise rescaling; a loss of more than 8 digits between consecutive
-    partial sums is flagged in meta["cancellation"].  The backward
-    extension is validated by re-checking W[f, g] = 1 at n = 0
-    (meta["w_check_0"]).
+    near-zero of f (meta["n0g"]).  It is accumulated in scaled frames
+    (volterra._sum_frames) and stored in the log frame; a loss of more
+    than 8 digits between consecutive partial sums is flagged in
+    meta["cancellation"].  The backward extension is validated by
+    re-checking W[f, g] = 1 at n = 0 (meta["w_check_0"]).
 
-    The sum's terms, the sum itself (carried across stretch edges), the
-    cancellation flag's running maximum and g = f * sum are formed one
-    stretch at a time, g written straight into its window, so the
-    workspace besides f and g is O(stretch) for any N.  A stretch is one
-    frame of volterra.prefix_sum_frames, so g moves against a whole-window
-    sum only by rounding, and only past the sum's first frame cut.
+    The sum's terms, the sum itself, the cancellation flag's running
+    maximum and g = f * sum are formed one stretch of volterra._CHUNK
+    indices m at a time from n0g, g written straight into its window, so
+    the workspace besides f and g is O(_CHUNK) for any N.  Each stretch is
+    one volterra._scaled_prefix_sum call that carries the last stretch's
+    sum as (log-magnitude, unit phase), so g moves against one sum over the
+    whole window only by rounding.
+
+    A given f fixes the window, so N must then be None; it must be a
+    window at zp from the same model (WindowMismatch otherwise).
     """
     _require_regular(zp, params)
     if f is None:
         f = jost(zp, params, model, N=N, n0=None)
+    elif N is not None:
+        raise InvalidParameter("pass N or f, not both: f fixes the window")
+    elif f.zp != zp or not _same_model(f.model, model):
+        raise WindowMismatch("f was built at another point or from another model")
     n0 = f.meta["n0"]
     N = f.n_hi
     n0g = _clear_zeros(f, n0)
@@ -299,8 +307,11 @@ def growing(zp: SpectralPoint, params: CriticalParams, model: CoefficientModel,
     # g_m = f_m * (partial sum)_m on [n0g, N], then downwards to n = -1
     full_lm = np.empty(N + 2)
     full_u = np.empty(N + 2, dtype=f.unit.dtype)
-    top, cancelled = -np.inf, False
-    for lo, hi, ps_lm, ps_u in volterra.prefix_sum_frames(n0g, N + 1, terms):
+    top, cancelled, carry = -np.inf, False, (-np.inf, 1.0)
+    for lo in range(n0g, N + 1, volterra._CHUNK):
+        hi = min(lo + volterra._CHUNK, N + 1)           # m in [lo, hi)
+        ps_lm, ps_u = volterra._scaled_prefix_sum(*terms(lo, hi), carry=carry)
+        carry = float(ps_lm[-1]), ps_u[-1].item()
         runmax = np.maximum.accumulate(ps_lm)
         np.maximum(runmax, top, out=runmax)
         top = float(runmax[-1])
@@ -354,6 +365,10 @@ def _wronskians(lmF: np.ndarray, uF: np.ndarray, lmG: np.ndarray,
                               - np.exp(lm2 - ref) * uF[1:] * uG[:-1])
 
 
+def _same_model(m1: CoefficientModel, m2: CoefficientModel) -> bool:
+    return m1.kind == m2.kind and m1.params == m2.params
+
+
 def wronskian_detail(F, G) -> tuple[complex, float, int]:
     """(median Wronskian, max deviation across n, number of points).
 
@@ -362,7 +377,7 @@ def wronskian_detail(F, G) -> tuple[complex, float, int]:
     """
     if abs(complex(F.z) - complex(G.z)) != 0.0:
         raise WindowMismatch("windows evaluated at different z")
-    if F.model.kind != G.model.kind or F.model.params != G.model.params:
+    if not _same_model(F.model, G.model):
         raise WindowMismatch("windows built from different models")
     hi = min(F.n_hi, G.n_hi)
     if hi < 0:

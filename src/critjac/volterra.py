@@ -45,7 +45,10 @@ tail window is streamed the same way, from the bottom up; its terms need
 X_n and the prefix sums of X_n^{-1}, which stay in scaled frames
 (_sum_frames) from which the terms are formed directly, and only each
 stretch's last sum is carried up as a log-magnitude and a phase
-(_kernel_chunk).
+(_kernel_chunk).  The growing partner's reciprocal sums (solutions.growing)
+go up their window the same way through _scaled_prefix_sum, so every
+framed sum covers one stretch of at most 2^14 + 1 terms, and a frame is
+cut only where the terms climb more than _SUM_SPAN nats.
 
 The window's stretch edges sit at the multiples of 2^14 (_stretches),
 so a stretch is the same index range for every point whatever its
@@ -109,7 +112,6 @@ N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # stretch edges sit at its multiples
 _WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
-_SUM_BLOCK = 65536                        # most terms per frame of _sum_frames
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
 _BATCH_BYTES = 2 ** 22                    # step rows per batch of _hand_down: 7 complex points of a stretch
 
@@ -577,15 +579,16 @@ def _sum_frames(logv: np.ndarray, unitv: np.ndarray,
     Each term comes in as a real log-magnitude and a unit phase, so a
     term costs one real exp and one product; angles would cost a complex
     exp per term (over ten times as much: 9.9 against 0.75 ms for 2e5
-    terms).  A frame holds at most _SUM_BLOCK terms and is cut as soon
-    as the running maximum of logv would climb more than _SUM_SPAN nats
-    above its start (its first term or the carry), so every scaled sum
-    stays inside the normal double range however steeply the magnitudes
-    climb; ref is the frame's largest log-magnitude.  The frame's maximum
-    is taken first and the running maximum only where it climbs that far;
-    there one running maximum finds every cut of the block by bisection,
-    since past a cut the running maximum from the block start is the one
-    from the cut.  S is in the dtype of unitv (real terms, real sums).
+    terms).  A frame is cut as soon as the running maximum of logv would
+    climb more than _SUM_SPAN nats above its start (its first term or the
+    carry), so every scaled sum stays inside the normal double range
+    however steeply the magnitudes climb; ref is the frame's largest
+    log-magnitude.  The terms' maximum is taken first and the running
+    maximum only where it climbs that far; there one running maximum finds
+    every cut by bisection, since past a cut the running maximum from the
+    first term is the one from the cut.  S is in the dtype of unitv (real
+    terms, real sums).  Callers pass one stretch of terms at a time and
+    carry its last sum into the next, so S is O(_CHUNK).
     """
     n = len(logv)
     S = np.empty(n, dtype=np.result_type(unitv, float))
@@ -601,30 +604,18 @@ def _sum_frames(logv: np.ndarray, unitv: np.ndarray,
         frames.append((lo, hi, ref))
         carry_log, carry_unit = _last_log(S[hi - 1:hi], ref)
 
+    top = float(np.max(logv))                # no cut below (a NaN takes the search)
+    if top <= max(float(logv[0]), carry_log) + _SUM_SPAN:
+        frame(0, n, max(top, carry_log))
+        return S, frames
+    runmax = np.maximum.accumulate(logv)
     lo = 0
-    while lo < n:
-        cap = min(lo + _SUM_BLOCK, n)
-        frame0 = max(float(logv[lo]), carry_log)
-        top = float(np.max(logv[lo:cap]))
-        if top <= frame0 + _SUM_SPAN:        # no cut (a NaN takes the search)
-            frame(lo, cap, max(top, carry_log))
-            lo = cap
-            continue
-        runmax = np.maximum.accumulate(logv[lo:cap])
-        a = lo
-        while True:
-            limit = frame0 + _SUM_SPAN       # numpy sorts NaN last: check the hit
-            k = a - lo + int(np.searchsorted(runmax[a - lo:], limit, "right"))
-            cut = k < len(runmax) and runmax[k] > limit
-            if not cut and a > lo and cap < n:
-                break                        # the frame from a may reach past cap
-            hi = lo + k if cut else cap
-            frame(a, hi, max(float(runmax[hi - 1 - lo]), carry_log))
-            a = hi
-            if not cut:
-                break
-            frame0 = max(float(logv[a]), carry_log)
-        lo = a
+    while lo < n:                            # numpy sorts NaN last: check the hit
+        limit = max(float(logv[lo]), carry_log) + _SUM_SPAN
+        k = lo + int(np.searchsorted(runmax[lo:], limit, "right"))
+        hi = k if k < n and runmax[k] > limit else n
+        frame(lo, hi, max(float(runmax[hi - 1]), carry_log))
+        lo = hi
     return S, frames
 
 
@@ -655,31 +646,14 @@ def _scaled_prefix_sum(logv: np.ndarray, unitv: np.ndarray,
     added to `carry`, a sum already taken in the same form: _sum_frames'
     scaled sums, each frame turned into logs.  The phases come out in the
     dtype of unitv: real terms give real signs.  The last sum is the
-    carry for the terms that follow.
+    carry for the terms that follow (solutions.growing's reciprocal sum,
+    one stretch at a time).
     """
     S, frames = _sum_frames(logv, unitv, carry)
     out_log = np.empty(len(S))
     for lo, hi, ref in frames:
         _to_logs(S[lo:hi], ref, out_log[lo:hi], S[lo:hi])
     return out_log, S
-
-
-def prefix_sum_frames(lo: int, hi: int, terms):
-    """_scaled_prefix_sum over the terms m in [lo, hi), one frame of
-    _SUM_BLOCK terms at a time, each frame carrying the last one's sum.
-
-    terms(a, b) returns (logv, unitv) for m in [a, b); each frame yields
-    (a, b, log-magnitudes, unit phases) of the sums at m in [a, b).  The
-    frames start where a single call's blocks would, so the sums equal
-    that call's bit for bit up to its first _SUM_SPAN cut, and after it
-    by rounding alone.  The workspace is O(_SUM_BLOCK) for any hi - lo.
-    """
-    carry = (-np.inf, 1.0)
-    for a in range(lo, hi, _SUM_BLOCK):
-        b = min(a + _SUM_BLOCK, hi)
-        out_log, out_unit = _scaled_prefix_sum(*terms(a, b), carry=carry)
-        carry = float(out_log[-1]), out_unit[-1].item()
-        yield a, b, out_log, out_unit
 
 
 class _TailFit:

@@ -373,6 +373,29 @@ def test_non_finite_grid_is_config_error(argv, monkeypatch, capsys):
     assert "InvalidParameter" in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("step, message", [
+    ("-0.1", "must not be negative"),
+    ("1e-300", "too many points"),
+], ids=["negative", "too_many_points"])
+def test_unusable_grid_step_is_config_error(step, message, monkeypatch, capsys):
+    # a negative step is not taken for "the two ends" (step 0), and a step
+    # too fine for np.arange to allocate is no traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grid")
+
+    monkeypatch.setattr(volterra, "solve_group", no_solve)
+    code, out, err = run(["density", "--p", "0", "--lambda-min", "0.5", "--lambda-max",
+                          "1", "--lambda-step", step, "--N", "2000"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "InvalidParameter" in err and message in err
+
+
+def test_zero_grid_step_gives_the_two_ends():
+    grid = cli._grid({"lambda_min": 0.5, "lambda_max": 1.0, "lambda_step": 0.0})
+    assert grid.tolist() == [0.5, 1.0]
+
+
 def test_eigs_empty_interval(capsys):
     code, out, _ = run(["eigs", "--p", "0", "--lambda-min", "-10",
                         "--lambda-max", "-0.1", "--N", "20000"], capsys)

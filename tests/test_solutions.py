@@ -6,7 +6,8 @@ import pytest
 
 from conftest import force_complex, log_sample_indices, loglog_slope, phi_at, power
 from critjac import ansatz, coeffs, recurrence, solutions, spectral, volterra
-from critjac.errors import BranchPoint, OnSpectrum, OutsideAC, WindowMismatch, ZeroCrossing
+from critjac.errors import (BranchPoint, InvalidParameter, OnSpectrum, OutsideAC,
+                            WindowMismatch, ZeroCrossing)
 
 
 def test_jost_window_residual(laguerre0):
@@ -57,6 +58,43 @@ def test_growing_requires_regular_point(laguerre0):
     m, p = laguerre0
     with pytest.raises(OnSpectrum):
         solutions.growing(ansatz.at_plus(1.0), p, m, N=2000)
+
+
+def test_growing_refuses_a_foreign_f(laguerre0, laguerre1):
+    # f fixes the window: one built at another point or from another model
+    # is refused, and so is an N passed with it; f at its own point checks
+    m, p = laguerre0
+    f = solutions.jost(ansatz.interior(-1.0), p, m, N=4000)
+    with pytest.raises(WindowMismatch):
+        solutions.growing(ansatz.interior(-2.0), p, m, f=f)
+    with pytest.raises(WindowMismatch):
+        solutions.growing(ansatz.interior(-1.0), laguerre1[1], laguerre1[0], f=f)
+    with pytest.raises(InvalidParameter):
+        solutions.growing(ansatz.interior(-1.0), p, m, N=999, f=f)
+    g = solutions.growing(ansatz.interior(-1.0), p, m, f=f)
+    assert abs(g.meta["w_check_0"] - 1.0) < 1e-10
+
+
+def test_growing_streamed_sum_matches_one_sum(laguerre0):
+    # at z = -1 (N = 1e5) the reciprocal sum runs over seven stretches,
+    # and its terms climb through two frame cuts that fall inside them;
+    # carried across the stretch edges, g / f equals one framed sum over
+    # the whole of [n0g, N] to 1e-12 relative
+    m, p = laguerre0
+    zp = ansatz.interior(-1.0)
+    f = solutions.jost(zp, p, m, N=100_000)
+    g = solutions.growing(zp, p, m, f=f)
+    ms = np.arange(g.meta["n0g"], g.n_hi + 1)
+    assert len(range(ms[0], ms[-1] + 1, volterra._CHUNK)) == 7
+    a_prev = m.a_fn(np.maximum(ms - 1, 0).astype(float))
+    logv = -np.log(a_prev) - f.logmag[ms] - f.logmag[ms + 1]
+    unitv = np.conjugate(f.unit[ms] * f.unit[ms + 1])
+    _, frames = volterra._sum_frames(logv, unitv)
+    assert len(frames) == 3 and all(lo % volterra._CHUNK for lo, _, _ in frames[1:])
+    ref_log, ref_unit = volterra._scaled_prefix_sum(logv, unitv)
+    k = ms + 1                                         # entries of f_m and g_m
+    assert np.max(np.abs(g.logmag[k] - f.logmag[k] - ref_log)) <= 1e-12
+    assert np.max(np.abs(g.unit[k] - f.unit[k] * ref_unit)) <= 1e-12
 
 
 # dips of f for _clear_zeros, {m: nats below the neighbours' mean}, on a

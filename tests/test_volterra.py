@@ -373,24 +373,29 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
 
 
 
-@pytest.mark.parametrize("max_block", [65536, 4])
-def test_prefix_sum_exact_zero(max_block, monkeypatch):
+@pytest.mark.parametrize("split", [65536, 4])
+def test_prefix_sum_exact_zero(split):
     # terms 1, 1, -1, -1, 1: the two -1 are e^{+i pi} and e^{-i pi}, whose
     # imaginary residues (sin(pi) = 1.2e-16 in doubles) cancel, so the
-    # fourth partial sum is exactly zero; with blocks of 4 that zero
-    # ends a block and is carried into the next
-    monkeypatch.setattr(volterra, "_SUM_BLOCK", max_block)
+    # fourth partial sum is exactly zero; the first call sums at most
+    # `split` terms, and split at 4 that zero ends the first call and is
+    # carried into the second as (-inf, 1)
     logv = np.zeros(5)
     unitv = np.exp(1j * np.array([0.0, 0.0, np.pi, -np.pi, 0.0]))
-    lg, un = volterra._scaled_prefix_sum(logv, unitv)
+    lg, un = volterra._scaled_prefix_sum(logv[:split], unitv[:split])
+    if split < len(logv):
+        carry = float(lg[-1]), un[-1].item()
+        assert carry == (-np.inf, 1.0)
+        lg2, un2 = volterra._scaled_prefix_sum(logv[split:], unitv[split:], carry)
+        lg, un = np.concatenate([lg, lg2]), np.concatenate([un, un2])
     assert lg[3] == -np.inf and un[3] == 1.0
     assert lg[4] == 0.0 and un[4] == 1.0
     assert np.all(np.isfinite(lg[:3])) and np.all(np.abs(un) == 1.0)
 
-def test_prefix_sum_real_terms_give_real_signs(monkeypatch):
+def test_prefix_sum_real_terms_give_real_signs():
     # real unit phases (signs) keep the sums real: the log-magnitudes are
-    # those of the complex computation, the signs are +-1 exactly
-    monkeypatch.setattr(volterra, "_SUM_BLOCK", 700)
+    # those of the complex computation, the signs are +-1 exactly (the
+    # terms climb about 5000 nats, so the sums are cut into about ten frames)
     rng = np.random.default_rng(7)
     logv = np.cumsum(rng.normal(1.0, 3.0, 5000))
     signs = np.sign(rng.normal(size=5000))
@@ -413,12 +418,11 @@ def per_cut_prefix_sum(logv, unitv, carry=(-np.inf, 1.0)):
     carry_log, carry_unit = carry
     lo = 0
     while lo < n:
-        cap = min(lo + volterra._SUM_BLOCK, n)
-        runmax = np.maximum.accumulate(logv[lo:cap])
+        runmax = np.maximum.accumulate(logv[lo:])
         frame0 = max(float(logv[lo]), carry_log)
         cut = np.nonzero(runmax > frame0 + volterra._SUM_SPAN)[0]
         hi = lo + int(cut[0]) if len(cut) and cut[0] > 0 else (
-            lo + 1 if len(cut) else cap)
+            lo + 1 if len(cut) else n)
         ref = max(float(runmax[hi - 1 - lo]), carry_log)
         partial = np.cumsum(np.exp(logv[lo:hi] - ref) * unitv[lo:hi])
         if np.isfinite(carry_log):
@@ -439,13 +443,13 @@ def per_cut_prefix_sum(logv, unitv, carry=(-np.inf, 1.0)):
 @settings(max_examples=300, deadline=None)
 @given(steps=hs.lists(hs.one_of(hs.floats(-3.0, 3.0), hs.floats(-60.0, 60.0),
                                 hs.floats(-900.0, 900.0)), min_size=1, max_size=150),
-       span=hs.sampled_from([2.0, 7.0, 500.0]), block=hs.integers(2, 40),
+       span=hs.sampled_from([2.0, 7.0, 500.0]),
        carry=hs.one_of(hs.none(), hs.floats(-100.0, 100.0)),
        complex_terms=hs.booleans(), head_term=hs.booleans(), seed=hs.integers(0, 2 ** 16))
-def test_sum_frames_cuts_match_per_cut_loop(steps, span, block, carry, complex_terms,
+def test_sum_frames_cuts_match_per_cut_loop(steps, span, carry, complex_terms,
                                             head_term, seed):
     # steep climbs and falls, frames of a few terms and spans of a few
-    # nats: the max-first search with one running maximum per block gives
+    # nats: the max-first search with one running maximum gives
     # the frames, log-magnitudes and phases of the per-cut loop bit for
     # bit, with and without a carry, and with the tail's first term (-inf,
     # already in the carry)
@@ -462,7 +466,6 @@ def test_sum_frames_cuts_match_per_cut_loop(steps, span, block, carry, complex_t
             logv[0] = -np.inf
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(volterra, "_SUM_SPAN", span)
-        mp.setattr(volterra, "_SUM_BLOCK", block)
         ref_log, ref_unit, ref_frames = per_cut_prefix_sum(logv, unitv, c)
         _, frames = volterra._sum_frames(logv, unitv, c)
         lg, un = volterra._scaled_prefix_sum(logv, unitv, c)
