@@ -24,27 +24,21 @@ The window builders (theta_window, ansatz_ratio_window,
 remainder_window) take the index stretch they cover as a Stretch: the
 arrays of one model on [lo, hi) that do not depend on z (a_n, b_n, their
 ratios and roots, n^-sigma, -tau/n, (n/(n+1))^rho, ...), each built on
-first use and kept.  The solver takes its stretches from stretch(): the
-points of a group that share a stretch read one (volterra.solve_group),
-and the Omega evaluations of one eigenvalue search read the stretches
-that keep_stretches keeps for the search, up to a fixed number of them
-(spectral.eigenvalue_report).  So the z-free arrays are built once per
-group and, inside a search, once per search; a lone call outside a
-search builds its own.  Every function here is pure given (point,
-stretch), and a search's stretches live in a context variable that its
-scope resets, so the module keeps no state between calls.  A Stretch
-fills itself as it is read, so it belongs to one thread: the CLI's pool
-(density --threads) gives each thread a group of its own, and a thread
-started inside a search does not see the search's stretches.  The phase
-sum phi_n has one path, phi_stretch, a cumulative sum of a carried value
-and one theta_window; phi_window is its stretch from the window start.
+first use and kept.  The points of a group that share a stretch read
+one (volterra.solve_group), so the z-free arrays are built once per
+group; a lone call builds its own.  Every function here is pure given
+(point, stretch), and the module keeps no state between calls.  A
+Stretch fills itself as it is read, so it belongs to one thread: the
+CLI's pool (density --threads) gives each thread a group of its own.
+The phase sum phi_n has one path, phi_stretch, a cumulative sum of a
+carried value and one theta_window; phi_window is its stretch from the
+window start, and an eigenvalue search walks it stretch by stretch to
+end each window (spectral._omega_real).
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,10 +254,6 @@ class Stretch:
     one, its arrays views of this one's: the points of a group whose
     windows start inside a shared stretch each read their part of it.
     model may be None where only the phases are read (phi_stretch).
-
-    The solver takes its stretches from stretch(), which inside a search
-    (keep_stretches) hands out the search's kept ones: each array is then
-    built once per search, not once per Omega evaluation.
     """
 
     def __init__(self, params: CriticalParams, model: CoefficientModel | None,
@@ -329,63 +319,6 @@ class Stretch:
     @_shared
     def b(self):
         return self.model.b_fn(self.ns[1:])
-
-
-# most stretches one search keeps (keep_stretches).  A solver stretch
-# spans volterra._CHUNK = 2^14 indices and holds at most 11 float64
-# arrays, so a search holds at most 5.8 MB of them whatever N; four
-# cover a window of N <= 2^16 (eig_scan's N = 6e4), and past the cap a
-# stretch is built per evaluation, as outside a search
-_SEARCH_KEEP = 4
-
-# the stretches kept for one search: (params, model, {hi: Stretch})
-_KEPT: contextvars.ContextVar = contextvars.ContextVar("critjac_kept_stretches",
-                                                       default=None)
-
-
-@contextmanager
-def keep_stretches(params: CriticalParams, model: CoefficientModel):
-    """Within the block, stretch() keeps the stretches of (params, model)
-    it builds, at most _SEARCH_KEEP of them, and hands them out again:
-    the Omega evaluations of one search sweep the same stretches and read
-    the same z-free arrays.  Yields the kept stretches by their top edge.
-
-    The scope is a context variable, reset on the way out however the
-    block ends; a thread started inside it does not see it (a thread
-    starts in a context of its own).  Nothing is kept past the block.
-    """
-    kept: dict[int, Stretch] = {}
-    token = _KEPT.set((params, model, kept))
-    try:
-        yield kept
-    finally:
-        _KEPT.reset(token)
-
-
-def stretch(params: CriticalParams, model: CoefficientModel | None,
-            lo: int, hi: int) -> Stretch:
-    """The Stretch of (params, model) on [lo, hi), for the solver.
-
-    Inside keep_stretches for the same params and model, it is the kept
-    stretch with top edge hi, cut at lo (Stretch.since) when that one
-    starts below lo.  Where none is kept, or the kept one starts above lo
-    (a window's bottom stretch starts at its own n0), a new one is built
-    and kept in its place, while fewer than _SEARCH_KEEP are kept.
-    Anywhere else it is a new Stretch.  A cut reads the values a new
-    stretch would build, since each array is the same expression on the
-    same indices.
-    """
-    scope = _KEPT.get()
-    if scope is None or params is not scope[0] or model is not scope[1]:
-        return Stretch(params, model, lo, hi)
-    kept = scope[2]
-    st = kept.get(hi)
-    if st is not None and st.lo <= lo:
-        return st.since(lo)
-    st = Stretch(params, model, lo, hi)
-    if hi in kept or len(kept) < _SEARCH_KEEP:
-        kept[hi] = st
-    return st
 
 
 def theta_window(ctx: PhaseContext, st: Stretch) -> np.ndarray:

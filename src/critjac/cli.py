@@ -144,9 +144,12 @@ def _grid(cfg: dict) -> np.ndarray:
         return np.array([lo]) if hi == lo else np.array([lo, hi])
     try:
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(count)
-    except (OverflowError, ValueError, MemoryError):
-        raise InvalidParameter(f"lambda grid step {step:g} gives too many points") from None
+    except OverflowError:
+        count = math.inf
+    if count > volterra.N_CAP:
+        raise InvalidParameter(f"lambda grid step {step:g} gives too many points "
+                               f"(more than N_CAP = {volterra.N_CAP})")
+    return lo + step * np.arange(count)
 
 
 def _emit(text: str, out: str | None):

@@ -13,6 +13,9 @@ count them (Jacobi oscillation theory; G. Teschl, Jacobi Operators and
 Completely Integrable Nonlinear Lattices, AMS 2000, ch. 4), so a
 bisection on that count isolates each in a bracket of its own and Brent
 refines it; a truncated-matrix eigensolver only cross-checks the result.
+Off the a.c. closure f is the recessive solution, so the zeros and the
+count need each window only as far as f has fallen e^-40 below its
+growing partner, which the phase sum tells (_omega_real).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import recurrence, solutions, volterra
-from .ansatz import SpectralPoint, at_plus, interior, keep_stretches
+from .ansatz import SpectralPoint, at_plus, interior, phase_context, phi_stretch
 from .coeffs import CoefficientModel, CriticalParams, RealInterval
 from .errors import (
     CritJacError,
@@ -42,6 +45,7 @@ EIG_CROSS_TOL = 1e-6
 MATRIX_START_N = 400            # first truncation of matrix_eigs_adaptive
 MATRIX_CAP_N = 200_000          # its largest truncation
 MATRIX_SETTLE = 1e-8            # eigenvalue movement that counts as settled
+SEARCH_DECAY = 40.0             # 2 Im(phi_N - phi_n0) at which a search window ends
 
 
 @dataclass(frozen=True)
@@ -220,13 +224,47 @@ def projector_density(n: int, m: int, lam: float, params: CriticalParams,
 # -- discrete spectrum -------------------------------------------------------
 
 
+def _search_top(lam: float, params: CriticalParams, N: int | None) -> int:
+    """The top of _omega_real's window at lam: the first index where
+    2 Im(phi_N - phi_n0) exceeds SEARCH_DECAY, at least 2 n0, at most
+    volterra.window_top(n0, N) (which raises InvalidParameter for an
+    explicit N too short).  phi is walked up from the window start by
+    phi_stretch, carried from stretch to stretch: [n0, 2 n0] first, each
+    next stretch twice as long, up to the solver's 2^14 indices, so a
+    short window costs a few short stretches.  Where the phase never
+    gets there, the window is the cap.
+    """
+    ctx = phase_context(interior(complex(lam)), params)
+    n0 = ctx.n_start
+    cap = volterra.window_top(n0, N)
+    phi, lo = 0j, n0
+    while lo < cap:
+        hi = min(2 * lo, lo + volterra._CHUNK, cap)
+        part = phi_stretch(ctx, lo, hi, phi)
+        past = np.flatnonzero(2.0 * part.imag > SEARCH_DECAY)
+        if len(past):
+            return min(max(lo + int(past[0]), 2 * n0), cap)
+        phi, lo = part[-1], hi
+    return cap
+
+
 def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
                 N: int | None) -> tuple[float, int]:
     """(Re Omega(lam), node count) from one bare Volterra window (the
-    unit tail: u = 1 beyond N) and its head [-1, n0 + 1].
+    unit tail: u = 1 beyond its top) and its head [-1, n0 + 1].
 
     Re Omega is accurate in sign and zeros, which is all the eigenvalue
     search uses; the value itself is off by about 1e-3 relative.
+
+    The window ends where the Jost solution f, the recessive solution
+    off the a.c. closure, has fallen e^-SEARCH_DECAY below its growing
+    partner (_search_top; W. Gautschi, "Computational aspects of
+    three-term recurrence relations", SIAM Review 9 (1967)).  A window
+    cut at N solves alpha f + beta g with beta / alpha about
+    exp(-2 Im(phi_N - phi_n0)), and alpha only rescales f, so the zeros
+    of Omega and the node count are those of the whole window to
+    rounding: on eig_scan's interval (sigma = 1, [-5, 0.9]) the window
+    tops are 71 to 1182.  N, explicit or the default, caps the window.
 
     The count is the number of nodes of (-gamma)^n f_n on the head: its
     exact zeros and its sign changes between neighbours, the one between
@@ -238,7 +276,8 @@ def _omega_real(lam: float, params: CriticalParams, model: CoefficientModel,
     and u_{n0+1} and raises NumericFailure rather than miscount.
     """
     zp = interior(complex(lam))
-    sol = volterra.solve(zp, params, model, N=N, tail_init="unit", n_top=0)
+    sol = volterra.solve(zp, params, model, N=_search_top(lam, params, N),
+                         tail_init="unit", n_top=0)
     if not np.all(sol.u[:2].real > 0.0):
         raise NumericFailure(
             f"u is not positive on the window head [{sol.n0}, {sol.n0 + 1}] "
@@ -283,7 +322,8 @@ def discrete_eigenvalues(lo: float, hi: float, params: CriticalParams,
     The node count of the Jost head isolates each eigenvalue in a
     bracket of its own by bisection; Brent refines it to 1e-9.  Two
     eigenvalues that no bracket wider than 1e-9 separates raise
-    NumericFailure rather than being merged.
+    NumericFailure rather than being merged.  N caps each Omega
+    evaluation's window, which ends where the phase sum says (_omega_real).
     """
     return eigenvalue_report(lo, hi, params, model, N=N)["omega_zeros"]
 
@@ -300,21 +340,16 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
     within EIG_CROSS_TOL of a matrix eigenvalue.  A deviation with no
     matrix eigenvalue to measure it from is None.
 
-    Every Omega evaluation sweeps the same window stretches of the same
-    model, so the search keeps them (ansatz.keep_stretches): each
-    stretch's z-free arrays (a_n, b_n, their ratios and roots, ...) are
-    built once per search, not once per evaluation, for at most
-    ansatz._SEARCH_KEEP stretches (2^16 indices; the rest of a longer
-    window is built per evaluation).  They are the arrays an evaluation
-    would build, so the report is the same bit for bit, and nothing is
-    kept once the call returns or raises.
+    Each Omega evaluation picks its own window (_omega_real); N, explicit
+    or the default, caps it.  An interval that touches the a.c. closure
+    raises OverlapsAC.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParameter("interval ends must be finite")
     if hi <= lo:
         raise InvalidParameter("need lo < hi")
     ac = params.ac_set
-    if ac is not None and not (hi <= ac.lo or lo >= ac.hi):
+    if ac is not None and not (hi < ac.lo or lo > ac.hi):
         raise OverlapsAC(f"[{lo:g}, {hi:g}] intersects the a.c. closure {ac}")
 
     evals: dict[float, tuple[float, int]] = {}
@@ -331,27 +366,26 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         (fa, ca), (fb, cb) = at(a), at(b)
         return abs(cb - ca) - int((fb if params.gamma > 0 else fa) == 0.0)
 
-    with keep_stretches(params, model):
-        zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
-        count = inside(lo, hi) + len(zeros)
-        brackets = [(lo, hi)]
-        while brackets:
-            a, b = brackets.pop()
-            k = inside(a, b)
-            if k == 0:
-                continue
-            if k == 1 and at(a)[0] * at(b)[0] < 0.0:
-                zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
-                continue
-            if b - a < EIG_XTOL:
-                raise NumericFailure(
-                    f"node count {k} in ({a:.17g}, {b:.17g}), a bracket narrower "
-                    f"than {EIG_XTOL:g}: cannot isolate the eigenvalues"
-                )
-            m = 0.5 * (a + b)
-            if at(m)[0] == 0.0:
-                zeros.append(m)
-            brackets += [(m, b), (a, m)]
+    zeros = [float(x) for x in (lo, hi) if at(x)[0] == 0.0]
+    count = inside(lo, hi) + len(zeros)
+    brackets = [(lo, hi)]
+    while brackets:
+        a, b = brackets.pop()
+        k = inside(a, b)
+        if k == 0:
+            continue
+        if k == 1 and at(a)[0] * at(b)[0] < 0.0:
+            zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
+            continue
+        if b - a < EIG_XTOL:
+            raise NumericFailure(
+                f"node count {k} in ({a:.17g}, {b:.17g}), a bracket narrower "
+                f"than {EIG_XTOL:g}: cannot isolate the eigenvalues"
+            )
+        m = 0.5 * (a + b)
+        if at(m)[0] == 0.0:
+            zeros.append(m)
+        brackets += [(m, b), (a, m)]
     zeros.sort()
 
     ref, N_mat, settled = matrix_eigs_adaptive(model, (lo, hi))

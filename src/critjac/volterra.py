@@ -59,15 +59,14 @@ as one group in lockstep (solve_group): the tail pass bottom-up, then
 the window pass top-down, and at each stretch the arrays that do not
 depend on z (ansatz.Stretch: a_n, b_n, their ratios and roots,
 n^-sigma, the z-free part of log|X_n|; the tail fit's powers of m) are
-built once for the group.  An eigenvalue search keeps the first
-stretches it builds, up to a fixed number (ansatz.keep_stretches), so
-across its Omega evaluations those are built once too.  Each point then
-does its own z-dependent work and carries its own state: the tail head,
-sums and fit, then (u, D).  Where a stretch lies above the n_top of
-several points, their states are moved down it in batches, each block
-step one array operation over the batch (_hand_down), and each state is
-still the point's own bit for bit.  A point that fails keeps its
-exception and drops out; the rest go on.  solve is the group of one.
+built once for the group.  Each point then does its own z-dependent
+work and carries its own state: the tail head, sums and fit, then
+(u, D).  Where a stretch lies above the n_top of several points, their
+states are moved down it in batches, each block step one array
+operation over the batch (_hand_down), and each state is still the
+point's own bit for bit.  A point that fails keeps its exception and
+drops out; the rest go on.  solve is the group of one.  An eigenvalue
+search passes each solve its own short N (spectral._omega_real).
 
 A kernel stretch is float64 exactly when theta_n is purely imaginary on
 it: real z off the closure of the a.c. set (the discrete region, the
@@ -102,7 +101,6 @@ from .ansatz import (
     ansatz_ratio_window,
     phase_context,
     remainder_window,
-    stretch,
     theta_window,
 )
 from .coeffs import CoefficientModel, CriticalParams
@@ -166,9 +164,8 @@ class VolterraKernel:
         (u_N, D_N) in tops, or the NumericFailure that stopped it.
 
         At each stretch [lo, hi], from the top down, the group's
-        z-independent arrays are built once (ansatz.stretch, from the
-        lowest window start among the points it holds, or kept from an
-        earlier evaluation of the same search) and every point
+        z-independent arrays are built once (ansatz.Stretch, from the
+        lowest window start among the points it holds) and every point
         whose window reaches below hi takes its part, from its own n0 in
         its bottom stretch.  A point with lo < n_top sweeps it for u on
         its own (_Window.down); the points whose n_top lies below the
@@ -190,7 +187,7 @@ class VolterraKernel:
             live = [w for w in wins if w.error is None and w.ctx.n_start < hi]
             if not live:
                 continue
-            st = stretch(self.params, self.model,
+            st = Stretch(self.params, self.model,
                          max(lo, min(w.ctx.n_start for w in live)), hi + 1)
             for w in live:
                 if lo < w.n_top:     # its bottom stretch starts at its own n0
@@ -808,7 +805,7 @@ def _top_boundary(ctxs: list[PhaseContext], model: CoefficientModel, N: int,
         live = [t for t in tails if t.error is None]
         if not live:
             break
-        st = stretch(p, model, lo, hi + 1)
+        st = Stretch(p, model, lo, hi + 1)
         skip = min(max(fit_from - lo - 1, 0), hi - lo)   # rows m in (lo, hi] not fitted
         powers = st.ns[1 + skip:, None] ** exponents
         for t in live:

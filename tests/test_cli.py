@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,25 @@ def test_unusable_grid_step_is_config_error(step, message, monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert "InvalidParameter" in err and message in err
+
+
+def test_grid_past_n_cap_is_refused_before_allocating(monkeypatch, capsys):
+    # 5e8 points on [0.5, 1]: the count is checked against N_CAP before
+    # np.arange would take 4 GB
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grid")
+
+    monkeypatch.setattr(volterra, "solve_group", no_solve)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["density", "--p", "0", "--lambda-min", "0.5",
+                              "--lambda-max", "1", "--lambda-step", "1e-9"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and out == ""
+    assert "InvalidParameter" in err and "N_CAP" in err
+    assert peak < 2 ** 20
 
 
 def test_zero_grid_step_gives_the_two_ends():

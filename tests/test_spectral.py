@@ -1,8 +1,6 @@
-import contextlib
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -274,6 +272,15 @@ class TestEigenvalues:
         with pytest.raises(OverlapsAC):
             spectral.discrete_eigenvalues(-1.0, 1.0, p, m)
 
+    @pytest.mark.parametrize("gamma, lo, hi", [(1.0, -5.0, 1.0), (-1.0, -1.0, 5.0)])
+    def test_interval_touching_the_ac_closure_rejected(self, gamma, lo, hi):
+        # sigma 1, tau 1: the a.c. set is (1, inf) for gamma = 1 and
+        # (-inf, -1) for gamma = -1; an interval ending at its endpoint
+        # touches the closure and is refused before Omega is evaluated
+        m, p = power(1.0, 0.0, 0.0, gamma)
+        with pytest.raises(OverlapsAC, match="closure"):
+            spectral.eigenvalue_report(lo, hi, p, m)
+
     def test_dual_oracle_agreement(self):
         m, p = power(1.0, 0.0, 0.0)   # tau = 1
         rep = spectral.eigenvalue_report(-3.0, 0.9, p, m, N=40_000)
@@ -377,94 +384,63 @@ class TestEigenvalues:
         zeros = [brentq(f, eig - 1e-3, eig + 1e-3, xtol=1e-13) for f in (unit, asymptotic)]
         assert abs(zeros[0] - zeros[1]) < 1e-9
 
-
-class TestSearchScope:
-    """An eigenvalue search keeps its stretches (ansatz.keep_stretches):
-    every value is the one built fresh per evaluation, bit for bit."""
+    # (sigma, beta, gamma), an eigenvalue and the long window N: both
+    # gammas at sigma 1 (tau = 1), the all-discrete sigma 5/4, sigma 3/2
+    # with tau = 2, sigma 1/2
+    WINDOW_POINTS = [
+        ((1.0, 0.0, 1.0), -0.4577, 60_000),
+        ((1.0, 0.0, -1.0), 0.4577, 60_000),
+        ((1.25, 0.5, 1.0), 2.7806, 20_000),
+        ((1.25, 0.5, 1.0), 7.5359, 20_000),
+        ((1.5, 0.25, 1.0), -0.3702, 20_000),
+        ((1.5, 0.25, 1.0), 2.5055, 20_000),
+        ((0.5, 0.0, 1.0), -0.4764, 20_000),
+    ]
 
     @staticmethod
-    def recorded_scope(monkeypatch):
-        """The stretches each search keeps, one dict per search."""
-        kept, scope = [], spectral.keep_stretches
+    def search_zero(m, p, eig, N):
+        """The zero of Re Omega near eig from _omega_real's window, capped
+        by N."""
+        return brentq(lambda x: spectral._omega_real(x, p, m, N)[0],
+                      eig - 1e-3, eig + 1e-3, xtol=1e-14)
 
-        @contextlib.contextmanager
-        def recording(*args):
-            with scope(*args) as stretches:
-                kept.append(stretches)
-                yield stretches
+    @pytest.mark.parametrize("model, eig, N", WINDOW_POINTS)
+    def test_search_window_keeps_the_zero(self, monkeypatch, model, eig, N):
+        # the window that ends where 2 Im(phi_N - phi_n0) passes
+        # SEARCH_DECAY puts the zero of Re Omega where a long window does
+        sigma, beta, gamma = model
+        m, p = power(sigma, 0.0, beta, gamma)
+        short = self.search_zero(m, p, eig, None)
+        assert spectral._search_top(short, p, None) < N
+        monkeypatch.setattr(spectral, "SEARCH_DECAY", math.inf)   # window = cap
+        assert spectral._search_top(short, p, N) == N
+        assert abs(short - self.search_zero(m, p, eig, N)) < 1e-12
 
-        monkeypatch.setattr(spectral, "keep_stretches", recording)
-        return kept
-
-    @pytest.mark.parametrize("model, lo, hi, N", [
-        ((1.0, 0.0), -5.0, 0.9, 60_000),         # eig_scan's search
-        ((1.25, 0.5), 1.0, 4.0, 20_000),         # all discrete, 4 eigenvalues
-    ], ids=["eig_scan", "all_discrete"])
-    def test_report_matches_fresh_stretches(self, monkeypatch, model, lo, hi, N):
-        m, p = power(model[0], 0.0, model[1])
-        kept = self.recorded_scope(monkeypatch)
-        rep = spectral.eigenvalue_report(lo, hi, p, m, N=N)
-        assert len(kept) == 1 and len(kept[0]) == -(-N // volterra._CHUNK)
-        assert rep["agree"] and rep["count"] >= 1
-        monkeypatch.setattr(volterra, "stretch", ansatz.Stretch)   # build fresh
-        assert spectral.eigenvalue_report(lo, hi, p, m, N=N) == rep
-
-    def test_omega_real_same_inside_a_search(self):
-        # (Re Omega, count) at the node-count points, each model's points
-        # in one scope at two windows whose top stretches share their
-        # start: bit for bit the evaluation outside, the first pass
-        # building the kept stretches and the second reading them
-        points = TestEigenvalues.COUNT_POINTS
-        for model, group in itertools.groupby(points, key=lambda pt: pt[0]):
-            sigma, beta, gamma = model
-            m, p = power(sigma, 0.0, beta, gamma)
-            lams, Ns = [lam for _, lam in group], (40_000, 35_000)
-            want = [spectral._omega_real(lam, p, m, N) for N in Ns for lam in lams]
-            with ansatz.keep_stretches(p, m) as kept:
-                for _ in range(2):
-                    got = [spectral._omega_real(lam, p, m, N) for N in Ns for lam in lams]
-                    assert [(np.float64(om).tobytes(), c) for om, c in got] == \
-                        [(np.float64(om).tobytes(), c) for om, c in want]
-            assert len(kept) == min(4, ansatz._SEARCH_KEEP)
-
-    def test_default_window_keeps_at_most_the_cap(self):
-        # a default window (N = 1e6, 62 stretches) keeps _SEARCH_KEEP of
-        # them, each at most _CHUNK + 1 indices of 11 arrays at most
+    def test_short_explicit_window_moves_the_zero(self):
+        # N caps the window: at n0 + 3, below the rule's top, the zero
+        # moves by more than the search's tolerance
         m, p = power(1.0, 0.0, 0.0)
-        with ansatz.keep_stretches(p, m) as kept:
-            got = spectral._omega_real(-3.0, p, m, None)
-        assert len(kept) == ansatz._SEARCH_KEEP
-        assert all(st.hi - st.lo <= volterra._CHUNK + 1 for st in kept.values())
-        held = sum(a.nbytes for st in kept.values() for a in st._arrays.values())
-        assert held <= ansatz._SEARCH_KEEP * 11 * (volterra._CHUNK + 1) * 8
-        assert got == spectral._omega_real(-3.0, p, m, None)
+        n0 = ansatz.default_n_start(ansatz.interior(-0.4577), p)
+        assert spectral._search_top(-0.4577, p, n0 + 3) == n0 + 3
+        moved = abs(self.search_zero(m, p, -0.4577, n0 + 3)
+                    - self.search_zero(m, p, -0.4577, None))
+        assert moved > spectral.EIG_XTOL
 
-    def test_scope_ends_with_the_search(self, monkeypatch):
-        # each evaluation runs inside the scope, a thread started there
-        # sees none, and none is left once the search returns or raises
+    def test_search_window_capped_by_n(self):
+        # the rule's top at lambda = 0.9 (sigma 1) is 1182; an explicit N
+        # above it changes nothing, one below it is the top, and one too
+        # short is refused
         m, p = power(1.0, 0.0, 0.0)
-        inside, in_thread = [], []
-        omega_real = spectral._omega_real
-
-        def spy(lam, *args):
-            inside.append(ansatz._KEPT.get() is not None)
-            with ThreadPoolExecutor(1) as pool:
-                in_thread.append(pool.submit(ansatz._KEPT.get).result())
-            return omega_real(lam, *args)
-
-        monkeypatch.setattr(spectral, "_omega_real", spy)
-        spectral.eigenvalue_report(-5.0, 0.9, p, m, N=3000)
-        assert inside and all(inside) and in_thread == [None] * len(inside)
-        assert ansatz._KEPT.get() is None
-
-        def failing(lam, *args):
-            omega_real(lam, *args)
-            raise NumericFailure("stopped")
-
-        monkeypatch.setattr(spectral, "_omega_real", failing)
-        with pytest.raises(NumericFailure, match="stopped"):
-            spectral.eigenvalue_report(-5.0, 0.9, p, m, N=3000)
-        assert ansatz._KEPT.get() is None
+        assert spectral._search_top(0.9, p, None) == spectral._search_top(0.9, p, 60_000)
+        assert spectral._search_top(0.9, p, 500) == 500
+        with pytest.raises(InvalidParameter, match="too short"):
+            spectral._omega_real(0.9, p, m, 10)
+        # all discrete at lambda = 15 (n0 = 15803): the phase passes the
+        # threshold at 18505, so the window is 2 n0 long, or N below that
+        _, p = power(1.25, 0.0, 0.5)
+        n0 = ansatz.default_n_start(ansatz.interior(15.0), p)
+        assert spectral._search_top(15.0, p, None) == 2 * n0
+        assert spectral._search_top(15.0, p, 20_000) == 20_000
 
 
 def test_minus_side_conjugate_amplitude(laguerre0):

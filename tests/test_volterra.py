@@ -1314,24 +1314,6 @@ class TestGroup:
                 assert (type(got), str(got)) == (type(exc), str(exc))
 
     @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
-    @pytest.mark.parametrize("case", list(GROUPS))
-    def test_group_same_inside_a_search(self, laguerre0, case, tail_init):
-        # a group solved inside a search's scope, once building the kept
-        # stretches of the tail window and the window and once reading
-        # them, gets the solves outside it bit for bit
-        model, N, points = GROUPS[case]
-        m, p = model or laguerre0
-        want = volterra.solve_group(points, p, m, N=N, tail_init=tail_init)
-        with ansatz.keep_stretches(p, m) as kept:
-            for _ in range(2):
-                group = volterra.solve_group(points, p, m, N=N, tail_init=tail_init)
-                for got, sol in zip(group[:-1], want[:-1]):
-                    assert_same_solution(got, sol)
-                assert (type(group[-1]), str(group[-1])) == (type(want[-1]), str(want[-1]))
-        windows = -(-N // volterra._CHUNK) * (2 if tail_init == "asymptotic" else 1)
-        assert len(kept) == min(windows, ansatz._SEARCH_KEEP)
-
-    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
     @pytest.mark.parametrize("budget", ["default", "two_complex"])
     def test_batches_match_each_point_alone(self, laguerre0, monkeypatch, budget,
                                             tail_init):
