@@ -38,6 +38,7 @@ end each window (spectral._omega_real).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -161,15 +162,19 @@ def default_n_start(zp: SpectralPoint, params: CriticalParams) -> int:
     Keeps |t_n| <= 1/2 on the window and, for real arguments, clears the
     sign change of t_n with a wide margin so T_n stays away from the cut.
     A finite number of dropped leading terms only rescales the Jost
-    solution by a constant.  A sign change beyond the float range raises
-    InvalidParameter: no window reaches past it.
+    solution by a constant.  A non-finite z, a |t_n| <= 1/2 bound or a
+    sign change beyond the float range raises InvalidParameter: no window
+    reaches past it.
     """
     w = params.gamma * complex(zp.z)
-    base = max(
-        8,
-        math.ceil((4.0 * abs(w)) ** (1.0 / params.sigma)),
-        math.ceil(4.0 * abs(params.tau)) + 1,
-    )
+    if not cmath.isfinite(w):
+        raise InvalidParameter(f"z = {complex(zp.z)} is not finite")
+    try:
+        reach = math.ceil((4.0 * abs(w)) ** (1.0 / params.sigma))
+    except OverflowError:
+        raise InvalidParameter(
+            f"|t_n| <= 1/2 only beyond n = 1e308 at gamma z = {w}") from None
+    base = max(8, reach, math.ceil(4.0 * abs(params.tau)) + 1)
     if w.imag == 0.0:
         margin = 8.0 * _turning_index(w.real, params)
         if margin == math.inf:

@@ -45,7 +45,11 @@ tail window is streamed the same way, from the bottom up; its terms need
 X_n and the prefix sums of X_n^{-1}, which stay in scaled frames
 (_sum_frames) from which the terms are formed directly, and only each
 stretch's last sum is carried up as a log-magnitude and a phase
-(_kernel_chunk).  The growing partner's reciprocal sums (solutions.growing)
+(_kernel_chunk).  X_n's unit phase is a running product of Lambda_n's,
+taken in closed form (cos and sin of Re Phi_n) only every
+_ANCHOR_SPACING indices and carried up with the sum (_unit_phases), so
+a tail index pays for one cos and sin pair, B_n's, not two.  The
+growing partner's reciprocal sums (solutions.growing)
 go up their window the same way through _scaled_prefix_sum, so every
 framed sum covers one stretch of at most 2^14 + 1 terms, and a frame is
 cut only where the terms climb more than _SUM_SPAN nats.
@@ -109,7 +113,8 @@ from .errors import CritJacError, InvalidParameter, NumericFailure, only
 N_CAP = 10_000_000
 _TAIL_CAP = 1_000_000                     # longest tail window (_top_boundary)
 _CHUNK = 2 ** 14                          # stretch edges sit at its multiples
-_WINDOW_START = (None, 0j, 0.0, 1.0)      # c0 from n0, Phi_{n0} = 0, PS_{n0} = 1 (_kernel_chunk)
+_WINDOW_START = (None, 0j, None, 0.0, 1.0)  # c0, unit from n0; Phi, PS at n0 (_kernel_chunk)
+_ANCHOR_SPACING = 2 ** 8                  # closed-form unit phases at its multiples (_unit_phases)
 _SUM_SPAN = 500.0                         # nats a frame may grow before it is cut
 _BATCH_BYTES = 2 ** 22                    # step rows per batch of _hand_down: 7 complex points of a stretch
 
@@ -380,23 +385,24 @@ def _kernel_chunk(ctx: PhaseContext, st: Stretch,
     u_N - 1 and D_N.  Only a stretch's last sum is turned into logs, for
     the head.
 
-    `head` is (c0, Phi_lo, log|PS_lo|, phase of PS_lo), _WINDOW_START
-    where lo = n0 (c0 is then taken at lo); the returned head is the same
-    at hi, for the stretch above.  The running sums go on from the head,
-    so the stretches of a window add in the order of one pass over it.
-    The PS phase hands the dtype up (_rcal_chunk): on a real kernel every
-    unit phase is 1 and the terms are real.
+    `head` is (c0, Phi_lo, e^{-i arg X_lo}, log|PS_lo|, phase of PS_lo),
+    _WINDOW_START where lo = n0 (c0 and the unit phase are then taken at
+    lo); the returned head is the same at hi, for the stretch above.  The
+    running sums and the running unit phase (_unit_phases) go on from the
+    head, so the stretches of a window add and multiply in the order of
+    one pass over it.  The PS phase hands the dtype up (_rcal_chunk): on a
+    real kernel every unit phase is 1 and the terms are real.
     """
-    c0, phi0, logps0, unips0 = head
+    c0, phi0, unit0, logps0, unips0 = head
     th = theta_window(ctx, st)                            # theta_n, n in [lo, hi]
-    rr, _ = _rcal_chunk(ctx, st, np.result_type(unips0), th)
-    logX, uni, c0, phi_hi = _x_chunk(st, th, c0, phi0, rr.dtype)
-    del th
+    rr, B = _rcal_chunk(ctx, st, np.result_type(unips0), th)
+    logX, uni, xhead = _x_chunk(st, th, B, c0, phi0, unit0)
+    del th, B
     logv = np.negative(logX)
     logv[0] = -np.inf                    # X_lo^{-1} is in the head's sum already
     S, frames = _sum_frames(logv, uni, carry=(logps0, unips0))
     del logv
-    head = (c0, phi_hi, *_last_log(S[-1:], frames[-1][2]))
+    head = (*xhead, *_last_log(S[-1:], frames[-1][2]))
     w = rr[1:]                                            # e^{i arg X_{m-1}} Rcal_m
     w *= np.conjugate(uni[:-1], out=uni[:-1])
     del uni
@@ -409,12 +415,14 @@ def _kernel_chunk(ctx: PhaseContext, st: Stretch,
     return t, y, head
 
 
-def _x_chunk(st: Stretch, th: np.ndarray, c0: float | None, phi0: complex,
-             dtype: np.dtype) -> tuple:
-    """(logX, uniXinv, c0, Phi_hi): X_n = Lambda_{n0+1} ... Lambda_n on the
+def _x_chunk(st: Stretch, th: np.ndarray, B: np.ndarray, c0: float | None,
+             phi0: complex, unit0: complex | None) -> tuple:
+    """(logX, uniXinv, head): X_n = Lambda_{n0+1} ... Lambda_n on the
     stretch [lo, hi] = [st.lo, st.hi - 1] as log|X_n| and the unit phase of
-    X_n^{-1}, e^{-i arg X_n} (1 in a real `dtype`), indexed by n - lo,
-    from theta_n on [lo, hi] and the head's c0 and Phi_lo (_kernel_chunk).
+    X_n^{-1}, e^{-i arg X_n} (1 where B_n is real), indexed by n - lo, from
+    theta_n and B_n on [lo, hi] and the head's c0, Phi_lo and e^{-i arg X_lo}
+    (_kernel_chunk); head is (c0, Phi_hi, e^{-i arg X_hi}) for the stretch
+    above.
 
     X_n telescopes to a_n A_n A_{n+1} / (a_{n0} A_{n0} A_{n0+1}), so with
     |gamma| = 1 it is taken in closed form, not from Lambda_n:
@@ -425,6 +433,12 @@ def _x_chunk(st: Stretch, th: np.ndarray, c0: float | None, phi0: complex,
     of log Lambda_k, log|X_N| is off by 8.9e-16 on the Laguerre kernel at
     1 + i0 (N = 2e5), the summed logs of the rounded Lambda_n by 5.7e-12.
     Phi is always complex; on a real kernel Re Phi_n = 0.
+
+    The unit phase is a running product (_unit_phases): e^{-i arg X_n} =
+    e^{-i arg X_{n-1}} e^{-i arg Lambda_n}, re-anchored to cos and sin of
+    Re Phi_n at the window start (unit0 None) and at every multiple of
+    _ANCHOR_SPACING, so a stretch takes cos and sin at most
+    ceil(K / _ANCHOR_SPACING) + 1 times, not K + 1 times.
     """
     phi = np.empty(len(th), dtype=complex)                # Phi_n
     phi[0] = phi0
@@ -434,11 +448,60 @@ def _x_chunk(st: Stretch, th: np.ndarray, c0: float | None, phi0: complex,
         c0 = float(st.log_x[0])
     logX = st.log_x - phi.imag
     logX -= c0
-    uniXinv = np.ones(len(phi), dtype=dtype)              # e^{-i arg X_n}: 1 on a real kernel
-    if uniXinv.dtype.kind == "c":
-        np.cos(phi.real, out=uniXinv.real)
-        np.sin(-phi.real, out=uniXinv.imag)
-    return logX, uniXinv, c0, complex(phi[-1])
+    if B.dtype.kind == "c":
+        uniXinv = np.empty(len(phi), dtype=complex)       # e^{-i arg X_n}
+        _unit_phases(st.lo, phi.real, B, unit0, uniXinv)
+    else:
+        uniXinv = np.ones(len(phi))                       # 1 on a real kernel
+    return logX, uniXinv, (c0, complex(phi[-1]), uniXinv[-1].item())
+
+
+def _unit_phases(lo: int, arg: np.ndarray, B: np.ndarray, unit0: complex | None,
+                 out: np.ndarray) -> None:
+    """e^{-i arg X_n} for n in [lo, hi] into the complex `out`, from
+    arg X_n = Re Phi_n (`arg`), B_n and the carried e^{-i arg X_lo}
+    (unit0; None at the window start).
+
+    e^{-i arg Lambda_n} = conj(B_n B_{n-1}) / |B_n B_{n-1}|, since
+    Lambda_n = (a_n / a_{n-1}) B_n B_{n-1} with a_n / a_{n-1} > 0, and
+    the unit phases are its running product (W. H. Press et al.,
+    Numerical Recipes, the trigonometric recurrence), taken in closed form
+    as cos(Re Phi_n) - i sin(Re Phi_n) at the anchors: the window start
+    and every n in (lo, hi] that is a multiple of _ANCHOR_SPACING.  The
+    anchors sit at absolute indices and the product runs on from unit0,
+    so a value does not depend on where stretches are cut.  Between
+    anchors each factor adds about 4 eps, so e^{-i arg X_n} is at most
+    _ANCHOR_SPACING 4 eps off its closed form.  A B_n that is not finite,
+    or whose product with B_{n-1} is zero or subnormal (|B_n| = e^{-Im
+    theta_n} |mod_n|, so Im theta_n above about 350, far off any default
+    window), makes the units NaN up to the next anchor, without a warning;
+    the terms t_m and y_m are then NaN too, which fails the point
+    (_require_finite).
+    """
+    K = len(out) - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.multiply(B[1:], B[:-1], out=out[1:])      # the phase of Lambda_n
+        inv = np.abs(f)
+        np.divide(1.0, inv, out=inv)
+        if not inv.max() < np.inf:       # |B_n B_{n-1}| zero or below the double range
+            inv[np.isinf(inv)] = np.nan
+        f.real *= inv
+        np.negative(inv, out=inv)
+        f.imag *= inv
+    del inv
+    first = _ANCHOR_SPACING - lo % _ANCHOR_SPACING        # first anchor above lo
+    at = np.arange(first, K + 1, _ANCHOR_SPACING)
+    if unit0 is None:
+        at = np.r_[0, at]
+    else:
+        out[0] = unit0
+    out.real[at] = np.cos(arg[at])
+    out.imag[at] = np.sin(-arg[at])
+    full = max(K + 1 - first, 0) // _ANCHOR_SPACING       # whole rows from an anchor
+    rows = out[first:first + full * _ANCHOR_SPACING].reshape(full, _ANCHOR_SPACING)
+    np.multiply.accumulate(rows, axis=1, out=rows)
+    for seg in (out[:first], out[first + full * _ANCHOR_SPACING:]):
+        np.multiply.accumulate(seg, out=seg)
 
 
 def backward_sweep(lam: np.ndarray, rr: np.ndarray,

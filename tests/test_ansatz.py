@@ -137,6 +137,19 @@ class TestPhases:
         # with a window start given, nothing looks for the sign change
         assert ansatz.phase_context(ansatz.interior(-1e-200), p, 8).n_start == 8
 
+    @pytest.mark.parametrize("z, match", [
+        (complex(math.nan, 0.0), "not finite"), (complex(math.nan, 1.0), "not finite"),
+        (complex(math.inf, 0.0), "not finite"), (complex(1.0, -math.inf), "not finite"),
+        (1e308, "beyond n = 1e308"), (1e200j, "beyond n = 1e308"),
+    ])
+    def test_window_start_beyond_float_range(self, z, match):
+        # a non-finite z, or one whose bound (4 |w|)^(1/sigma) on the
+        # window start overflows (sigma = 1/2), is a bad parameter, not a
+        # ValueError or OverflowError out of math.ceil
+        _, p = power(0.5, 1.0, 0.0)
+        with pytest.raises(InvalidParameter, match=match):
+            ansatz.default_n_start(ansatz.interior(z), p)
+
 
 class TestAnsatzValue:
     def test_at_start_magnitude(self, laguerre0):

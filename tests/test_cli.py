@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import critjac
-from critjac import cli, recurrence, spectral, volterra
-from critjac.errors import NumericFailure
+from critjac import cli, recurrence, solutions, spectral, volterra
+from critjac.ansatz import interior
+from critjac.errors import InvalidParameter, NumericFailure
 
 
 def run(argv, capsys):
@@ -409,6 +410,26 @@ def test_grid_past_n_cap_is_refused_before_allocating(monkeypatch, capsys):
     assert code == 4 and out == ""
     assert "InvalidParameter" in err and "N_CAP" in err
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["jost", "--p", "0", "--z", "nan", "--N", "100"],
+    ["poly", "--p", "0", "--z", "1e308", "--N", "10"],
+    ["poly", "--p", "0", "--z", "inf", "--N", "10"],
+    ["resolvent", "--p", "0", "--z", "nan+1j", "--n", "0", "--m", "1"],
+])
+def test_non_finite_or_overflowing_z_is_a_bad_parameter(argv, capsys):
+    # the window start's bound (4 |z|)^(1/sigma) is not finite: exit 4
+    # with the reason, not a traceback out of math.ceil
+    code, out, err = run(argv, capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("InvalidParameter: ") and "Traceback" not in err
+
+
+def test_non_finite_z_in_the_library_is_a_bad_parameter(laguerre0):
+    m, p = laguerre0
+    with pytest.raises(InvalidParameter, match="not finite"):
+        solutions.omega(interior(complex(math.nan, 1.0)), p, m, N=1000)
 
 
 def test_zero_grid_step_gives_the_two_ends():

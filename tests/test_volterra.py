@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 from conftest import force_complex, loglog_slope, phi_at, power, remainder_at, theta_on
-from critjac import ansatz, solutions, volterra
-from critjac.errors import CritJacError, InvalidParameter, NumericFailure
+from critjac import ansatz, coeffs, solutions, volterra
+from critjac.errors import (CritJacError, InvalidParameter, NumericFailure,
+                            UnsupportedTauZero)
 from critjac.logcomplex import LogComplex
 
 
@@ -84,8 +85,8 @@ def x_logs(ctx, st, head=volterra._WINDOW_START):
     """log|X_n| and e^{-i arg X_n} on the stretch st of a window, formed
     from `head` as _kernel_chunk forms them."""
     th = ansatz.theta_window(ctx, st)
-    rr, _ = volterra._rcal_chunk(ctx, st, np.result_type(head[3]), th)
-    return volterra._x_chunk(st, th, head[0], head[1], rr.dtype)[:2]
+    _, B = volterra._rcal_chunk(ctx, st, np.result_type(head[4]), th)
+    return volterra._x_chunk(st, th, B, *head[:3])[:2]
 
 
 class KernelLogs:
@@ -373,6 +374,148 @@ def test_stretches_carry_the_window(laguerre0, model, zp, N):
 
 
 
+def closed_form_units(lo, arg, B, unit0, out):
+    """e^{-i arg X_n} as cos and sin of every Re Phi_n: the closed form
+    that _unit_phases takes only at its anchors."""
+    np.cos(arg, out=out.real)
+    np.sin(-arg, out=out.imag)
+
+
+def tail_chunks(ctx, m, edges):
+    """_kernel_chunk's (t, y, head) and x_logs' (logX, uniXinv) over the
+    stretches between `edges` of a tail window that starts at edges[0],
+    each started from the head the one below returned."""
+    head, out = volterra._WINDOW_START, []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        st = stretch(ctx, m, lo, hi)
+        x = x_logs(ctx, st, head)
+        t, y, head = volterra._kernel_chunk(ctx, st, head)
+        out.append((t, y, head, x))
+    return out
+
+
+ANCHOR_POINTS = [
+    (None, ansatz.at_plus(1.0)),                           # Laguerre p = 0
+    (power(1.25, 0.0, -0.875), ansatz.at_plus(-2.0)),      # whole line
+    (None, ansatz.interior(1.0 + 1.0j)),
+]
+ANCHOR_IDS = ["laguerre", "whole_line", "laguerre_complex"]
+
+
+@pytest.mark.parametrize("model, zp", ANCHOR_POINTS, ids=ANCHOR_IDS)
+def test_unit_phases_at_spacing_one_are_the_closed_form(laguerre0, monkeypatch,
+                                                        model, zp):
+    # with an anchor at every index the running product never runs: the
+    # tail's terms and heads are those of cos and sin of every Re Phi_n
+    # bit for bit, over stretches cut at a multiple of 2^14 and off one
+    m, p = model or laguerre0
+    ctx = ansatz.phase_context(zp, p)
+    edges = [50_001, 65_536, 70_000]
+    monkeypatch.setattr(volterra, "_ANCHOR_SPACING", 1)
+    dense = tail_chunks(ctx, m, edges)
+    monkeypatch.setattr(volterra, "_unit_phases", closed_form_units)
+    closed = tail_chunks(ctx, m, edges)
+    for (t, y, head, x), (t_c, y_c, head_c, x_c) in zip(dense, closed):
+        assert np.array_equal(t, t_c) and np.array_equal(y, y_c)
+        assert head == head_c
+        assert np.array_equal(x[1], x_c[1])
+
+
+@pytest.mark.parametrize("model, zp", ANCHOR_POINTS, ids=ANCHOR_IDS)
+@pytest.mark.parametrize("N", [200_003, 131_072])
+def test_unit_phases_carry_across_any_cut(laguerre0, model, zp, N):
+    # a tail window that starts off the anchor grid (or on it), cut into
+    # stretches at its own edges N + k 2^14 and at odd places: the running
+    # unit is carried in the head, so the unit phases and the terms y_m are
+    # the one-stretch tail's bit for bit, the terms t_m to rounding of the
+    # stretch's largest (the prefix sums are framed per stretch, and near
+    # a zero of PS_m its rounding is 1e-11 to 1e-10 of t_m itself)
+    m, p = model or laguerre0
+    ctx = ansatz.phase_context(zp, p)
+    top = N + 2 * volterra._CHUNK
+    (whole_t, whole_y, whole_head, whole_x), = tail_chunks(ctx, m, [N, top])
+    for edges in ([N, N + volterra._CHUNK, top], [N, N + 1, N + 300, N + 16_391, top]):
+        parts = tail_chunks(ctx, m, edges)
+        for (lo, hi), (t, y, _, x) in zip(zip(edges[:-1], edges[1:]), parts):
+            sl, sl_m = slice(lo - N, hi - N + 1), slice(lo - N, hi - N)
+            assert np.array_equal(x[1], whole_x[1][sl])
+            assert np.array_equal(y, whole_y[sl_m])
+            assert np.max(np.abs(t - whole_t[sl_m])) <= 1e-13 * np.max(np.abs(whole_t[sl_m]))
+        assert parts[-1][2][:3] == whole_head[:3]
+
+
+@pytest.mark.parametrize("model, zp", ANCHOR_POINTS, ids=ANCHOR_IDS)
+def test_unit_phases_match_the_40_digit_phase(laguerre0, model, zp):
+    # e^{-i arg X_n} on a tail window [N, N + 2^15] against the 40-digit
+    # arg X_n (log_x_reference): the bound of test_kernel_log_matches_numpy_log
+    # plus _ANCHOR_SPACING 4 eps for the running product between anchors
+    m, p = model or laguerre0
+    N = 100_003
+    top = N + 2 * volterra._CHUNK
+    ctx = ansatz.phase_context(zp, p, N)
+    parts = tail_chunks(ctx, m, [N, N + volterra._CHUNK, top])
+    uni = np.concatenate([parts[0][3][1], parts[1][3][1][1:]])
+    ks, _, argref = log_x_reference(ctx, m, top)
+    eps = np.finfo(float).eps
+    tol = (1e-14 + eps * np.sqrt(ks)) * np.maximum(1.0, np.abs(argref))
+    assert np.all(np.abs(uni[ks] - np.exp(-1j * argref))
+                  <= tol + volterra._ANCHOR_SPACING * 4 * eps)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1e-160, np.inf, np.nan])
+def test_unit_phases_fail_to_nan_until_the_next_anchor(monkeypatch, bad):
+    # a B_n whose product with B_{n-1} is zero, subnormal (1e-160 squared)
+    # or not finite makes the units NaN, without a warning, up to the next
+    # anchor; from there they are the closed form's again
+    monkeypatch.setattr(volterra, "_ANCHOR_SPACING", 8)
+    lo, K = 5, 30
+    arg = np.linspace(0.0, 3.0, K + 1)
+    B = 0.9 * np.exp(0.5j * np.arange(K + 1))
+    B[6] = bad * (1.0 + 1.0j)
+    if bad == 1e-160:
+        B[5] = 1e-160j
+    out = np.empty(K + 1, dtype=complex)
+    volterra._unit_phases(lo, arg, B, None, out)
+    assert np.all(np.isnan(out[6:11]))                 # n = 11 ... 15
+    assert np.all(np.isfinite(out[:6])) and np.all(np.isfinite(out[11:]))
+    assert out[11] == complex(np.cos(arg[11]), np.sin(-arg[11]))   # the anchor n = 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=hs.sampled_from([0.5, 1.0, 1.25, 1.5]), alpha=hs.floats(-0.9, 2.0),
+       beta=hs.floats(-2.0, 2.0), gamma=hs.sampled_from([1.0, -1.0]),
+       d=hs.floats(0.5, 3.0), y=hs.floats(0.05, 2.0))
+def test_anchor_spacing_moves_omega_by_rounding_only(sigma, alpha, beta, gamma, d, y):
+    # Omega at lambda + i0 inside the a.c. set and at a non-real z, with
+    # the tail's unit phases anchored every _ANCHOR_SPACING indices and at
+    # every index: the running product moves Omega by rounding only (at
+    # most 3.5e-12 on a grid of 556 such points).  alpha > -1 keeps every
+    # a_n > 0.  |tau| >= 1/4: with a tiny tau the tau / n term of t_n takes
+    # over far above these windows, Omega moves by O(1) between N and 2N,
+    # and the fit amplifies rounding past 1e-11 (5.8e-11 at tau = -1/256)
+    m = coeffs.power_model(sigma, alpha, beta, gamma)
+    try:
+        p = coeffs.classify(m)
+    except UnsupportedTauZero:
+        return
+    assume(abs(p.tau) >= 0.25)
+    points = [ansatz.interior(complex(d - 1.0, y))]
+    ac = p.ac_set
+    if ac is not None:
+        lam = ac.lo + d if np.isfinite(ac.lo) else (ac.hi - d if np.isfinite(ac.hi) else d - 1.0)
+        points.append(ansatz.at_plus(lam))
+    for zp in points:
+        n0 = ansatz.phase_context(zp, p).n_start
+        if n0 > 20_000:                          # a window start past a far turning index
+            continue
+        N = n0 + 6_001
+        om = solutions.omega(zp, p, m, N=N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(volterra, "_ANCHOR_SPACING", 1)
+            dense = solutions.omega(zp, p, m, N=N)
+        assert abs(om - dense) <= 1e-11 * abs(dense)
+
+
 @pytest.mark.parametrize("split", [65536, 4])
 def test_prefix_sum_exact_zero(split):
     # terms 1, 1, -1, -1, 1: the two -1 are e^{+i pi} and e^{-i pi}, whose
@@ -507,18 +650,18 @@ def test_tail_terms_match_log_path(laguerre0, monkeypatch, model, zp, N, span):
     for lo in (N, N + volterra._CHUNK):
         st = stretch(ctx, m, lo, lo + volterra._CHUNK)
         th = ansatz.theta_window(ctx, st)
-        rr, _ = volterra._rcal_chunk(ctx, st, np.result_type(head[3]), th)
+        rr, _ = volterra._rcal_chunk(ctx, st, np.result_type(head[4]), th)
         logX, uniXinv = x_logs(ctx, st, head)
         logv = -logX
         logv[0] = -np.inf
-        logPS, uniPS, frames = per_cut_prefix_sum(logv, uniXinv, head[2:])
+        logPS, uniPS, frames = per_cut_prefix_sum(logv, uniXinv, head[3:])
         cuts += len(frames) - 1
         t_ref, y_ref = log_path_terms(rr, logX, uniXinv, logPS, uniPS)
         t, y, head = volterra._kernel_chunk(ctx, st, head)
         assert t.dtype == y.dtype == t_ref.dtype
         assert np.all(np.abs(t - t_ref) <= 1e-13 * np.abs(t_ref))
         assert np.all(np.abs(y - y_ref) <= 1e-13 * np.abs(y_ref))
-        assert head[2:] == (float(logPS[-1]), uniPS[-1].item())
+        assert head[3:] == (float(logPS[-1]), uniPS[-1].item())
     assert (cuts > 0) == (span is not None)
 
 
