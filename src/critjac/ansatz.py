@@ -424,11 +424,12 @@ def remainder_window(ctx: PhaseContext, st: Stretch, B: np.ndarray) -> np.ndarra
     imaginary, so z real) gives a real r_n.  The real divisors enter as
     reciprocals, which is how numpy divides a complex array by a real one,
     so a real B rounds each term as its complex copy would.  A non-finite
-    B_n gives a non-finite r_n without a warning: the solve checks its
-    kernel and its solution and raises NumericFailure.
+    B_n, or one whose reciprocal overflows, gives a non-finite r_n without
+    a warning: the solve checks its kernel and its solution and raises
+    NumericFailure.
     """
     z = ctx.z_canonical if np.iscomplexobj(B) else ctx.z_canonical.real
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return (B[:-1] ** -1 * st.inv_root + st.root * B[1:]
                 + (st.b - z) * st.inv_geo)
 

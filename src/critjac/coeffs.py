@@ -275,7 +275,8 @@ def power_model(sigma: float, alpha: float, beta: float, gamma: float) -> Coeffi
 
     a_0 = 1 and b_0 = 0 avoid the n = 0 singularity; leading entries
     never affect the asymptotics.  The exact form isolates the Ansatz
-    truncation error in remainder-decay measurements.
+    truncation error in remainder-decay measurements.  alpha > -1 keeps
+    every a_n with n >= 1 positive.
     """
     if sigma > 1.5:
         raise LimitCircleRegime(
@@ -284,6 +285,11 @@ def power_model(sigma: float, alpha: float, beta: float, gamma: float) -> Coeffi
     if sigma <= 0:
         raise UnsupportedRegime("sigma must lie in (0, 3/2]")
     sigma, alpha, beta, gamma = map(float, (sigma, alpha, beta, gamma))
+    if not alpha > -1.0:
+        raise InvalidParameter(
+            f"alpha = {alpha:g}: a_n = n^sigma (1 + alpha/n) must be positive "
+            "for n >= 1, which needs alpha > -1"
+        )
 
     def a_fn(n):
         n = np.asarray(n, dtype=float)

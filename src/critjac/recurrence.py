@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .ansatz import SpectralPoint, at_plus, phase_context, phi_window
 from .coeffs import CoefficientModel, CriticalParams
@@ -223,6 +222,7 @@ def truncated_matrix_eigs(model: CoefficientModel, N: int,
     """
     if N < 1:
         raise InvalidParameter("matrix truncation needs N >= 1")
+    from scipy.linalg import eigh_tridiagonal   # loads on the first call
     d = model.b_range(0, N)
     e = model.a_range(0, N - 1)
     if window is not None:

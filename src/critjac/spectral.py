@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import recurrence, solutions, volterra
 from .ansatz import SpectralPoint, at_plus, interior, phase_context, phi_stretch
@@ -375,6 +374,7 @@ def eigenvalue_report(lo: float, hi: float, params: CriticalParams,
         if k == 0:
             continue
         if k == 1 and at(a)[0] * at(b)[0] < 0.0:
+            from scipy.optimize import brentq   # loads on the first search
             zeros.append(float(brentq(lambda x: at(x)[0], a, b, xtol=EIG_XTOL)))
             continue
         if b - a < EIG_XTOL:

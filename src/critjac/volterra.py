@@ -96,7 +96,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
 
 from .ansatz import (
     PhaseContext,
@@ -305,9 +304,13 @@ def _pass_batch(rows: np.ndarray, members: list, rest: int, st: Stretch) -> None
 
 
 def _require_state(state: tuple, st: Stretch) -> None:
-    """NumericFailure unless the state (u, D) below the stretch st is finite."""
+    """NumericFailure unless the state (u, D) below the stretch st is
+    finite and not (0, 0): the sweep is linear, so a zero state has
+    underflowed and leaves u zero from there down."""
     if not all(map(cmath.isfinite, state)):
         raise NumericFailure(f"non-finite kernel transfer on [{st.lo}, {st.hi - 1}]")
+    if not any(state):
+        raise NumericFailure(f"kernel transfer underflowed to zero on [{st.lo}, {st.hi - 1}]")
 
 
 def _stretches(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -361,7 +364,10 @@ def _rcal_chunk(ctx: PhaseContext, st: Stretch, dtype: np.dtype,
     r = remainder_window(ctx, st, B)                      # r_n, n in [lo+1, hi]
     rr = np.empty(len(B), dtype=B.dtype)                  # Rcal_n, n >= lo+1
     rr[0] = np.nan
-    rr[1:] = -st.root * B[:-1] * r
+    # an inf r_n from a B_n that underflowed gives a nan Rcal_n, silently:
+    # the solve checks its kernel and its state
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr[1:] = -st.root * B[:-1] * r
     return rr, B
 
 
@@ -775,7 +781,9 @@ class _TailFit:
         self.sq += np.array([np.einsum("i,i->", v, v) for v in
                              (np.ascontiguousarray(col).view(float) for col in P.T)])
         # LAPACK's Householder QR in place; numpy's qr would copy the stack
-        # twice and hold the GIL throughout, stalling the other threads
+        # twice and hold the GIL throughout, stalling the other threads.
+        # scipy.linalg loads here, on the first tail fit, not with critjac
+        from scipy.linalg.lapack import dgeqrf
         self.R = np.triu(dgeqrf(stack, overwrite_a=True)[0][:stack.shape[1]])
         self.rows += len(P)
 

@@ -426,6 +426,14 @@ def test_non_finite_or_overflowing_z_is_a_bad_parameter(argv, capsys):
     assert err.startswith("InvalidParameter: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["-1", "-2"])
+def test_non_positive_a_is_a_bad_parameter(alpha, capsys):
+    code, out, err = run(["classify", "--sigma", "0.5", "--alpha", alpha,
+                          "--beta", "-2"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("InvalidParameter: ") and "alpha > -1" in err
+
+
 def test_non_finite_z_in_the_library_is_a_bad_parameter(laguerre0):
     m, p = laguerre0
     with pytest.raises(InvalidParameter, match="not finite"):
@@ -613,6 +621,45 @@ def test_module_entry_point_without_warning(tmp_path):
                           "classify", "--p", "0"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["tau"] == 0.0
+
+
+_NO_SCIPY = """
+import contextlib, io, sys
+import critjac
+critjac.classify(critjac.laguerre_model(0.0))
+critjac.classify(critjac.power_model(1.25, 0.0, -0.875, 1.0))
+from critjac.cli import main
+codes = []
+for argv in (["classify", "--p", "0"], ["--help"], ["jost", "--p", "0", "--z", "nan"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes, sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_and_classify_load_no_scipy(tmp_path):
+    # scipy loads on the first call that needs it (the tail fit, the
+    # eigenvalue search, the matrix oracle), not with the package: the
+    # import, a classification and the CLI's classify, --help and bad
+    # configuration paths run on numpy alone
+    proc = _fresh_python(["-c", _NO_SCIPY], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 4] []"
+
+
+def test_density_threads_first_import_scipy_alike(tmp_path):
+    # in a fresh process both pool threads reach the tail fit, and its
+    # first import of scipy.linalg, at the same moment
+    grid = ["-m", "critjac.cli", "density", "--sigma", "1.25", "--beta", "-0.875",
+            "--lambda-min", "-2", "--lambda-max", "2", "--lambda-step", "0.5",
+            "--N", "20000"]
+    one, two = (_fresh_python([*grid, "--threads", t], tmp_path) for t in ("1", "2"))
+    assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
+    assert len(one.stdout.splitlines()) == 10
+    assert two.stdout == one.stdout
 
 
 def test_cli_reachable_as_package_attribute(tmp_path):

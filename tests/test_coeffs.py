@@ -57,6 +57,16 @@ def test_power_rejects_regime():
         coeffs.power_model(0.0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, -1.5, math.nan])
+def test_power_rejects_non_positive_a(alpha):
+    # a_n = n^sigma (1 + alpha/n) is zero at n = -alpha or negative below
+    # it: no Jacobi matrix
+    with pytest.raises(InvalidParameter, match="alpha > -1"):
+        coeffs.power_model(0.5, alpha, -2.0, 1.0)
+    m = coeffs.power_model(0.5, -0.999, -2.0, 1.0)
+    assert np.all(m.a_range(1, 100) > 0.0)
+
+
 def test_classify_laguerre(laguerre0):
     _, p = laguerre0
     assert p.tau == 0.0
@@ -138,7 +148,8 @@ def test_exact_identities(sigma, alpha, beta):
 
 
 @given(st.sampled_from([0.5, 0.75, 1.0, 1.25, 1.5]),
-       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-1.0, 2.0, exclude_min=True), st.floats(-2.0, 2.0),
+       st.sampled_from([1.0, -1.0]),
        st.floats(-8.0, 8.0), st.one_of(st.none(), st.floats(-1e-2, 1e-2)))
 def test_regime_table_agrees_across_modules(sigma, alpha, beta, gamma, lam, nudge):
     # ac_set, the side-tag and branch-point rules of phase_context, kappa_phase

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -1211,6 +1212,24 @@ class TestSolve:
         monkeypatch.setattr(volterra, "ansatz_ratio_window", broken)
         with pytest.raises(NumericFailure):
             volterra.solve(zp, p, m, N=20_000, tail_init=tail_init, n_top=n_top)
+
+    @pytest.mark.parametrize("z, match", [
+        pytest.param(1e9j, "non-finite kernel transfer", id="overflow"),
+        pytest.param(1e6j, "underflowed to zero", id="zero-state")])
+    @pytest.mark.parametrize("tail_init", ["unit", "asymptotic"])
+    def test_window_far_below_the_turning_point_raises(self, laguerre0, z, match,
+                                                       tail_init):
+        # n0 = 8 lies far below these points' window start.  At 1e9 i some
+        # B_n underflow, so 1 / B_n overflows and Rcal_n = B_n r_n is nan;
+        # at 1e6 i the sweep's state underflows to exactly (0, 0), which
+        # leaves u zero at the head with a rounding-level residual.  Either
+        # must fail the solve without a RuntimeWarning first
+        m, p = laguerre0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match=match):
+                volterra.solve(ansatz.interior(z), p, m, n0=8, N=4000,
+                               tail_init=tail_init)
 
 
 # |W[f(l+i0), f(l-i0)] / (2i w) - 1| of the earlier tail (second-order
